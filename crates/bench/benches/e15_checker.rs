@@ -2,18 +2,26 @@
 //! covers the full scheduler space of small instances, and the cost of
 //! adding a crash budget to the explored adversary.
 
-use amacl_checker::{ExploreConfig, Explorer};
+use amacl_checker::{MacExploreConfig, MacExplorer, SearchOrder};
 use amacl_core::two_phase::TwoPhase;
+use amacl_model::machine::LedgerMutation;
 use amacl_model::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn explore(n: usize, crash_budget: usize) -> usize {
+fn explore(n: usize, crash_budget: usize) -> u64 {
     let inputs: Vec<Value> = (0..n).map(|i| (i % 2) as Value).collect();
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let out = Explorer::new(Topology::clique(n), procs, inputs, crash_budget).run(ExploreConfig {
+    let explorer = MacExplorer::new(
+        Topology::clique(n),
+        procs,
+        inputs,
+        crash_budget,
+        LedgerMutation::None,
+    );
+    let out = explorer.run(&MacExploreConfig {
         max_violations: usize::MAX,
-        ..ExploreConfig::default()
+        ..MacExploreConfig::naive(SearchOrder::Dfs)
     });
     black_box(out.states)
 }

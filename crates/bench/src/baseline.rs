@@ -3,59 +3,29 @@
 //!
 //! `BENCH_engine.json` (repo root) is the committed source of truth
 //! for engine throughput on the reference workload. CI reruns the
-//! measurement on every PR and calls [`gate`] against the committed
-//! number with a generous machine-variance tolerance: CI runners are
-//! shared, noisy hardware, so the gate is not "as fast as the
-//! baseline" but "not collapsed" — a real regression (an accidental
-//! O(n) in the event queue, a lost cancellation path) shows up as a
-//! multiple-of-x slowdown that no runner noise produces.
+//! measurement on every PR and calls [`gate_rows`] against the
+//! committed rows with a generous machine-variance tolerance: CI
+//! runners are shared, noisy hardware, so the gate is not "as fast as
+//! the baseline" but "not collapsed" — a real regression (an
+//! accidental O(n) in the event queue, a lost cancellation path) shows
+//! up as a multiple-of-x slowdown that no runner noise produces.
 //!
 //! The JSON is parsed with a deliberately tiny field extractor rather
 //! than a serde dependency: the file is machine-written by `tables
-//! bench-engine`, flat, and one schema version old at most.
+//! bench-engine` and flat.
 //!
-//! Three schema versions are understood:
-//!
-//! * `amacl-bench-engine/v1` — a single flat object with one
-//!   `events_per_sec` figure; gated by [`gate`].
-//! * `amacl-bench-engine/v2` — the scaling sweep: a `rows` array with
-//!   one object per `(queue_core, n)` configuration (parsed by
-//!   [`parse_rows`]) plus a v1-compatible top-level `events_per_sec`
-//!   for the reference configuration (heap, n = 32), so a v1 reader
-//!   still gates something meaningful. [`gate_rows`] checks every
-//!   baseline row against its fresh counterpart with the same
-//!   tolerance.
-//! * `amacl-bench-engine/v3` — v2 plus a `shards` dimension: each row
-//!   carries the shard count it measured (the sharded
-//!   conservative-window engine; `1` = serial). v2 rows parse as
-//!   `shards = 1`, so a v3 gate still understands a committed v2
-//!   baseline, and the v1 top-level reference figure is kept (heap,
-//!   n = 32, serial).
-//! * `amacl-bench-engine/v4` — v3 plus a per-row `threads` dimension:
-//!   the worker thread count of the thread-per-shard parallel stepper
-//!   (`1` = single-threaded stepping). v3/v2 rows parse as `threads =
-//!   1`, so the v4 gate still understands older committed baselines;
-//!   the top-level `threads` field remains the *measurement driver's*
-//!   seed-fan-out width, unchanged since v1.
-//! * `amacl-bench-engine/v5` — v4 plus the payload-arena counters per
-//!   row: `payload_clones` (deep copies the arena performed; summed
-//!   over the row's seeds) and `arena_bytes_peak` (high-water live
-//!   payload bytes; max over the row's seeds). Both are deterministic
-//!   for a fixed configuration, so a committed `payload_clones` is
-//!   gated **exactly** — drift means the custody protocol changed, not
-//!   the machine. v4-and-older rows parse both fields as `0`, which
-//!   disables the exact check (0 means "field predates v5"), so the
-//!   v5 gate still understands every older committed baseline down to
-//!   v1.
-//! * `amacl-bench-engine/v6` — v5 plus the persistent pool's
-//!   wake-policy counters per row: `superstep_count` (pool wakeups,
-//!   each covering up to `window_batch` consecutive windows) and
-//!   `worker_wakeups` (supersteps times the pool size). Both follow
-//!   the measuring machine's core count, so they are **informational**
-//!   — parsed, surfaced in the verdict lines, never gated exactly.
-//!   Pre-v6 rows parse them as `0`, so the v6 gate still understands
-//!   every older committed baseline down to v1 (the v5 → v1 fallback
-//!   chain is unchanged).
+//! Exactly one schema is understood, [`ENGINE_SCHEMA`]
+//! (`amacl-bench-engine/v6`): a `rows` array with one object per
+//! `(queue_core, n, shards, threads)` configuration, each carrying its
+//! `events_per_sec`, the payload-arena counters (`payload_clones`,
+//! `arena_bytes_peak`) and the persistent pool's wake-policy counters
+//! (`superstep_count`, `worker_wakeups`). A file announcing any other
+//! schema, or a row missing one of those fields, is an error — never a
+//! silent default that would switch a check off. To gate against an
+//! older file, regenerate it with `tables bench-engine`.
+
+/// The one engine-baseline schema this crate writes and reads.
+pub const ENGINE_SCHEMA: &str = "amacl-bench-engine/v6";
 
 /// Extracts a numeric field's value from a flat JSON object, e.g.
 /// `json_number(s, "events_per_sec")`. Returns `None` when the field
@@ -81,97 +51,106 @@ pub fn json_string(json: &str, field: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// One per-configuration row of the v2/v3 baseline schemas.
+/// One per-configuration row of the engine baseline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BaselineRow {
     /// Queue core the row measured (`"heap"` / `"calendar"`).
     pub queue_core: String,
     /// Network size of the reference workload.
     pub n: u64,
-    /// Shard count of the engine (`1` = serial; v2 rows, which predate
-    /// sharding, parse as `1`).
+    /// Shard count of the engine (`1` = serial).
     pub shards: u64,
     /// Worker threads stepping each conservative window (`1` =
-    /// single-threaded; v3/v2 rows, which predate the parallel
-    /// stepper, parse as `1`).
+    /// single-threaded).
     pub threads: u64,
-    /// Payload-arena clones over the row's seeds (deterministic;
-    /// pre-v5 rows parse as `0`, which disables the exact gate).
+    /// Payload-arena clones over the row's seeds (deterministic for a
+    /// fixed configuration, so gated exactly).
     pub payload_clones: u64,
     /// High-water live arena payload bytes over the row's seeds
-    /// (informational; pre-v5 rows parse as `0`).
+    /// (informational).
     pub arena_bytes_peak: u64,
-    /// Persistent-pool supersteps over the row's seeds
-    /// (informational — follows the runner's core count; pre-v6 rows
-    /// parse as `0`).
+    /// Persistent-pool supersteps over the row's seeds (informational
+    /// — follows the runner's core count).
     pub superstep_count: u64,
     /// Individual pool-worker wakeups over the row's seeds
-    /// (informational; pre-v6 rows parse as `0`).
+    /// (informational).
     pub worker_wakeups: u64,
     /// Measured serial throughput.
     pub events_per_sec: f64,
 }
 
-/// Extracts the v2–v6 per-configuration rows from a baseline
-/// JSON. Returns an empty vector for v1 files (which have no rows).
-/// Rows without a `shards` field (v2) parse as serial (`shards = 1`);
-/// rows without a `threads` field (v3/v2) parse as single-threaded
-/// (`threads = 1`); rows without the arena counters (v4 and older)
-/// parse them as `0`; rows without the pool counters (v5 and older)
-/// parse them as `0` too.
-pub fn parse_rows(json: &str) -> Vec<BaselineRow> {
+/// Extracts the per-configuration rows from an [`ENGINE_SCHEMA`]
+/// baseline.
+///
+/// # Errors
+///
+/// Returns a message when the file announces any other schema, has no
+/// rows, or has a row missing one of the schema's fields.
+pub fn parse_rows(json: &str) -> Result<Vec<BaselineRow>, String> {
+    match json_string(json, "schema") {
+        Some(schema) if schema == ENGINE_SCHEMA => {}
+        found => {
+            return Err(format!(
+                "baseline schema is {}, but only `{ENGINE_SCHEMA}` is understood — \
+                 regenerate it with `tables bench-engine --out <path>`",
+                found.map_or("missing".to_string(), |s| format!("`{s}`"))
+            ))
+        }
+    }
     let mut rows = Vec::new();
     let mut rest = json;
     while let Some(pos) = rest.find("\"queue_core\"") {
         let after = &rest[pos..];
         let end = after.find('}').unwrap_or(after.len());
         let chunk = &after[..end];
-        if let (Some(queue_core), Some(n), Some(events_per_sec)) = (
-            json_string(chunk, "queue_core"),
-            json_number(chunk, "n"),
-            json_number(chunk, "events_per_sec"),
-        ) {
-            rows.push(BaselineRow {
-                queue_core,
-                n: n as u64,
-                shards: json_number(chunk, "shards").map_or(1, |s| s as u64),
-                threads: json_number(chunk, "threads").map_or(1, |t| t as u64),
-                payload_clones: json_number(chunk, "payload_clones").map_or(0, |c| c as u64),
-                arena_bytes_peak: json_number(chunk, "arena_bytes_peak").map_or(0, |b| b as u64),
-                superstep_count: json_number(chunk, "superstep_count").map_or(0, |c| c as u64),
-                worker_wakeups: json_number(chunk, "worker_wakeups").map_or(0, |w| w as u64),
-                events_per_sec,
-            });
-        }
+        let number = |field: &str| {
+            json_number(chunk, field).ok_or(format!(
+                "baseline row {} has no numeric `{field}` field",
+                rows.len()
+            ))
+        };
+        let row = BaselineRow {
+            queue_core: json_string(chunk, "queue_core")
+                .ok_or(format!("baseline row {} has no `queue_core`", rows.len()))?,
+            n: number("n")? as u64,
+            shards: number("shards")? as u64,
+            threads: number("threads")? as u64,
+            payload_clones: number("payload_clones")? as u64,
+            arena_bytes_peak: number("arena_bytes_peak")? as u64,
+            superstep_count: number("superstep_count")? as u64,
+            worker_wakeups: number("worker_wakeups")? as u64,
+            events_per_sec: number("events_per_sec")?,
+        };
+        rows.push(row);
         rest = &after[end..];
     }
-    rows
+    if rows.is_empty() {
+        return Err("baseline JSON has no rows".into());
+    }
+    Ok(rows)
 }
 
-/// Gates every baseline v2–v6 row against the matching fresh row:
-/// each configuration must not have collapsed below
-/// `baseline / tolerance`, every baseline configuration must have been
-/// re-measured, and — when the baseline row carries a v5
-/// `payload_clones` figure — the fresh clone count must match
-/// **exactly** (arena clones are seed-determined; drift means the
-/// payload custody protocol changed, which no machine noise produces).
+/// Gates every baseline row against the matching fresh row: each
+/// configuration must not have collapsed below `baseline / tolerance`,
+/// every baseline configuration must have been re-measured, and the
+/// fresh `payload_clones` count must match **exactly** (arena clones
+/// are seed-determined; drift means the payload custody protocol
+/// changed, which no machine noise produces).
 ///
 /// Returns one human-readable verdict line per row.
 ///
 /// # Errors
 ///
-/// Returns the joined failure messages when any row is missing,
-/// collapsed, or moved its deterministic clone count.
+/// Returns the [`parse_rows`] message for an unreadable baseline, or
+/// the joined failure messages when any row is missing, collapsed, or
+/// moved its deterministic clone count.
 pub fn gate_rows(
     baseline_json: &str,
     fresh: &[BaselineRow],
     tolerance: f64,
 ) -> Result<Vec<String>, String> {
     assert!(tolerance >= 1.0, "tolerance must be >= 1");
-    let baseline = parse_rows(baseline_json);
-    if baseline.is_empty() {
-        return Err("baseline JSON has no v2-v6 rows".into());
-    }
+    let baseline = parse_rows(baseline_json)?;
     let mut lines = Vec::new();
     let mut failures = Vec::new();
     for b in &baseline {
@@ -183,7 +162,7 @@ pub fn gate_rows(
             f.queue_core == b.queue_core && f.n == b.n && f.shards == b.shards && f.threads == b.threads
         }) {
             None => failures.push(format!("{label}: no fresh measurement")),
-            Some(f) if b.payload_clones != 0 && f.payload_clones != b.payload_clones => {
+            Some(f) if f.payload_clones != b.payload_clones => {
                 failures.push(format!(
                     "{label}: payload clone count moved: {} vs baseline {} \
                      (arena clones are seed-determined; this is a custody-protocol change, \
@@ -212,140 +191,32 @@ pub fn gate_rows(
     }
 }
 
-/// Outcome of one baseline comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GateReport {
-    /// The committed baseline events/sec.
-    pub baseline: f64,
-    /// The freshly measured events/sec.
-    pub fresh: f64,
-    /// The tolerance factor the gate allowed.
-    pub tolerance: f64,
-}
-
-impl GateReport {
-    /// `fresh / baseline` — below `1 / tolerance` fails the gate.
-    pub fn ratio(&self) -> f64 {
-        if self.baseline == 0.0 {
-            1.0
-        } else {
-            self.fresh / self.baseline
-        }
-    }
-}
-
-/// Gates a fresh `events_per_sec` measurement against the committed
-/// baseline JSON: the gate fails only when throughput collapsed below
-/// `baseline / tolerance` (so `tolerance = 3.0` tolerates a 3x-slower
-/// machine but catches an order-of-magnitude regression).
-///
-/// # Errors
-///
-/// Returns a message when the baseline is unreadable or the fresh
-/// measurement collapsed.
-pub fn gate(
-    baseline_json: &str,
-    fresh_events_per_sec: f64,
-    tolerance: f64,
-) -> Result<GateReport, String> {
-    assert!(tolerance >= 1.0, "tolerance must be >= 1");
-    let baseline = json_number(baseline_json, "events_per_sec")
-        .ok_or("baseline JSON has no numeric events_per_sec field")?;
-    if baseline <= 0.0 {
-        return Err(format!(
-            "baseline events_per_sec {baseline} is not positive"
-        ));
-    }
-    let report = GateReport {
-        baseline,
-        fresh: fresh_events_per_sec,
-        tolerance,
-    };
-    if fresh_events_per_sec * tolerance < baseline {
-        return Err(format!(
-            "engine throughput collapsed: {fresh_events_per_sec:.0} events/sec vs baseline \
-             {baseline:.0} ({}x slower, tolerance {tolerance}x)",
-            (baseline / fresh_events_per_sec).round()
-        ));
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "amacl-bench-engine/v1",
-  "workload": "wpaxos",
-  "seeds": 32,
-  "events_total": 281669,
-  "serial_wall_s": 0.1154,
-  "events_per_sec": 2441367,
-  "threads": 1,
-  "parallel_speedup": 1.04
-}"#;
-
-    #[test]
-    fn json_number_extracts_fields() {
-        assert_eq!(json_number(SAMPLE, "events_per_sec"), Some(2_441_367.0));
-        assert_eq!(json_number(SAMPLE, "serial_wall_s"), Some(0.1154));
-        assert_eq!(json_number(SAMPLE, "seeds"), Some(32.0));
-        assert_eq!(json_number(SAMPLE, "missing"), None);
-        assert_eq!(json_number(SAMPLE, "schema"), None, "string field");
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance() {
-        // Equal, faster, and 2.9x slower all pass a 3x gate.
-        for fresh in [2_441_367.0, 9_000_000.0, 850_000.0] {
-            let r = gate(SAMPLE, fresh, 3.0).unwrap();
-            assert_eq!(r.baseline, 2_441_367.0);
-            assert!(r.ratio() > 0.0);
-        }
-    }
-
-    #[test]
-    fn gate_fails_on_collapse() {
-        let err = gate(SAMPLE, 100_000.0, 3.0).unwrap_err();
-        assert!(err.contains("collapsed"), "{err}");
-        assert!(err.contains("tolerance 3"), "{err}");
-    }
-
-    #[test]
-    fn gate_rejects_broken_baselines() {
-        assert!(gate("{}", 1.0, 3.0).is_err());
-        assert!(gate("{\"events_per_sec\": 0}", 1.0, 3.0).is_err());
-    }
-
-    const SAMPLE_V2: &str = r#"{
-  "schema": "amacl-bench-engine/v2",
+  "schema": "amacl-bench-engine/v6",
   "workload": "wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4)",
   "threads": 1,
   "events_per_sec": 2500000,
   "rows": [
-    {"queue_core": "heap", "n": 32, "seeds": 16, "events_total": 140000, "serial_wall_s": 0.056, "events_per_sec": 2500000, "parallel_wall_s": 0.055, "parallel_speedup": 1.02},
-    {"queue_core": "heap", "n": 512, "seeds": 2, "events_total": 6800000, "serial_wall_s": 6.1, "events_per_sec": 1114754, "parallel_wall_s": 6.0, "parallel_speedup": 1.01},
-    {"queue_core": "calendar", "n": 32, "seeds": 16, "events_total": 140000, "serial_wall_s": 0.046, "events_per_sec": 3043478, "parallel_wall_s": 0.045, "parallel_speedup": 1.02}
+    {"queue_core": "heap", "n": 32, "shards": 1, "threads": 1, "payload_clones": 41000, "arena_bytes_peak": 2048, "superstep_count": 0, "worker_wakeups": 0, "serial_wall_s": 0.056, "events_per_sec": 2500000},
+    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 1, "payload_clones": 52000, "arena_bytes_peak": 2048, "superstep_count": 0, "worker_wakeups": 0, "serial_wall_s": 0.078, "events_per_sec": 1800000},
+    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 4, "payload_clones": 52000, "arena_bytes_peak": 2048, "superstep_count": 310, "worker_wakeups": 620, "serial_wall_s": 0.039, "events_per_sec": 3600000}
   ]
 }"#;
 
-    fn row(core: &str, n: u64, eps: f64) -> BaselineRow {
-        sharded_row(core, n, 1, eps)
-    }
-
-    fn sharded_row(core: &str, n: u64, shards: u64, eps: f64) -> BaselineRow {
-        threaded_row(core, n, shards, 1, eps)
-    }
-
-    fn threaded_row(core: &str, n: u64, shards: u64, threads: u64, eps: f64) -> BaselineRow {
+    /// A fresh row matching one of [`SAMPLE`]'s configurations (same
+    /// clone counts), at the given throughput.
+    fn row(shards: u64, threads: u64, eps: f64) -> BaselineRow {
         BaselineRow {
-            queue_core: core.into(),
-            n,
+            queue_core: "heap".into(),
+            n: 32,
             shards,
             threads,
-            payload_clones: 0,
-            arena_bytes_peak: 0,
+            payload_clones: if shards == 1 { 41_000 } else { 52_000 },
+            arena_bytes_peak: 2048,
             superstep_count: 0,
             worker_wakeups: 0,
             events_per_sec: eps,
@@ -353,216 +224,142 @@ mod tests {
     }
 
     #[test]
-    fn v2_rows_parse() {
-        let rows = parse_rows(SAMPLE_V2);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], row("heap", 32, 2_500_000.0));
-        assert_eq!(rows[1], row("heap", 512, 1_114_754.0));
-        assert_eq!(rows[2].queue_core, "calendar");
-        // v2 rows predate sharding and the parallel stepper: they
-        // parse as serial, single-threaded.
-        assert!(rows.iter().all(|r| r.shards == 1 && r.threads == 1));
-        // v1 files have no rows.
-        assert!(parse_rows(SAMPLE).is_empty());
-        // The v1-compat top-level reference figure is still readable.
-        assert_eq!(json_number(SAMPLE_V2, "events_per_sec"), Some(2_500_000.0));
+    fn json_number_extracts_fields() {
+        assert_eq!(json_number(SAMPLE, "events_per_sec"), Some(2_500_000.0));
+        assert_eq!(json_number(SAMPLE, "serial_wall_s"), Some(0.056));
+        assert_eq!(json_number(SAMPLE, "threads"), Some(1.0));
+        assert_eq!(json_number(SAMPLE, "missing"), None);
+        assert_eq!(json_number(SAMPLE, "schema"), None, "string field");
         assert_eq!(
-            json_string(SAMPLE_V2, "schema").as_deref(),
-            Some("amacl-bench-engine/v2")
+            json_string(SAMPLE, "schema").as_deref(),
+            Some(ENGINE_SCHEMA)
+        );
+    }
+
+    #[test]
+    fn v6_rows_parse() {
+        let rows = parse_rows(SAMPLE).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(rows[0], row(1, 1, 2_500_000.0));
+        assert_eq!(rows[1], row(4, 1, 1_800_000.0));
+        assert_eq!(
+            rows[2],
+            BaselineRow {
+                superstep_count: 310,
+                worker_wakeups: 620,
+                ..row(4, 4, 3_600_000.0)
+            }
+        );
+    }
+
+    /// The strict parser must keep accepting what CI gates against.
+    #[test]
+    fn committed_baseline_is_accepted() {
+        let rows = parse_rows(include_str!("../../../BENCH_engine.json")).unwrap();
+        assert_eq!(rows.len(), 18, "2 cores x 3 sizes x 3 (shards, threads)");
+        assert!(rows.iter().all(|r| r.payload_clones > 0));
+    }
+
+    /// The last pre-v6 shape: same rows minus the pool counters. It is
+    /// refused by its schema string, not parsed with zeros.
+    #[test]
+    fn gate_rows_rejects_a_v5_file() {
+        let v5 = r#"{
+  "schema": "amacl-bench-engine/v5",
+  "events_per_sec": 2500000,
+  "rows": [
+    {"queue_core": "heap", "n": 32, "shards": 1, "threads": 1, "payload_clones": 41000, "arena_bytes_peak": 2048, "events_per_sec": 2500000}
+  ]
+}"#;
+        let err = gate_rows(v5, &[row(1, 1, 2_500_000.0)], 3.0).unwrap_err();
+        assert!(err.contains("`amacl-bench-engine/v5`"), "{err}");
+        assert!(err.contains("only `amacl-bench-engine/v6`"), "{err}");
+        assert!(err.contains("regenerate"), "{err}");
+    }
+
+    #[test]
+    fn gate_rejects_broken_baselines() {
+        let fresh = [row(1, 1, 1.0)];
+        let err = gate_rows("{}", &fresh, 3.0).unwrap_err();
+        assert!(err.contains("schema is missing"), "{err}");
+        let err = gate_rows(r#"{"schema": "amacl-bench-engine/v6"}"#, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("no rows"), "{err}");
+        // A v6 label on a row that lacks a v6 field is an error, not a
+        // zero that would switch the exact clone pin off.
+        let err = gate_rows(
+            &SAMPLE.replace("\"payload_clones\": 52000, ", ""),
+            &fresh,
+            3.0,
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("row 1 has no numeric `payload_clones`"),
+            "{err}"
         );
     }
 
     #[test]
     fn gate_rows_passes_within_tolerance_per_row() {
         let fresh = vec![
-            row("heap", 32, 900_000.0),    // 2.8x slower: within 3x
-            row("heap", 512, 1_200_000.0), // faster
-            row("calendar", 32, 3_043_478.0),
+            row(1, 1, 900_000.0),   // 2.8x slower: within 3x
+            row(4, 1, 2_000_000.0), // faster
+            row(4, 4, 3_600_000.0),
         ];
-        let lines = gate_rows(SAMPLE_V2, &fresh, 3.0).unwrap();
+        let lines = gate_rows(SAMPLE, &fresh, 3.0).unwrap();
         assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("core=heap n=32"), "{lines:?}");
+        assert!(lines[0].contains("core=heap n=32 shards=1"), "{lines:?}");
     }
 
     #[test]
     fn gate_rows_fails_on_one_collapsed_row() {
         let fresh = vec![
-            row("heap", 32, 2_500_000.0),
-            row("heap", 512, 100_000.0), // 11x slower
-            row("calendar", 32, 3_000_000.0),
+            row(1, 1, 2_500_000.0),
+            row(4, 1, 100_000.0), // 18x slower
+            row(4, 4, 3_500_000.0),
         ];
-        let err = gate_rows(SAMPLE_V2, &fresh, 3.0).unwrap_err();
-        assert!(err.contains("core=heap n=512"), "{err}");
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("core=heap n=32 shards=4 threads=1"), "{err}");
         assert!(err.contains("collapsed"), "{err}");
-    }
-
-    const SAMPLE_V3: &str = r#"{
-  "schema": "amacl-bench-engine/v3",
-  "workload": "wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4)",
-  "threads": 1,
-  "events_per_sec": 2500000,
-  "rows": [
-    {"queue_core": "heap", "n": 32, "shards": 1, "seeds": 16, "events_total": 140000, "events_per_sec": 2500000},
-    {"queue_core": "heap", "n": 32, "shards": 4, "seeds": 16, "events_total": 140000, "events_per_sec": 1800000},
-    {"queue_core": "calendar", "n": 512, "shards": 4, "seeds": 2, "events_total": 6800000, "events_per_sec": 900000}
-  ]
-}"#;
-
-    #[test]
-    fn v3_rows_parse_with_shards() {
-        let rows = parse_rows(SAMPLE_V3);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], sharded_row("heap", 32, 1, 2_500_000.0));
-        assert_eq!(rows[1], sharded_row("heap", 32, 4, 1_800_000.0));
-        assert_eq!(rows[2], sharded_row("calendar", 512, 4, 900_000.0));
-    }
-
-    #[test]
-    fn gate_rows_distinguishes_shard_counts() {
-        // Same (core, n) at the other shard count must not satisfy a
-        // missing configuration.
-        let fresh = vec![
-            sharded_row("heap", 32, 1, 2_500_000.0),
-            sharded_row("heap", 32, 4, 1_800_000.0),
-        ];
-        let err = gate_rows(SAMPLE_V3, &fresh, 3.0).unwrap_err();
-        assert!(err.contains("core=calendar n=512 shards=4"), "{err}");
-        // A collapse in only the sharded row is caught per-row.
-        let fresh = vec![
-            sharded_row("heap", 32, 1, 2_500_000.0),
-            sharded_row("heap", 32, 4, 100_000.0), // 18x slower
-            sharded_row("calendar", 512, 4, 900_000.0),
-        ];
-        let err = gate_rows(SAMPLE_V3, &fresh, 3.0).unwrap_err();
-        assert!(err.contains("core=heap n=32 shards=4"), "{err}");
-        assert!(err.contains("collapsed"), "{err}");
-        // All present and healthy: one verdict line per row.
-        let fresh = vec![
-            sharded_row("heap", 32, 1, 2_400_000.0),
-            sharded_row("heap", 32, 4, 1_700_000.0),
-            sharded_row("calendar", 512, 4, 1_000_000.0),
-        ];
-        assert_eq!(gate_rows(SAMPLE_V3, &fresh, 3.0).unwrap().len(), 3);
+        assert!(err.contains("tolerance 3"), "{err}");
     }
 
     #[test]
     fn gate_rows_fails_on_missing_configuration() {
-        let fresh = vec![row("heap", 32, 2_500_000.0), row("heap", 512, 1_200_000.0)];
-        let err = gate_rows(SAMPLE_V2, &fresh, 3.0).unwrap_err();
-        assert!(err.contains("core=calendar n=32"), "{err}");
+        let fresh = vec![row(1, 1, 2_500_000.0), row(4, 4, 3_500_000.0)];
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("shards=4 threads=1"), "{err}");
         assert!(err.contains("no fresh measurement"), "{err}");
-        // And a v1 baseline has no rows to gate.
-        assert!(gate_rows(SAMPLE, &fresh, 3.0).is_err());
     }
 
-    const SAMPLE_V4: &str = r#"{
-  "schema": "amacl-bench-engine/v4",
-  "workload": "wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4)",
-  "threads": 1,
-  "events_per_sec": 2500000,
-  "rows": [
-    {"queue_core": "heap", "n": 32, "shards": 1, "threads": 1, "seeds": 16, "events_per_sec": 2500000},
-    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 1, "seeds": 16, "events_per_sec": 1800000},
-    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 4, "seeds": 16, "events_per_sec": 3600000}
-  ]
-}"#;
-
     #[test]
-    fn v4_rows_parse_with_threads() {
-        let rows = parse_rows(SAMPLE_V4);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0], threaded_row("heap", 32, 1, 1, 2_500_000.0));
-        assert_eq!(rows[1], threaded_row("heap", 32, 4, 1, 1_800_000.0));
-        assert_eq!(rows[2], threaded_row("heap", 32, 4, 4, 3_600_000.0));
+    fn gate_rows_distinguishes_shard_counts() {
+        // Same (core, n, threads) at another shard count must not
+        // satisfy a missing configuration.
+        let two_shards = BaselineRow {
+            shards: 2,
+            ..row(4, 1, 1_800_000.0)
+        };
+        let fresh = vec![row(1, 1, 2_500_000.0), two_shards, row(4, 4, 3_500_000.0)];
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("core=heap n=32 shards=4 threads=1"), "{err}");
     }
 
     #[test]
     fn gate_rows_distinguishes_thread_counts() {
         // Same (core, n, shards) at the other thread count must not
         // satisfy a missing configuration...
-        let fresh = vec![
-            threaded_row("heap", 32, 1, 1, 2_500_000.0),
-            threaded_row("heap", 32, 4, 1, 1_800_000.0),
-        ];
-        let err = gate_rows(SAMPLE_V4, &fresh, 3.0).unwrap_err();
+        let fresh = vec![row(1, 1, 2_500_000.0), row(4, 1, 1_800_000.0)];
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
         assert!(err.contains("core=heap n=32 shards=4 threads=4"), "{err}");
         // ...and a collapse in only the threaded row is caught per-row.
         let fresh = vec![
-            threaded_row("heap", 32, 1, 1, 2_500_000.0),
-            threaded_row("heap", 32, 4, 1, 1_800_000.0),
-            threaded_row("heap", 32, 4, 4, 100_000.0), // 36x slower
+            row(1, 1, 2_500_000.0),
+            row(4, 1, 1_800_000.0),
+            row(4, 4, 100_000.0), // 36x slower
         ];
-        let err = gate_rows(SAMPLE_V4, &fresh, 3.0).unwrap_err();
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
         assert!(err.contains("core=heap n=32 shards=4 threads=4"), "{err}");
         assert!(err.contains("collapsed"), "{err}");
-        // All present and healthy: one verdict line per row.
-        let fresh = vec![
-            threaded_row("heap", 32, 1, 1, 2_400_000.0),
-            threaded_row("heap", 32, 4, 1, 1_700_000.0),
-            threaded_row("heap", 32, 4, 4, 3_500_000.0),
-        ];
-        assert_eq!(gate_rows(SAMPLE_V4, &fresh, 3.0).unwrap().len(), 3);
-    }
-
-    const SAMPLE_V5: &str = r#"{
-  "schema": "amacl-bench-engine/v5",
-  "workload": "wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4)",
-  "threads": 1,
-  "events_per_sec": 2500000,
-  "rows": [
-    {"queue_core": "heap", "n": 32, "shards": 1, "threads": 1, "payload_clones": 41000, "arena_bytes_peak": 2048, "events_per_sec": 2500000},
-    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 1, "payload_clones": 52000, "arena_bytes_peak": 2048, "events_per_sec": 1800000}
-  ]
-}"#;
-
-    fn v5_row(shards: u64, clones: u64, eps: f64) -> BaselineRow {
-        BaselineRow {
-            payload_clones: clones,
-            arena_bytes_peak: 2048,
-            ..threaded_row("heap", 32, shards, 1, eps)
-        }
-    }
-
-    #[test]
-    fn v5_rows_parse_with_arena_counters() {
-        let rows = parse_rows(SAMPLE_V5);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].payload_clones, 41_000);
-        assert_eq!(rows[0].arena_bytes_peak, 2_048);
-        assert_eq!(rows[1].payload_clones, 52_000);
-        // Pre-v5 rows parse the arena counters as 0.
-        assert!(parse_rows(SAMPLE_V4)
-            .iter()
-            .all(|r| r.payload_clones == 0 && r.arena_bytes_peak == 0));
-    }
-
-    const SAMPLE_V6: &str = r#"{
-  "schema": "amacl-bench-engine/v6",
-  "workload": "wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4)",
-  "threads": 1,
-  "events_per_sec": 2500000,
-  "rows": [
-    {"queue_core": "heap", "n": 32, "shards": 1, "threads": 1, "payload_clones": 41000, "arena_bytes_peak": 2048, "superstep_count": 0, "worker_wakeups": 0, "events_per_sec": 2500000},
-    {"queue_core": "heap", "n": 32, "shards": 4, "threads": 4, "payload_clones": 52000, "arena_bytes_peak": 2048, "superstep_count": 310, "worker_wakeups": 620, "events_per_sec": 3600000}
-  ]
-}"#;
-
-    #[test]
-    fn v6_rows_parse_with_pool_counters_and_older_fallbacks_hold() {
-        let rows = parse_rows(SAMPLE_V6);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].superstep_count, 0);
-        assert_eq!(rows[1].superstep_count, 310);
-        assert_eq!(rows[1].worker_wakeups, 620);
-        assert_eq!(rows[1].payload_clones, 52_000);
-        // Pre-v6 rows parse the pool counters as 0 — the whole v5 → v1
-        // fallback chain still parses.
-        for sample in [SAMPLE_V5, SAMPLE_V4, SAMPLE_V3, SAMPLE_V2] {
-            assert!(parse_rows(sample)
-                .iter()
-                .all(|r| r.superstep_count == 0 && r.worker_wakeups == 0));
-        }
-        assert!(parse_rows(SAMPLE).is_empty(), "v1 keeps its no-rows shape");
     }
 
     #[test]
@@ -571,48 +368,37 @@ mod tests {
         // baseline (different core count on this runner) still gates
         // green as long as throughput and clone counts hold.
         let fresh = vec![
+            row(1, 1, 2_400_000.0),
+            row(4, 1, 1_700_000.0),
             BaselineRow {
-                payload_clones: 41_000,
-                arena_bytes_peak: 2048,
-                ..threaded_row("heap", 32, 1, 1, 2_400_000.0)
-            },
-            BaselineRow {
-                payload_clones: 52_000,
-                arena_bytes_peak: 2048,
+                arena_bytes_peak: 4096,
                 superstep_count: 17,
                 worker_wakeups: 34,
-                ..threaded_row("heap", 32, 4, 4, 3_500_000.0)
+                ..row(4, 4, 3_500_000.0)
             },
         ];
-        assert_eq!(gate_rows(SAMPLE_V6, &fresh, 3.0).unwrap().len(), 2);
+        assert_eq!(gate_rows(SAMPLE, &fresh, 3.0).unwrap().len(), 3);
     }
 
+    /// The `payload_clones` pin (a v5-era field, unconditional now that
+    /// every accepted row carries it).
     #[test]
     fn gate_rows_pins_v5_payload_clones_exactly() {
-        // Identical clone counts pass (throughput within tolerance).
-        let fresh = vec![
-            v5_row(1, 41_000, 2_400_000.0),
-            v5_row(4, 52_000, 1_700_000.0),
-        ];
-        assert_eq!(gate_rows(SAMPLE_V5, &fresh, 3.0).unwrap().len(), 2);
         // A moved clone count fails even when throughput is healthy.
         let fresh = vec![
-            v5_row(1, 41_000, 2_400_000.0),
-            v5_row(4, 52_001, 1_700_000.0),
-        ];
-        let err = gate_rows(SAMPLE_V5, &fresh, 3.0).unwrap_err();
-        assert!(err.contains("payload clone count moved"), "{err}");
-        assert!(err.contains("core=heap n=32 shards=4"), "{err}");
-        // A pre-v5 baseline (clones parse as 0) never runs the exact
-        // check, whatever the fresh rows report.
-        let fresh = vec![
-            v5_row(1, 41_000, 2_500_000.0),
-            v5_row(4, 52_000, 1_800_000.0),
+            row(1, 1, 2_400_000.0),
             BaselineRow {
-                payload_clones: 99,
-                ..threaded_row("heap", 32, 4, 4, 3_500_000.0)
+                payload_clones: 52_001,
+                ..row(4, 1, 1_700_000.0)
             },
+            row(4, 4, 3_500_000.0),
         ];
-        assert_eq!(gate_rows(SAMPLE_V4, &fresh, 3.0).unwrap().len(), 3);
+        let err = gate_rows(SAMPLE, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("payload clone count moved"), "{err}");
+        assert!(err.contains("core=heap n=32 shards=4 threads=1"), "{err}");
+        // Zero is a count like any other, not "unpinned".
+        let zeroed = SAMPLE.replace("\"payload_clones\": 41000", "\"payload_clones\": 0");
+        let err = gate_rows(&zeroed, &fresh, 3.0).unwrap_err();
+        assert!(err.contains("41000 vs baseline 0"), "{err}");
     }
 }

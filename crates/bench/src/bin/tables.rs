@@ -21,8 +21,8 @@
 //!   `arena_bytes_peak` maxed over the row's seeds) and — for threaded
 //!   rows — the barrier-wait share plus the persistent pool's
 //!   superstep and worker-wakeup counts (summed over the row's
-//!   seeds); the file keeps a v1-compatible top-level
-//!   `events_per_sec` (the heap/n=32/serial reference figure).
+//!   seeds); the top-level `events_per_sec` repeats the
+//!   heap/n=32/serial reference row for log readers.
 //! * `tables -- bench-latency [--out <path>]` — the open-loop latency
 //!   sweep: runs the steady-state workload once per
 //!   [`amacl_bench::latency::DEFAULT_GRID`] configuration (arrival
@@ -36,19 +36,18 @@
 //!   gate: remeasures, writes the fresh JSON, and exits nonzero when
 //!   any configuration collapsed below `baseline / tolerance` (default
 //!   tolerance 3x, generous enough for shared-runner variance but not
-//!   for a real regression). Every v6 (or v5/v4/v3/v2 with the newer
-//!   fields implied) row is gated individually — v5+ rows additionally
-//!   pin their deterministic `payload_clones` count exactly (the v6
-//!   superstep/wakeup counters are informational: they follow the
-//!   runner's core count); v1
-//!   baselines gate on the single reference figure. When the latency baseline
+//!   for a real regression). Every row of the `amacl-bench-engine/v6`
+//!   baseline is gated individually and pins its deterministic
+//!   `payload_clones` count exactly (the superstep/wakeup counters are
+//!   informational: they follow the runner's core count); a baseline
+//!   in any other schema is refused. When the latency baseline
 //!   file exists (default `BENCH_latency.json`), its rows are gated
 //!   alongside the engine rows: virtual-tick quantiles must match
 //!   exactly, wall-clock throughput within the same tolerance.
 
 use std::time::Instant;
 
-use amacl_bench::baseline::{gate, gate_rows, json_number, parse_rows, BaselineRow};
+use amacl_bench::baseline::{gate_rows, json_number, BaselineRow, ENGINE_SCHEMA};
 use amacl_bench::experiments::*;
 use amacl_bench::latency::{gate_latency_rows, measure_latency, DEFAULT_GRID};
 use amacl_bench::parallel::{self, run_seeds};
@@ -193,13 +192,12 @@ fn run_smoke() {
 /// Runs the full scaling sweep — every `(queue core, n, shards,
 /// threads)` configuration in [`scaling::SWEEP`] ×
 /// [`scaling::CONFIG_SWEEP`], seeds fanned out over the parallel
-/// driver — and returns the v6 JSON, the per-configuration rows, and
-/// the v1-compatible reference figure (heap, n = 32, serial).
+/// driver — and returns the v6 JSON and the per-configuration rows.
 ///
-/// The top-level `threads` field is the *driver's* seed-fan-out width
-/// (unchanged since v1); each row's `threads` is the engine's own
-/// worker thread count inside the conservative windows.
-fn measure_engine() -> (String, Vec<BaselineRow>, f64) {
+/// The top-level `threads` field is the *driver's* seed-fan-out
+/// width; each row's `threads` is the engine's own worker thread count
+/// inside the conservative windows.
+fn measure_engine() -> (String, Vec<BaselineRow>) {
     let threads = parallel::default_threads();
 
     // Warm-up (page in code and allocator state).
@@ -292,17 +290,17 @@ fn measure_engine() -> (String, Vec<BaselineRow>, f64) {
         .expect("heap/n=32/serial reference row")
         .events_per_sec;
     let json = format!(
-        "{{\n  \"schema\": \"amacl-bench-engine/v6\",\n  \"workload\": \"wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4), both queue cores x (shards, threads) {:?}\",\n  \"threads\": {threads},\n  \"events_per_sec\": {reference:.0},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"{ENGINE_SCHEMA}\",\n  \"workload\": \"wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4), both queue cores x (shards, threads) {:?}\",\n  \"threads\": {threads},\n  \"events_per_sec\": {reference:.0},\n  \"rows\": [\n{}\n  ]\n}}\n",
         scaling::CONFIG_SWEEP,
         row_json.join(",\n")
     );
-    (json, rows, reference)
+    (json, rows)
 }
 
 /// Measures engine events/sec across the scaling sweep and writes the
 /// v6 JSON baseline.
 fn bench_engine(out: Option<&str>) {
-    let (json, ..) = measure_engine();
+    let (json, _) = measure_engine();
     print!("{json}");
     if let Some(path) = out {
         std::fs::write(path, &json).expect("write baseline");
@@ -322,34 +320,22 @@ fn bench_latency(out: Option<&str>) {
 }
 
 /// The CI regression gate: remeasure, report, and exit nonzero when
-/// throughput collapsed relative to the committed baseline.
-/// v6/v5/v4/v3/v2 baselines gate every `(queue core, n, shards,
-/// threads)` row (v5+ rows additionally pin `payload_clones` exactly);
-/// v1 baselines gate the single reference figure. When the committed
-/// latency baseline exists, its rows are gated in the same pass
-/// (exact virtual-tick quantiles, tolerance-bounded throughput).
+/// throughput collapsed relative to the committed baseline. Every
+/// `(queue core, n, shards, threads)` row of the v6 baseline is gated
+/// and pins `payload_clones` exactly; any other schema is refused.
+/// When the committed latency baseline exists, its rows are gated in
+/// the same pass (exact virtual-tick quantiles, tolerance-bounded
+/// throughput).
 fn bench_gate(baseline_path: &str, latency_path: &str, tolerance: f64, out: Option<&str>) {
     let baseline_json = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let (fresh_json, fresh_rows, fresh_reference) = measure_engine();
+    let (fresh_json, fresh_rows) = measure_engine();
     print!("{fresh_json}");
     if let Some(path) = out {
         std::fs::write(path, &fresh_json).expect("write fresh measurement");
         eprintln!("wrote {path}");
     }
-    let verdict = if parse_rows(&baseline_json).is_empty() {
-        // v1 baseline: one reference figure.
-        gate(&baseline_json, fresh_reference, tolerance).map(|report| {
-            vec![format!(
-                "reference: {:.0} events/sec vs baseline {:.0} ({:.2}x, tolerance {tolerance}x)",
-                report.fresh,
-                report.baseline,
-                report.ratio()
-            )]
-        })
-    } else {
-        gate_rows(&baseline_json, &fresh_rows, tolerance)
-    };
+    let verdict = gate_rows(&baseline_json, &fresh_rows, tolerance);
     // The latency baseline rides alongside: gate it whenever the
     // committed file is present (it is optional so older checkouts and
     // engine-only invocations keep working).

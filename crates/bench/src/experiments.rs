@@ -894,9 +894,10 @@ pub mod e14 {
 /// over).
 pub mod e15 {
     use super::*;
-    use amacl_checker::{ExploreConfig, Explorer, ViolationKind};
+    use amacl_checker::{MacExploreConfig, MacExplorer, SearchOrder, ViolationKind};
     use amacl_core::baselines::flood_gather::FloodGather;
     use amacl_core::multivalued::BitwiseTwoPhase;
+    use amacl_model::machine::LedgerMutation;
 
     /// One exhaustive-verification row.
     #[derive(Clone, Debug)]
@@ -906,9 +907,9 @@ pub mod e15 {
         /// Crash budget given to the explored scheduler.
         pub crash_budget: usize,
         /// Distinct global states covered.
-        pub states: usize,
+        pub states: u64,
         /// Terminal states (schedules run to quiescence).
-        pub terminals: usize,
+        pub terminals: u64,
         /// Longest schedule followed.
         pub depth: usize,
         /// Verified (full cover, no violations).
@@ -919,23 +920,20 @@ pub mod e15 {
         pub schedule_len: Option<usize>,
     }
 
-    fn row<P>(
+    fn row<P: Process + Clone + std::fmt::Debug>(
         name: &str,
         topo: Topology,
         procs: Vec<P>,
         inputs: Vec<Value>,
         crash_budget: usize,
-    ) -> Row
-    where
-        P: Process + Clone + std::fmt::Debug,
-        P::Msg: Clone + std::fmt::Debug,
-    {
-        let out = Explorer::new(topo, procs, inputs, crash_budget).run(ExploreConfig::default());
+    ) -> Row {
+        let out = MacExplorer::new(topo, procs, inputs, crash_budget, LedgerMutation::None)
+            .run(&MacExploreConfig::naive(SearchOrder::Dfs));
         Row {
             name: name.to_string(),
             crash_budget,
             states: out.states,
-            terminals: out.terminal_states,
+            terminals: out.quiescent_states,
             depth: out.max_depth_reached,
             verified: out.verified(),
             violation: out.violations.first().map(|v| v.kind),

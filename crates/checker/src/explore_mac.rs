@@ -1,888 +1,35 @@
-//! DPOR model checking on the `MacLayer` seam, with counterexamples
-//! that lower into regression scenarios.
+//! Plain-data exploration instances on the `MacLayer` seam, and the
+//! lowering of their counterexamples into regression scenarios.
 //!
-//! The [`Explorer`](crate::explore::Explorer) enumerates schedules of
-//! a hand-rolled branching machine; this module instead drives the
-//! **real** [`BcastLedger`] — the delivery/ack/crash bookkeeping both
-//! execution backends share — so exhaustive interleaving search
-//! exercises the exact semantic object production code runs on. Three
-//! things are new relative to [`crate::explore`]:
+//! [`MacExploreDescriptor`] names one instance the
+//! [`MacExplorer`] can search — algorithm, topology, inputs, crash
+//! budget and, for mutation-testing the checker itself, a seeded
+//! [`LedgerMutation`] (the explorer must find both planted bug
+//! classes: acks that fire before every delivery lands, and crashes
+//! that fail to release the obligations awaiting the dead node). It is
+//! the generator-friendly shape `amacl explore` and the proptests
+//! build.
 //!
-//! 1. **Partial-order reduction.** [`MacExplorer`] implements a
-//!    conservative Flanagan–Godefroid DPOR: *sleep sets* prune
-//!    re-exploration of commuting choices within a subtree, and
-//!    *backtrack (persistent) sets* — grown by race analysis against
-//!    the current stack — ensure only non-commuting alternatives fork
-//!    new branches. [`Reduction::Naive`] keeps the old
-//!    DFS-with-state-dedup strategy for comparison; a regression test
-//!    asserts DPOR expands measurably fewer states on a config with
-//!    real concurrency.
-//! 2. **Seeded ledger bugs.** [`LedgerMutation`] plants two historical
-//!    bug classes behind the seam — acks that fire before every
-//!    delivery lands ([`LedgerMutation::AckEarly`]) and crashes that
-//!    fail to release the obligations awaiting the dead node
-//!    ([`LedgerMutation::DropReleases`]). The explorer must find both
-//!    (mutation testing for the checker itself).
-//! 3. **Counterexamples become scenarios.** Every [`MacViolation`]
-//!    carries its full schedule; [`MacExploreDescriptor::lower`]
-//!    converts a schedule into a [`ScriptedScheduler`]-plus-crash-plan
-//!    [`Scenario`] descriptor, so each counterexample joins the
-//!    `amacl sweep` catalogue and runs on *both* backends, every queue
-//!    core, and every shard count from then on.
+//! Counterexamples become scenarios: every [`MacViolation`] carries its
+//! full schedule, and [`MacExploreDescriptor::lower`] converts it into
+//! a [`ScriptedScheduler`]-plus-crash-plan [`Scenario`] descriptor, so
+//! each counterexample joins the `amacl sweep` catalogue and runs on
+//! *both* backends, every queue core, and every shard count from then
+//! on.
 //!
-//! # Reduction soundness
-//!
-//! The independence relation is [`MacChoice::independent`]:
-//! deliveries to distinct receivers commute, acks of distinct nodes
-//! commute, a delivery and an ack commute when the acked node is
-//! neither endpoint, crashes commute with nothing. Each case is a
-//! state-commutation argument over the ledger tables plus per-node
-//! process state (disjoint footprints), and each holds *under the
-//! mutations too* (an early ack touches only the acked node's own
-//! obligation). The relation is deliberately conservative: extra
-//! dependence only adds backtrack points, never unsoundness.
-//!
-//! Race analysis is performed FG-style at every state push: for every
-//! enabled choice, the deepest stack transition dependent with it gets
-//! a backtrack point (the choice itself when it was enabled there, the
-//! whole enabled set otherwise — the classical conservative fallback).
-//! Sleep sets use the standard propagation: a child's sleep set keeps
-//! the parent's sleep set plus its already-explored siblings, filtered
-//! to choices independent of the taken one.
-//!
-//! Because sleep sets make cross-branch state dedup unsound (a state
-//! reached with a different sleep set must be re-expanded), DPOR mode
-//! keeps **no** visited-set pruning; fingerprints are still collected,
-//! but only to report how many distinct states the walk saw.
-//!
-//! # What bounded search proves
-//!
-//! A [`MacExploreOutcome`] with [`verified`](MacExploreOutcome::verified)
-//! `true` is a machine-checked proof that agreement and validity hold
-//! in every reachable state, and termination in every quiescent state,
-//! *for that topology, those inputs, and that crash budget* — the
-//! explored executions are untimed (callbacks observe clock zero),
-//! which is exactly the generality of the paper's safety arguments. A
-//! truncated run (state or depth cap hit) proves nothing beyond the
-//! frontier and says so: `truncated` is reported honestly and
-//! `verified()` returns `false`. Determinism contract: the same
-//! descriptor and config always produce byte-identical outcomes, and
-//! [`MacExplorer::replay`] of any emitted schedule reproduces the
-//! violating state exactly.
-//!
-//! [`BcastLedger`]: amacl_model::mac::BcastLedger
 //! [`ScriptedScheduler`]: amacl_model::sim::sched::scripted::ScriptedScheduler
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
 
 use amacl_core::two_phase::TwoPhase;
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
-use amacl_model::ids::{NodeId, Slot};
-use amacl_model::mac::{Admission, BcastLedger, MacChoice};
+use amacl_model::ids::Slot;
+use amacl_model::mac::MacChoice;
+use amacl_model::machine::{LedgerMutation, MacMachine};
 use amacl_model::prelude::*;
-use amacl_model::proc::NodeCell;
 
-use crate::explore::ViolationKind;
+use crate::explore::{MacExploreConfig, MacExploreOutcome, MacExplorer, MacViolation};
 use crate::scenario::{Scenario, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo};
-
-/// A deliberately seeded ledger bug, for mutation-testking the
-/// explorer: a checker that cannot find a planted bug proves nothing
-/// by finding none.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LedgerMutation {
-    /// The faithful semantics (no bug).
-    None,
-    /// Acks may fire while deliveries are still owed: the ledger
-    /// behaves as if the remaining confirmations had arrived, and the
-    /// undelivered messages are lost. Breaks **agreement** (a sender
-    /// can complete a phase nobody else witnessed).
-    AckEarly,
-    /// A crash fails to release the ack obligations awaiting the dead
-    /// node, wedging every sender that was waiting on it. Breaks
-    /// **termination** under any positive crash budget.
-    DropReleases,
-}
-
-impl LedgerMutation {
-    /// Parses the CLI spelling (`ack-early` / `drop-releases`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "none" => Some(LedgerMutation::None),
-            "ack-early" => Some(LedgerMutation::AckEarly),
-            "drop-releases" => Some(LedgerMutation::DropReleases),
-            _ => None,
-        }
-    }
-
-    /// The stable CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            LedgerMutation::None => "none",
-            LedgerMutation::AckEarly => "ack-early",
-            LedgerMutation::DropReleases => "drop-releases",
-        }
-    }
-}
-
-/// One in-flight broadcast, machine-side: the ledger keeps the
-/// obligation, the machine keeps the payload and the bookkeeping the
-/// scenario converter needs.
-#[derive(Debug)]
-struct InFlight<M> {
-    /// Ledger broadcast id.
-    bcast: u64,
-    /// The sender's 0-indexed accepted-broadcast sequence number.
-    nth: u64,
-    /// Deliveries performed so far (for mid-broadcast crash lowering).
-    delivered: usize,
-    /// The payload.
-    msg: M,
-}
-
-impl<M: Clone> Clone for InFlight<M> {
-    fn clone(&self) -> Self {
-        Self {
-            bcast: self.bcast,
-            nth: self.nth,
-            delivered: self.delivered,
-            msg: self.msg.clone(),
-        }
-    }
-}
-
-/// A forkable global state driving the real [`BcastLedger`]: process
-/// states, per-node in-flight broadcasts, and the shared ledger the
-/// backends use for every semantic delivery/ack/crash question.
-///
-/// The machine is the [`MacChoice`]-level sibling of
-/// [`ExploreMachine`](crate::machine::ExploreMachine): where that
-/// machine re-implements delivery bookkeeping for exploration, this
-/// one delegates every semantic question to the ledger, so the
-/// explorer checks the object production backends actually run on.
-pub struct MacMachine<P: Process + Clone + std::fmt::Debug> {
-    topo: Topology,
-    procs: Vec<P>,
-    cells: Vec<NodeCell<P::Msg>>,
-    ids: Vec<NodeId>,
-    ledger: BcastLedger,
-    in_flight: Vec<Option<InFlight<P::Msg>>>,
-    next_bcast: u64,
-    crash_budget: usize,
-    mutation: LedgerMutation,
-    moves_taken: u64,
-}
-
-impl<P> Clone for MacMachine<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        // NodeCell owns an RNG and is not Clone; rebuild with
-        // deterministic seeds and copy the observable state. Only
-        // deterministic algorithms are explored (see the module docs),
-        // so RNG state is irrelevant.
-        let mut cells: Vec<NodeCell<P::Msg>> = (0..self.procs.len())
-            .map(|i| NodeCell::new(i as u64))
-            .collect();
-        for (i, cell) in cells.iter_mut().enumerate() {
-            cell.decision = self.cells[i].decision;
-            cell.ts_seq = self.cells[i].ts_seq;
-            cell.busy_discards = self.cells[i].busy_discards;
-        }
-        Self {
-            topo: self.topo.clone(),
-            procs: self.procs.clone(),
-            cells,
-            ids: self.ids.clone(),
-            ledger: self.ledger.clone(),
-            in_flight: self.in_flight.clone(),
-            next_bcast: self.next_bcast,
-            crash_budget: self.crash_budget,
-            mutation: self.mutation,
-            moves_taken: self.moves_taken,
-        }
-    }
-}
-
-impl<P> MacMachine<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
-    /// Builds the machine, runs every `on_start` at clock zero, and
-    /// registers the initial broadcasts with the ledger.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs` does not provide one process per topology
-    /// vertex.
-    pub fn new(
-        topo: Topology,
-        mut procs: Vec<P>,
-        crash_budget: usize,
-        mutation: LedgerMutation,
-    ) -> Self {
-        let n = topo.len();
-        assert_eq!(procs.len(), n, "one process per node");
-        let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u64)).collect();
-        let mut cells: Vec<NodeCell<P::Msg>> = (0..n).map(|i| NodeCell::new(i as u64)).collect();
-        for i in 0..n {
-            let mut ctx = cells[i].ctx(ids[i], Time::ZERO, false);
-            procs[i].on_start(&mut ctx);
-        }
-        let mut m = Self {
-            topo,
-            procs,
-            cells,
-            ids,
-            ledger: BcastLedger::new(n),
-            in_flight: (0..n).map(|_| None).collect(),
-            next_bcast: 0,
-            crash_budget,
-            mutation,
-            moves_taken: 0,
-        };
-        for i in 0..n {
-            if let Some(msg) = m.cells[i].outbox.take() {
-                m.launch_broadcast(i, msg);
-            }
-        }
-        m
-    }
-
-    /// Admits a fresh broadcast from `slot` into the ledger and arms
-    /// its ack obligation over the live neighbors.
-    fn launch_broadcast(&mut self, slot: usize, msg: P::Msg) {
-        debug_assert!(self.in_flight[slot].is_none(), "one outstanding broadcast");
-        let bcast = self.next_bcast;
-        self.next_bcast += 1;
-        let admission = self.ledger.admit_broadcast(slot, bcast);
-        // The explorer injects crashes as explicit choices, never as
-        // armed watches, so admission is always plain delivery.
-        debug_assert_eq!(admission, Admission::Deliver);
-        let nth = self.ledger.broadcast_count(slot) - 1;
-        let live: BTreeSet<usize> = self
-            .topo
-            .neighbors(Slot(slot))
-            .iter()
-            .map(|s| s.index())
-            .filter(|&v| !self.ledger.is_crashed(v))
-            .collect();
-        // An empty obligation (all neighbors dead) completes at once:
-        // the ledger stores nothing and the ack is immediately enabled.
-        self.ledger.register_ack_obligation(bcast, slot, live);
-        self.in_flight[slot] = Some(InFlight {
-            bcast,
-            nth,
-            delivered: 0,
-            msg,
-        });
-    }
-
-    fn outstanding_flags(&self) -> Vec<bool> {
-        self.in_flight.iter().map(Option::is_some).collect()
-    }
-
-    fn choices_with_budget(&self, crash_budget: usize) -> Vec<MacChoice> {
-        let mut out = self
-            .ledger
-            .enabled_choices(&self.outstanding_flags(), crash_budget);
-        if self.mutation == LedgerMutation::AckEarly {
-            // The seeded bug: an ack may fire while confirmations are
-            // still owed.
-            for (slot, inf) in self.in_flight.iter().enumerate() {
-                if inf.is_some()
-                    && !self.ledger.is_crashed(slot)
-                    && self.ledger.awaiting_confirmations(slot).is_some()
-                {
-                    out.push(MacChoice::Ack(slot));
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-        }
-        out
-    }
-
-    /// Every scheduler choice enabled in this state, in deterministic
-    /// [`MacChoice`] order.
-    pub fn choices(&self) -> Vec<MacChoice> {
-        self.choices_with_budget(self.crash_budget)
-    }
-
-    /// `true` when no delivery or ack is enabled: the scheduler may
-    /// stay here forever without violating any model obligation (it is
-    /// never *obliged* to crash anyone), so liveness is judged in
-    /// these states.
-    pub fn quiescent(&self) -> bool {
-        self.choices_with_budget(0).is_empty()
-    }
-
-    /// Applies one scheduler choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the choice is not currently enabled — the replay
-    /// determinism contract turns a stale schedule into a loud error,
-    /// never a silently different execution.
-    pub fn apply(&mut self, choice: MacChoice) {
-        self.moves_taken += 1;
-        let now = Time::ZERO;
-        match choice {
-            MacChoice::Deliver { from, to } => {
-                assert!(
-                    !self.ledger.is_crashed(from) && !self.ledger.is_crashed(to),
-                    "dead endpoint"
-                );
-                let (bcast, msg) = {
-                    let inf = self.in_flight[from].as_mut().expect("message in flight");
-                    let (ob, set) = self
-                        .ledger
-                        .awaiting_confirmations(from)
-                        .expect("obligation pending");
-                    assert_eq!(ob, inf.bcast, "obligation tracks the in-flight broadcast");
-                    assert!(set.contains(&to), "no pending delivery");
-                    inf.delivered += 1;
-                    (inf.bcast, inf.msg.clone())
-                };
-                // No countdown is armed in the explorer; the call keeps
-                // the ledger's delivery accounting faithful regardless.
-                self.ledger.note_delivery(bcast);
-                let busy = self.in_flight[to].is_some();
-                let mut ctx = self.cells[to].ctx(self.ids[to], now, busy);
-                self.procs[to].on_receive(msg, &mut ctx);
-                if let Some(m) = self.cells[to].outbox.take() {
-                    self.launch_broadcast(to, m);
-                }
-                self.ledger.confirm(bcast, to);
-            }
-            MacChoice::Ack(u) => {
-                assert!(!self.ledger.is_crashed(u), "dead node");
-                let inf = self.in_flight[u].take().expect("broadcast outstanding");
-                if let Some((bcast, set)) = self.ledger.awaiting_confirmations(u) {
-                    assert_eq!(
-                        self.mutation,
-                        LedgerMutation::AckEarly,
-                        "ack requires a completed obligation"
-                    );
-                    assert_eq!(bcast, inf.bcast);
-                    // The seeded bug in action: the ledger counts
-                    // confirmations it never received, and the
-                    // undelivered messages are lost forever.
-                    let members: Vec<usize> = set.iter().copied().collect();
-                    for m in members {
-                        self.ledger.confirm(bcast, m);
-                    }
-                }
-                let mut ctx = self.cells[u].ctx(self.ids[u], now, false);
-                self.procs[u].on_ack(&mut ctx);
-                if let Some(m) = self.cells[u].outbox.take() {
-                    self.launch_broadcast(u, m);
-                }
-            }
-            MacChoice::Crash(u) => {
-                assert!(self.crash_budget > 0, "crash budget exhausted");
-                self.crash_budget -= 1;
-                assert!(self.ledger.mark_crashed(u), "node already crashed");
-                if self.mutation == LedgerMutation::DropReleases {
-                    // The seeded bug: obligations keep awaiting the
-                    // dead node, wedging their senders' acks.
-                } else {
-                    // Acks never wait on crashed neighbors; releasing
-                    // may complete (and thus enable) other senders'
-                    // acks. The dead node's own in-flight broadcast is
-                    // frozen — the ledger cancels a crashed sender's
-                    // remaining deliveries.
-                    let _released = self.ledger.release_obligations_of(u);
-                }
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// `true` if the machine has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.procs.is_empty()
-    }
-
-    /// Whether `slot` has crashed.
-    pub fn is_crashed(&self, slot: usize) -> bool {
-        self.ledger.is_crashed(slot)
-    }
-
-    /// Remaining crash budget.
-    pub fn crash_budget(&self) -> usize {
-        self.crash_budget
-    }
-
-    /// Scheduler moves applied so far on this branch.
-    pub fn moves_taken(&self) -> u64 {
-        self.moves_taken
-    }
-
-    /// The `(nth broadcast, deliveries so far)` of `slot`'s in-flight
-    /// broadcast — what the scenario converter needs to place scripted
-    /// delays and mid-broadcast crash specs.
-    pub fn in_flight_nth(&self, slot: usize) -> Option<(u64, usize)> {
-        self.in_flight[slot].as_ref().map(|f| (f.nth, f.delivered))
-    }
-
-    /// Per-slot decisions so far.
-    pub fn decisions(&self) -> Vec<Option<Value>> {
-        self.cells
-            .iter()
-            .map(|c| c.decision.map(|d| d.value))
-            .collect()
-    }
-
-    /// Distinct decided values so far.
-    pub fn decided_values(&self) -> BTreeSet<Value> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.decision.map(|d| d.value))
-            .collect()
-    }
-
-    /// `true` when every non-crashed node has decided.
-    pub fn all_alive_decided(&self) -> bool {
-        (0..self.len()).all(|i| self.ledger.is_crashed(i) || self.cells[i].decision.is_some())
-    }
-
-    /// Deterministic fingerprint of the global state: the ledger's own
-    /// fingerprint combined with process states, in-flight payloads,
-    /// decisions, and the remaining crash budget. Excludes
-    /// `moves_taken` so converging interleavings merge.
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.ledger.fingerprint().hash(&mut h);
-        for i in 0..self.len() {
-            format!("{:?}", self.procs[i]).hash(&mut h);
-            match &self.in_flight[i] {
-                Some(f) => {
-                    1u8.hash(&mut h);
-                    f.bcast.hash(&mut h);
-                    f.nth.hash(&mut h);
-                    f.delivered.hash(&mut h);
-                    format!("{:?}", f.msg).hash(&mut h);
-                }
-                None => 0u8.hash(&mut h),
-            }
-            self.cells[i].decision.map(|d| d.value).hash(&mut h);
-        }
-        self.crash_budget.hash(&mut h);
-        h.finish()
-    }
-}
-
-/// Which search strategy [`MacExplorer::run`] uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Reduction {
-    /// Plain DFS with full state-fingerprint deduplication (the
-    /// [`crate::explore`] strategy), as the baseline DPOR is measured
-    /// against.
-    Naive,
-    /// Sleep-set + backtrack-set dynamic partial-order reduction. No
-    /// cross-branch state dedup (unsound under sleep sets); commuting
-    /// interleavings are pruned instead of memoized.
-    Dpor,
-}
-
-impl Reduction {
-    /// The stable CLI/report spelling.
-    pub fn label(self) -> &'static str {
-        match self {
-            Reduction::Naive => "naive",
-            Reduction::Dpor => "dpor",
-        }
-    }
-}
-
-/// Bounds and strategy for one [`MacExplorer::run`].
-#[derive(Clone, Copy, Debug)]
-pub struct MacExploreConfig {
-    /// Stop (and report truncation) after expanding this many states.
-    pub max_states: usize,
-    /// Do not expand states deeper than this many moves (reported as
-    /// truncation when the frontier is cut).
-    pub max_depth: usize,
-    /// Stop after collecting this many violations.
-    pub max_violations: usize,
-    /// Search strategy.
-    pub reduction: Reduction,
-}
-
-impl Default for MacExploreConfig {
-    fn default() -> Self {
-        Self {
-            max_states: 500_000,
-            max_depth: 10_000,
-            max_violations: 1,
-            reduction: Reduction::Dpor,
-        }
-    }
-}
-
-/// A property violation, with the exact replayable schedule that
-/// produced it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MacViolation {
-    /// Which property failed.
-    pub kind: ViolationKind,
-    /// The scheduler choices from the initial state to the violating
-    /// state; [`MacExplorer::replay`] reproduces it exactly.
-    pub schedule: Vec<MacChoice>,
-    /// Per-slot decisions in the violating state.
-    pub decisions: Vec<Option<Value>>,
-}
-
-impl MacViolation {
-    /// Deterministic plain-text rendering (the byte-identity witness
-    /// the replay proptests compare).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "VIOLATION: {:?}", self.kind);
-        let _ = writeln!(out, "decisions: {:?}", self.decisions);
-        let _ = writeln!(out, "schedule ({} moves):", self.schedule.len());
-        for (i, c) in self.schedule.iter().enumerate() {
-            let _ = writeln!(out, "  {i:>3}. {c:?}");
-        }
-        out
-    }
-}
-
-/// The outcome of one bounded exploration.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MacExploreOutcome {
-    /// Strategy that produced this outcome.
-    pub reduction: Reduction,
-    /// States expanded (the DPOR-vs-naive comparison counter).
-    pub states: u64,
-    /// Transitions applied.
-    pub transitions: u64,
-    /// Distinct state fingerprints seen (reporting only; DPOR does not
-    /// prune on them).
-    pub distinct_states: u64,
-    /// Quiescent states seen (where termination was judged).
-    pub quiescent_states: u64,
-    /// Deepest schedule expanded.
-    pub max_depth_reached: usize,
-    /// `true` when a state/depth cap cut the frontier: the cover is
-    /// incomplete and a clean run proves nothing beyond it.
-    pub truncated: bool,
-    /// Violations found (bounded by
-    /// [`MacExploreConfig::max_violations`]).
-    pub violations: Vec<MacViolation>,
-}
-
-impl MacExploreOutcome {
-    /// `true` when the walk covered the whole space and found nothing:
-    /// agreement/validity hold in every reachable state, termination
-    /// in every quiescent one.
-    pub fn verified(&self) -> bool {
-        !self.truncated && self.violations.is_empty()
-    }
-
-    /// Panics with a rendered violation/truncation report unless
-    /// [`verified`](Self::verified).
-    pub fn assert_verified(&self) {
-        if let Some(v) = self.violations.first() {
-            panic!("{}", v.render());
-        }
-        assert!(!self.truncated, "exploration truncated — nothing proven");
-    }
-}
-
-/// One DPOR stack frame: the state, what is enabled there, and the
-/// sleep/done/backtrack sets steering which alternatives fork.
-///
-/// All three steering sets are `BTreeSet`s: selection takes the
-/// *minimum* eligible choice, so the walk order is a pure function of
-/// the state — never of hash iteration order (the PR 2 ack-order leak
-/// class).
-struct Frame<P: Process + Clone + std::fmt::Debug> {
-    machine: MacMachine<P>,
-    enabled: Vec<MacChoice>,
-    sleep: BTreeSet<MacChoice>,
-    done: BTreeSet<MacChoice>,
-    backtrack: BTreeSet<MacChoice>,
-}
-
-/// Exhaustive (or DPOR-reduced) search over every schedule of a
-/// [`MacMachine`].
-pub struct MacExplorer<P: Process + Clone + std::fmt::Debug> {
-    root: MacMachine<P>,
-    inputs: Vec<Value>,
-}
-
-impl<P> MacExplorer<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
-    /// Builds an explorer over fresh processes with their declared
-    /// inputs (used for the validity check).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless there is exactly one input per node.
-    pub fn new(
-        topo: Topology,
-        procs: Vec<P>,
-        inputs: Vec<Value>,
-        crash_budget: usize,
-        mutation: LedgerMutation,
-    ) -> Self {
-        assert_eq!(procs.len(), inputs.len(), "one input per node");
-        Self {
-            root: MacMachine::new(topo, procs, crash_budget, mutation),
-            inputs,
-        }
-    }
-
-    /// The declared inputs.
-    pub fn inputs(&self) -> &[Value] {
-        &self.inputs
-    }
-
-    /// A fresh copy of the initial state.
-    pub fn fork_root(&self) -> MacMachine<P> {
-        self.root.clone()
-    }
-
-    /// Replays a schedule from the initial state, returning the
-    /// resulting machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any choice is not enabled where the schedule claims
-    /// it is — the determinism contract fails loudly, never silently.
-    pub fn replay(&self, schedule: &[MacChoice]) -> MacMachine<P> {
-        let mut m = self.fork_root();
-        for &c in schedule {
-            m.apply(c);
-        }
-        m
-    }
-
-    fn check_state(&self, m: &MacMachine<P>, schedule: &[MacChoice]) -> Option<MacViolation> {
-        let decided = m.decided_values();
-        let kind = if decided.len() > 1 {
-            Some(ViolationKind::Agreement)
-        } else if decided.iter().any(|v| !self.inputs.contains(v)) {
-            Some(ViolationKind::Validity)
-        } else if m.quiescent() && !m.all_alive_decided() {
-            Some(ViolationKind::Termination)
-        } else {
-            None
-        };
-        kind.map(|kind| MacViolation {
-            kind,
-            schedule: schedule.to_vec(),
-            decisions: m.decisions(),
-        })
-    }
-
-    /// Runs the search and reports states, violations, and (honestly)
-    /// any truncation.
-    pub fn run(&self, cfg: &MacExploreConfig) -> MacExploreOutcome {
-        match cfg.reduction {
-            Reduction::Naive => self.run_naive(cfg),
-            Reduction::Dpor => self.run_dpor(cfg),
-        }
-    }
-
-    /// DFS with full state-fingerprint dedup (no reduction): the
-    /// baseline. Sound because without sleep sets, a state determines
-    /// its entire future — revisits explore nothing new.
-    fn run_naive(&self, cfg: &MacExploreConfig) -> MacExploreOutcome {
-        let mut out = MacExploreOutcome {
-            reduction: Reduction::Naive,
-            states: 0,
-            transitions: 0,
-            distinct_states: 0,
-            quiescent_states: 0,
-            max_depth_reached: 0,
-            truncated: false,
-            violations: Vec::new(),
-        };
-        // Membership-only set (never iterated): iteration-order
-        // nondeterminism cannot leak into the walk order, which is
-        // fully determined by the explicit stack below.
-        let mut seen: HashSet<u64> = HashSet::new();
-        seen.insert(self.root.fingerprint());
-        let mut stack: Vec<(MacMachine<P>, Vec<MacChoice>)> = vec![(self.root.clone(), vec![])];
-        while let Some((m, schedule)) = stack.pop() {
-            out.states += 1;
-            out.max_depth_reached = out.max_depth_reached.max(schedule.len());
-            if m.quiescent() {
-                out.quiescent_states += 1;
-            }
-            if let Some(v) = self.check_state(&m, &schedule) {
-                out.violations.push(v);
-                if out.violations.len() >= cfg.max_violations {
-                    break;
-                }
-            }
-            if schedule.len() >= cfg.max_depth {
-                out.truncated = true;
-                continue;
-            }
-            if out.states as usize >= cfg.max_states {
-                out.truncated = true;
-                break;
-            }
-            // Push in reverse so the stack pops children in ascending
-            // MacChoice order — same first-path as DPOR.
-            for c in m.choices().into_iter().rev() {
-                let mut child = m.clone();
-                child.apply(c);
-                out.transitions += 1;
-                if seen.insert(child.fingerprint()) {
-                    let mut s = schedule.clone();
-                    s.push(c);
-                    stack.push((child, s));
-                }
-            }
-        }
-        out.distinct_states = seen.len() as u64;
-        out
-    }
-
-    /// Sleep-set + backtrack-set DPOR (see the module docs for the
-    /// soundness argument).
-    fn run_dpor(&self, cfg: &MacExploreConfig) -> MacExploreOutcome {
-        let mut out = MacExploreOutcome {
-            reduction: Reduction::Dpor,
-            states: 0,
-            transitions: 0,
-            distinct_states: 0,
-            quiescent_states: 0,
-            max_depth_reached: 0,
-            truncated: false,
-            violations: Vec::new(),
-        };
-        // Counting only — never iterated, never used for pruning.
-        let mut fingerprints: HashSet<u64> = HashSet::new();
-        let mut frames: Vec<Frame<P>> = Vec::new();
-        // schedule[j] is the choice taken out of frames[j]; always
-        // exactly one shorter than `frames`.
-        let mut schedule: Vec<MacChoice> = Vec::new();
-        let mut stop = false;
-
-        // Visits a state: counts, checks properties, performs the
-        // FG-style race analysis for every enabled choice, and pushes
-        // the frame. Returns `true` when the search must stop.
-        let mut push_state = |machine: MacMachine<P>,
-                              sleep: BTreeSet<MacChoice>,
-                              frames: &mut Vec<Frame<P>>,
-                              schedule: &[MacChoice],
-                              out: &mut MacExploreOutcome|
-         -> bool {
-            out.states += 1;
-            out.max_depth_reached = out.max_depth_reached.max(schedule.len());
-            fingerprints.insert(machine.fingerprint());
-            if machine.quiescent() {
-                out.quiescent_states += 1;
-            }
-            if let Some(v) = self.check_state(&machine, schedule) {
-                out.violations.push(v);
-                if out.violations.len() >= cfg.max_violations {
-                    return true;
-                }
-            }
-            let enabled = machine.choices();
-            // Race analysis: for each enabled choice, give the deepest
-            // dependent stack transition a backtrack point — the
-            // choice itself where it was already enabled, the whole
-            // enabled set otherwise (conservative fallback).
-            for &c in &enabled {
-                for j in (0..schedule.len()).rev() {
-                    if !schedule[j].independent(c) {
-                        if frames[j].enabled.contains(&c) {
-                            frames[j].backtrack.insert(c);
-                        } else {
-                            let all = frames[j].enabled.clone();
-                            frames[j].backtrack.extend(all);
-                        }
-                        break;
-                    }
-                }
-            }
-            let mut backtrack = BTreeSet::new();
-            if schedule.len() >= cfg.max_depth {
-                if !enabled.is_empty() {
-                    out.truncated = true;
-                }
-            } else if let Some(&first) = enabled.iter().find(|c| !sleep.contains(c)) {
-                backtrack.insert(first);
-            }
-            frames.push(Frame {
-                machine,
-                enabled,
-                sleep,
-                done: BTreeSet::new(),
-                backtrack,
-            });
-            if out.states as usize >= cfg.max_states {
-                out.truncated = true;
-                return true;
-            }
-            false
-        };
-
-        if push_state(
-            self.root.clone(),
-            BTreeSet::new(),
-            &mut frames,
-            &schedule,
-            &mut out,
-        ) {
-            stop = true;
-        }
-        while !stop {
-            let Some(top) = frames.last() else { break };
-            let next = top
-                .backtrack
-                .iter()
-                .copied()
-                .find(|c| !top.done.contains(c) && !top.sleep.contains(c));
-            let Some(c) = next else {
-                frames.pop();
-                if !frames.is_empty() {
-                    schedule.pop();
-                }
-                continue;
-            };
-            let top = frames.last_mut().expect("frame present");
-            top.done.insert(c);
-            let mut child = top.machine.clone();
-            // Child sleep: parent's sleep plus explored siblings,
-            // filtered to choices that commute with the one taken
-            // (`c` filters itself out — nothing is self-independent).
-            let sleep: BTreeSet<MacChoice> = top
-                .sleep
-                .union(&top.done)
-                .copied()
-                .filter(|x| x.independent(c))
-                .collect();
-            child.apply(c);
-            out.transitions += 1;
-            schedule.push(c);
-            if push_state(child, sleep, &mut frames, &schedule, &mut out) {
-                stop = true;
-            }
-        }
-        out.distinct_states = fingerprints.len() as u64;
-        out
-    }
-}
 
 /// A plain-data exploration instance: which algorithm, topology,
 /// inputs, crash budget, and (for mutation testing) which seeded bug.
@@ -1018,14 +165,10 @@ impl MacExploreDescriptor {
 /// issued and acked (in 1-based schedule positions) and where each
 /// crash lands, then emits the scripted delays and crash specs the
 /// scenario lowering needs.
-fn lower_schedule<P>(
+fn lower_schedule<P: Process + Clone + std::fmt::Debug>(
     explorer: &MacExplorer<P>,
     schedule: &[MacChoice],
-) -> (Vec<(usize, u64, u64)>, Vec<CrashSpec>)
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
+) -> (Vec<(usize, u64, u64)>, Vec<CrashSpec>) {
     let mut m = explorer.fork_root();
     // (slot, nth) -> 1-based schedule position the broadcast was
     // issued at (0 for on_start broadcasts).
@@ -1079,6 +222,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{Reduction, SearchOrder, ViolationKind};
+
+    const NAIVE: Reduction = Reduction::Naive(SearchOrder::Dfs);
 
     /// Broadcast once; decide own input on ack; ignore receipts.
     #[derive(Clone, Debug)]
@@ -1245,7 +391,7 @@ mod tests {
 
     #[test]
     fn clean_solo_instance_verifies_under_both_reductions() {
-        for reduction in [Reduction::Naive, Reduction::Dpor] {
+        for reduction in [NAIVE, Reduction::Dpor] {
             let cfg = MacExploreConfig {
                 reduction,
                 ..MacExploreConfig::default()
@@ -1259,7 +405,7 @@ mod tests {
 
     #[test]
     fn crash_tolerant_solo_verifies_with_budget() {
-        for reduction in [Reduction::Naive, Reduction::Dpor] {
+        for reduction in [NAIVE, Reduction::Dpor] {
             let cfg = MacExploreConfig {
                 reduction,
                 ..MacExploreConfig::default()
@@ -1279,7 +425,7 @@ mod tests {
             reduction,
             ..MacExploreConfig::default()
         };
-        let naive = spray_explorer(6).run(&cfg(Reduction::Naive));
+        let naive = spray_explorer(6).run(&cfg(NAIVE));
         let dpor = spray_explorer(6).run(&cfg(Reduction::Dpor));
         assert!(naive.verified() && dpor.verified());
         assert!(
@@ -1298,7 +444,7 @@ mod tests {
     /// the emitted schedule must replay to the identical violation.
     #[test]
     fn seeded_ack_early_bug_is_found_and_replays() {
-        for reduction in [Reduction::Naive, Reduction::Dpor] {
+        for reduction in [NAIVE, Reduction::Dpor] {
             let cfg = MacExploreConfig {
                 reduction,
                 ..MacExploreConfig::default()
@@ -1335,7 +481,7 @@ mod tests {
     /// any positive crash budget.
     #[test]
     fn seeded_drop_releases_bug_is_found() {
-        for reduction in [Reduction::Naive, Reduction::Dpor] {
+        for reduction in [NAIVE, Reduction::Dpor] {
             let cfg = MacExploreConfig {
                 reduction,
                 ..MacExploreConfig::default()
@@ -1379,7 +525,7 @@ mod tests {
         assert!(!out.verified());
         let cfg = MacExploreConfig {
             max_depth: 2,
-            reduction: Reduction::Naive,
+            reduction: NAIVE,
             ..MacExploreConfig::default()
         };
         let out = solo_explorer(3, 0, LedgerMutation::None).run(&cfg);

@@ -1,18 +1,19 @@
 //! Schedule fuzzing: random walks through the *full* scheduler
 //! nondeterminism space.
 //!
-//! Exhaustive exploration ([`Explorer::run`](crate::Explorer::run))
-//! covers every schedule but only scales to a few nodes. Delay-based
-//! random schedulers (`RandomScheduler`) scale to hundreds of nodes
-//! but sample a *restricted* adversary: delays are drawn per
-//! broadcast, so the relative order of deliveries is correlated with
-//! time. The fuzzer sits between the two — it walks the same
-//! branching [`ExploreMachine`] the exhaustive
+//! Exhaustive exploration ([`MacExplorer::run`]) covers every schedule
+//! but only scales to a few nodes. Delay-based random schedulers
+//! (`RandomScheduler`) scale to hundreds of nodes but sample a
+//! *restricted* adversary: delays are drawn per broadcast, so the
+//! relative order of deliveries is correlated with time. The fuzzer
+//! sits between the two — it walks the same branching
+//! [`MacMachine`](amacl_model::machine::MacMachine) the exhaustive
 //! checker uses, picking one enabled move uniformly at random per
 //! step, which can starve a node arbitrarily long, interleave
 //! deliveries in any order, and place crashes at any enabled point.
-//! Safety is checked after every move; termination at the end of each
-//! walk.
+//! Every state a walk passes through is judged exactly as the
+//! exhaustive walk judges it: safety always, termination when
+//! quiescent.
 //!
 //! A clean fuzz run is evidence over the *unrestricted* adversary at
 //! sizes the exhaustive checker cannot reach; a violation comes with
@@ -21,11 +22,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::explore::{Violation, ViolationKind};
-use crate::machine::ExploreMachine;
-use crate::Explorer;
-
 use amacl_model::prelude::*;
+
+use crate::explore::{MacExplorer, MacViolation, ViolationKind};
 
 /// Limits for one fuzzing campaign.
 #[derive(Clone, Copy, Debug)]
@@ -33,7 +32,7 @@ pub struct FuzzConfig {
     /// Number of independent random walks.
     pub walks: usize,
     /// Per-walk move cap (walks hitting it count as truncated, not
-    /// failed — liveness is only judged at genuine terminal states).
+    /// failed — liveness is only judged at quiescent states).
     pub max_moves: usize,
     /// RNG seed; walks use `seed, seed+1, ...` so campaigns are
     /// reproducible and individually replayable.
@@ -62,7 +61,8 @@ pub struct FuzzOutcome {
     /// stop rule — algorithms whose services keep broadcasting never
     /// reach a quiescent terminal state).
     pub decided_walks: usize,
-    /// Walks that reached a genuine terminal state.
+    /// Walks that got stuck: a quiescent state with a live node
+    /// undecided (each is also a termination violation).
     pub terminal_walks: usize,
     /// Walks cut off by the move cap.
     pub truncated_walks: usize,
@@ -71,7 +71,7 @@ pub struct FuzzOutcome {
     /// Longest walk, in moves.
     pub max_walk_moves: usize,
     /// Violations found (with schedules).
-    pub violations: Vec<Violation>,
+    pub violations: Vec<MacViolation>,
 }
 
 impl FuzzOutcome {
@@ -86,22 +86,16 @@ impl FuzzOutcome {
     ///
     /// Panics when a violation was recorded.
     pub fn assert_clean(&self) {
-        assert!(
-            self.violations.is_empty(),
-            "fuzz violation: {:?}",
-            self.violations[0]
-        );
+        if let Some(v) = self.violations.first() {
+            panic!("fuzz violation:\n{}", v.render());
+        }
     }
 }
 
-impl<P> Explorer<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
+impl<P: Process + Clone + std::fmt::Debug> MacExplorer<P> {
     /// Runs a fuzzing campaign: `cfg.walks` independent uniformly
     /// random walks from the initial state, each checking agreement
-    /// and validity after every move and termination at terminal
+    /// and validity after every move and termination at quiescent
     /// states.
     pub fn fuzz(&self, cfg: FuzzConfig) -> FuzzOutcome {
         let mut out = FuzzOutcome {
@@ -119,12 +113,11 @@ where
             let mut path = Vec::new();
             out.walks += 1;
             loop {
-                if let Some(kind) = safety_violation(&m, self.inputs()) {
-                    out.violations.push(Violation {
-                        kind,
-                        schedule: path.clone(),
-                        decisions: m.decisions(),
-                    });
+                if let Some(v) = self.check_state(&m, &path, m.quiescent()) {
+                    if v.kind == ViolationKind::Termination {
+                        out.terminal_walks += 1;
+                    }
+                    out.violations.push(v);
                     break;
                 }
                 if m.all_alive_decided() {
@@ -133,20 +126,13 @@ where
                     out.decided_walks += 1;
                     break;
                 }
-                let choices = m.choices();
-                if choices.is_empty() {
-                    out.terminal_walks += 1;
-                    out.violations.push(Violation {
-                        kind: ViolationKind::Termination,
-                        schedule: path.clone(),
-                        decisions: m.decisions(),
-                    });
-                    break;
-                }
                 if path.len() >= cfg.max_moves {
                     out.truncated_walks += 1;
                     break;
                 }
+                // Not quiescent (that would have been judged above), so
+                // a delivery or an ack is enabled.
+                let choices = m.choices();
                 let c = choices[rng.gen_range(0..choices.len())];
                 m.apply(c);
                 path.push(c);
@@ -161,25 +147,10 @@ where
     }
 }
 
-fn safety_violation<P>(m: &ExploreMachine<P>, inputs: &[Value]) -> Option<ViolationKind>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
-    let decided = m.decided_values();
-    if decided.len() > 1 {
-        Some(ViolationKind::Agreement)
-    } else if decided.iter().any(|v| !inputs.contains(v)) {
-        Some(ViolationKind::Validity)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amacl_model::proc::Context;
+    use amacl_model::machine::LedgerMutation;
 
     /// Broadcast once, decide own value at the ack (breaks agreement
     /// for mixed inputs).
@@ -205,14 +176,23 @@ mod tests {
         }
     }
 
+    fn selfish(topo: Topology, inputs: &[Value]) -> MacExplorer<Selfish> {
+        MacExplorer::new(
+            topo,
+            inputs.iter().map(|&v| Selfish(v)).collect(),
+            inputs.to_vec(),
+            0,
+            LedgerMutation::None,
+        )
+    }
+
     #[test]
     fn clean_campaign_on_uniform_inputs() {
-        let out =
-            Explorer::new(Topology::ring(5), vec![Selfish(1); 5], vec![1; 5], 0).fuzz(FuzzConfig {
-                walks: 50,
-                seed: 3,
-                ..FuzzConfig::default()
-            });
+        let out = selfish(Topology::ring(5), &[1; 5]).fuzz(FuzzConfig {
+            walks: 50,
+            seed: 3,
+            ..FuzzConfig::default()
+        });
         out.assert_clean();
         assert_eq!(out.walks, 50);
         assert_eq!(out.decided_walks, 50);
@@ -226,12 +206,7 @@ mod tests {
 
     #[test]
     fn finds_agreement_violation_with_replayable_schedule() {
-        let explorer = Explorer::new(
-            Topology::clique(2),
-            vec![Selfish(0), Selfish(1)],
-            vec![0, 1],
-            0,
-        );
+        let explorer = selfish(Topology::clique(2), &[0, 1]);
         let out = explorer.fuzz(FuzzConfig {
             walks: 20,
             seed: 0,
@@ -247,7 +222,7 @@ mod tests {
     #[test]
     fn campaigns_are_reproducible() {
         let run = || {
-            Explorer::new(Topology::line(4), vec![Selfish(0); 4], vec![0; 4], 0).fuzz(FuzzConfig {
+            selfish(Topology::line(4), &[0; 4]).fuzz(FuzzConfig {
                 walks: 10,
                 seed: 42,
                 ..FuzzConfig::default()
@@ -260,16 +235,13 @@ mod tests {
 
     #[test]
     fn move_cap_truncates_rather_than_fails() {
-        // Mute node: never terminal because... actually Selfish IS
-        // terminal quickly; use a cap below the walk length instead.
-        let out = Explorer::new(Topology::clique(3), vec![Selfish(1); 3], vec![1; 3], 0).fuzz(
-            FuzzConfig {
-                walks: 5,
-                max_moves: 2,
-                seed: 1,
-                ..FuzzConfig::default()
-            },
-        );
+        // A cap below the shortest complete walk.
+        let out = selfish(Topology::clique(3), &[1; 3]).fuzz(FuzzConfig {
+            walks: 5,
+            max_moves: 2,
+            seed: 1,
+            ..FuzzConfig::default()
+        });
         assert_eq!(out.truncated_walks, 5);
         assert!(out.clean(), "truncation is not a violation");
     }

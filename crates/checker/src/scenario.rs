@@ -917,7 +917,7 @@ impl Scenario {
                 }],
             ),
             // A model-checking counterexample, permanently enrolled:
-            // the schedule on which `explore_mac` catches the seeded
+            // the schedule on which the explorer catches the seeded
             // early-ack ledger mutation (two-phase wedges with node 1
             // decided and node 0 waiting on a delivery the mutated
             // ledger pretended had happened), lowered by

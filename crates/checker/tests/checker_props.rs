@@ -2,8 +2,10 @@
 //! the machine's semantics must be internally consistent and agree
 //! with the simulator's model semantics.
 
-use amacl_checker::{Choice, ExploreConfig, ExploreMachine, Explorer, SearchOrder};
+use amacl_checker::{MacExploreConfig, MacExplorer, SearchOrder};
 use amacl_core::two_phase::TwoPhase;
+use amacl_model::mac::MacChoice;
+use amacl_model::machine::{LedgerMutation, MacMachine};
 use amacl_model::prelude::*;
 use proptest::prelude::*;
 
@@ -41,11 +43,31 @@ impl Process for Selfish {
     }
 }
 
+fn selfish(topo: Topology, inputs: &[Value]) -> MacExplorer<Selfish> {
+    MacExplorer::new(
+        topo,
+        inputs.iter().map(|&v| Selfish(v)).collect(),
+        inputs.to_vec(),
+        0,
+        LedgerMutation::None,
+    )
+}
+
+fn two_phase(topo: Topology, inputs: &[Value], crash_budget: usize) -> MacMachine<TwoPhase> {
+    MacMachine::new(
+        topo,
+        inputs.iter().map(|&v| TwoPhase::new(v)).collect(),
+        crash_budget,
+        LedgerMutation::None,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Uniform inputs verify on every topology; mixed inputs violate
-    /// agreement on every topology — and BFS and DFS agree on which.
+    /// agreement on every topology — and BFS, DFS and DPOR agree on
+    /// which.
     #[test]
     fn selfish_verdict_matches_input_uniformity(
         topo in arb_small_topology(),
@@ -57,11 +79,13 @@ proptest! {
         } else {
             (0..n).map(|i| (i % 2) as Value).collect()
         };
-        let procs: Vec<Selfish> = inputs.iter().map(|&v| Selfish(v)).collect();
-        for order in [SearchOrder::Dfs, SearchOrder::Bfs] {
-            let out = Explorer::new(topo.clone(), procs.clone(), inputs.clone(), 0)
-                .run(ExploreConfig { order, ..ExploreConfig::default() });
-            prop_assert_eq!(out.verified(), uniform, "{:?} on {:?}", order, topo);
+        for cfg in [
+            MacExploreConfig::naive(SearchOrder::Dfs),
+            MacExploreConfig::naive(SearchOrder::Bfs),
+            MacExploreConfig::default(),
+        ] {
+            let out = selfish(topo.clone(), &inputs).run(&cfg);
+            prop_assert_eq!(out.verified(), uniform, "{:?} on {:?}", cfg.reduction, topo);
         }
     }
 
@@ -74,9 +98,8 @@ proptest! {
         let n = topo.len();
         let inputs: Vec<Value> = (0..n).map(|i| (i % 2) as Value).collect();
         prop_assume!(inputs.contains(&1));
-        let procs: Vec<Selfish> = inputs.iter().map(|&v| Selfish(v)).collect();
-        let explorer = Explorer::new(topo, procs, inputs, 0);
-        let out = explorer.run(ExploreConfig::default());
+        let explorer = selfish(topo, &inputs);
+        let out = explorer.run(&MacExploreConfig::naive(SearchOrder::Dfs));
         prop_assert!(!out.violations.is_empty());
         let v = &out.violations[0];
         let m = explorer.replay(&v.schedule);
@@ -90,13 +113,7 @@ proptest! {
         steps in 0usize..12,
         picks in proptest::collection::vec(any::<usize>(), 12),
     ) {
-        let mk = || {
-            ExploreMachine::new(
-                Topology::clique(3),
-                vec![TwoPhase::new(0), TwoPhase::new(1), TwoPhase::new(1)],
-                0,
-            )
-        };
+        let mk = || two_phase(Topology::clique(3), &[0, 1, 1], 0);
         let mut a = mk();
         let mut b = mk();
         prop_assert_eq!(a.fingerprint(), b.fingerprint());
@@ -119,21 +136,19 @@ proptest! {
         picks in proptest::collection::vec(any::<usize>(), 24),
         budget in 0usize..2,
     ) {
-        let mut m = ExploreMachine::new(
-            Topology::ring(3),
-            vec![TwoPhase::new(0), TwoPhase::new(1), TwoPhase::new(0)],
-            budget,
-        );
+        let mut m = two_phase(Topology::ring(3), &[0, 1, 0], budget);
         for p in picks {
             let choices = m.choices();
             if choices.is_empty() {
-                prop_assert!(m.is_terminal() || budget > 0);
+                prop_assert!(m.quiescent());
                 break;
             }
             for &c in &choices {
-                if let Choice::Ack(u) = c {
-                    // The ack invariant: no live pending recipient.
+                if let MacChoice::Ack(u) = c {
+                    // The ack invariant: a live sender with no live
+                    // recipient still owed.
                     prop_assert!(!m.is_crashed(u));
+                    prop_assert_eq!(m.next_recipient(u), None);
                 }
             }
             m.apply(choices[p % choices.len()]); // must not panic
@@ -148,11 +163,9 @@ proptest! {
         inputs in proptest::collection::vec(0u64..2, 2..=3),
         picks in proptest::collection::vec(any::<usize>(), 64),
     ) {
-        let n = inputs.len();
-        let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let mut m = ExploreMachine::new(Topology::clique(n), procs, 0);
+        let mut m = two_phase(Topology::clique(inputs.len()), &inputs, 0);
         let mut i = 0;
-        while !m.is_terminal() && i < picks.len() {
+        while !m.quiescent() && i < picks.len() {
             let choices = m.choices();
             m.apply(choices[picks[i] % choices.len()]);
             i += 1;

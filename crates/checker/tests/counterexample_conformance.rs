@@ -1,6 +1,6 @@
 //! Cross-backend conformance of lowered model-checking counterexamples.
 //!
-//! The loop the tentpole closes: `explore_mac` finds a violation under
+//! The loop the tentpole closes: the explorer finds a violation under
 //! a deliberately seeded ledger bug, the converter lowers its schedule
 //! into a `ScriptedScheduler` + crash-plan [`Scenario`], and from then
 //! on that scenario must behave like any other catalogue row — the
@@ -11,10 +11,11 @@
 //! (unmutated) backends is just another adversarial execution, which
 //! is exactly why it is safe to enroll counterexamples as regressions.
 
-use amacl_checker::explore_mac::{LedgerMutation, MacExploreConfig, MacExploreDescriptor};
 use amacl_checker::scenario::{
     sweep_scenario, sweep_scenario_sharded, Scenario, ScenarioAlgo, ScenarioTopo,
 };
+use amacl_checker::{MacExploreConfig, MacExploreDescriptor};
+use amacl_model::machine::LedgerMutation;
 use amacl_model::sim::queue::QueueCoreKind;
 
 /// The two seeded ledger bugs, each on the smallest instance where the

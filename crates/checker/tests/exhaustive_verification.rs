@@ -9,18 +9,26 @@
 //! confirm the flip side — Theorem 3.2 — by exhibiting concrete
 //! 1-crash schedules that break each deterministic algorithm.
 
-use amacl_checker::{ExploreConfig, Explorer, ViolationKind};
+use amacl_checker::{MacExploreConfig, MacExplorer, SearchOrder, ViolationKind};
 use amacl_core::baselines::flood_gather::FloodGather;
 use amacl_core::multivalued::BitwiseTwoPhase;
 use amacl_core::tree_gather::TreeGather;
 use amacl_core::two_phase::TwoPhase;
+use amacl_model::machine::LedgerMutation;
 use amacl_model::prelude::*;
 
-fn cfg() -> ExploreConfig {
-    ExploreConfig {
-        max_violations: 1,
-        ..ExploreConfig::default()
-    }
+/// The fingerprint-dedup walk, depth first.
+fn cfg() -> MacExploreConfig {
+    MacExploreConfig::naive(SearchOrder::Dfs)
+}
+
+fn explorer<P: Process + Clone + std::fmt::Debug>(
+    topo: Topology,
+    procs: Vec<P>,
+    inputs: Vec<Value>,
+    crash_budget: usize,
+) -> MacExplorer<P> {
+    MacExplorer::new(topo, procs, inputs, crash_budget, LedgerMutation::None)
 }
 
 /// Every binary input assignment for `n` nodes.
@@ -34,9 +42,9 @@ fn binary_assignments(n: usize) -> Vec<Vec<Value>> {
 fn two_phase_verified_for_every_input_pair() {
     for inputs in binary_assignments(2) {
         let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let out = Explorer::new(Topology::clique(2), procs, inputs.clone(), 0).run(cfg());
+        let out = explorer(Topology::clique(2), procs, inputs.clone(), 0).run(&cfg());
         assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
-        assert!(out.terminal_states >= 1);
+        assert!(out.quiescent_states >= 1);
     }
 }
 
@@ -44,11 +52,10 @@ fn two_phase_verified_for_every_input_pair() {
 /// cover in test time: explores up to `max_states` distinct states and
 /// requires that none of them violates a property. Unlike
 /// `assert_verified`, a clean bounded run is evidence, not proof.
-fn bounded(max_states: usize) -> ExploreConfig {
-    ExploreConfig {
+fn bounded(max_states: usize) -> MacExploreConfig {
+    MacExploreConfig {
         max_states,
-        max_violations: 1,
-        ..ExploreConfig::default()
+        ..cfg()
     }
 }
 
@@ -59,7 +66,7 @@ fn two_phase_verified_on_three_cliques() {
     // exercise every status combination.
     for inputs in [vec![0, 1, 1], vec![1, 1, 1]] {
         let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let out = Explorer::new(Topology::clique(3), procs, inputs.clone(), 0).run(cfg());
+        let out = explorer(Topology::clique(3), procs, inputs.clone(), 0).run(&cfg());
         assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
     }
 }
@@ -74,12 +81,12 @@ fn two_phase_literal_r2_bug_found_exhaustively() {
         .iter()
         .map(|&v| TwoPhase::with_literal_r2_check(v))
         .collect();
-    let explorer = Explorer::new(Topology::clique(2), procs, inputs, 0);
-    let out = explorer.run(cfg());
+    let ex = explorer(Topology::clique(2), procs, inputs, 0);
+    let out = ex.run(&cfg());
     assert!(!out.verified());
     assert_eq!(out.violations[0].kind, ViolationKind::Agreement);
     // And the discovered schedule replays.
-    let m = explorer.replay(&out.violations[0].schedule);
+    let m = ex.replay(&out.violations[0].schedule);
     assert_eq!(m.decided_values().len(), 2);
 }
 
@@ -91,7 +98,7 @@ fn two_phase_breaks_under_one_crash_as_theorem_3_2_demands() {
     // violation) within a 1-crash budget.
     let inputs = vec![0, 1, 1];
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let out = Explorer::new(Topology::clique(3), procs, inputs, 1).run(cfg());
+    let out = explorer(Topology::clique(3), procs, inputs, 1).run(&cfg());
     assert!(!out.verified());
     let kind = out.violations[0].kind;
     assert!(
@@ -107,9 +114,9 @@ fn two_phase_crash_failure_is_not_a_validity_failure() {
     // find (up to a cap) and check none is a validity violation.
     let inputs = vec![0, 1];
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let out = Explorer::new(Topology::clique(2), procs, inputs, 1).run(ExploreConfig {
+    let out = explorer(Topology::clique(2), procs, inputs, 1).run(&MacExploreConfig {
         max_violations: 64,
-        ..ExploreConfig::default()
+        ..cfg()
     });
     assert!(!out.violations.is_empty());
     assert!(out
@@ -128,7 +135,7 @@ fn bitwise_two_phase_verified_for_every_two_bit_pair() {
             let inputs = vec![a, b];
             let procs: Vec<BitwiseTwoPhase> =
                 inputs.iter().map(|&v| BitwiseTwoPhase::new(v, 2)).collect();
-            let out = Explorer::new(Topology::clique(2), procs, inputs.clone(), 0).run(cfg());
+            let out = explorer(Topology::clique(2), procs, inputs.clone(), 0).run(&cfg());
             assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
         }
     }
@@ -140,7 +147,7 @@ fn bitwise_two_phase_bounded_on_three_cliques() {
     // first 60k breadth of it for safety violations.
     let inputs = vec![0b10, 0b01, 0b11];
     let procs: Vec<BitwiseTwoPhase> = inputs.iter().map(|&v| BitwiseTwoPhase::new(v, 2)).collect();
-    let out = Explorer::new(Topology::clique(3), procs, inputs.clone(), 0).run(bounded(60_000));
+    let out = explorer(Topology::clique(3), procs, inputs.clone(), 0).run(&bounded(60_000));
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 }
 
@@ -153,7 +160,7 @@ fn flood_gather_verified_on_multihop_topologies() {
     ] {
         let n = topo.len();
         let procs: Vec<FloodGather> = inputs.iter().map(|&v| FloodGather::new(v, n)).collect();
-        let out = Explorer::new(topo, procs, inputs.clone(), 0).run(cfg());
+        let out = explorer(topo, procs, inputs.clone(), 0).run(&cfg());
         assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
     }
 }
@@ -162,7 +169,7 @@ fn flood_gather_verified_on_multihop_topologies() {
 fn flood_gather_bounded_on_four_node_ring() {
     let inputs = vec![0, 1, 1, 0];
     let procs: Vec<FloodGather> = inputs.iter().map(|&v| FloodGather::new(v, 4)).collect();
-    let out = Explorer::new(Topology::ring(4), procs, inputs.clone(), 0).run(bounded(60_000));
+    let out = explorer(Topology::ring(4), procs, inputs.clone(), 0).run(&bounded(60_000));
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 }
 
@@ -174,7 +181,7 @@ fn tree_gather_verified_on_multihop_topologies() {
     ] {
         let n = topo.len();
         let procs: Vec<TreeGather> = inputs.iter().map(|&v| TreeGather::new(v, n)).collect();
-        let out = Explorer::new(topo, procs, inputs.clone(), 0).run(cfg());
+        let out = explorer(topo, procs, inputs.clone(), 0).run(&cfg());
         assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
     }
 }
@@ -183,7 +190,7 @@ fn tree_gather_verified_on_multihop_topologies() {
 fn tree_gather_bounded_on_four_node_star() {
     let inputs = vec![1, 0, 1, 1];
     let procs: Vec<TreeGather> = inputs.iter().map(|&v| TreeGather::new(v, 4)).collect();
-    let out = Explorer::new(Topology::star(4), procs, inputs.clone(), 0).run(bounded(60_000));
+    let out = explorer(Topology::star(4), procs, inputs.clone(), 0).run(&bounded(60_000));
     assert!(out.violations.is_empty(), "{:?}", out.violations);
 }
 
@@ -195,7 +202,7 @@ fn flood_gather_stalls_under_one_crash() {
     // no crashes.
     let inputs = vec![0, 1, 1];
     let procs: Vec<FloodGather> = inputs.iter().map(|&v| FloodGather::new(v, 3)).collect();
-    let out = Explorer::new(Topology::clique(3), procs, inputs, 1).run(cfg());
+    let out = explorer(Topology::clique(3), procs, inputs, 1).run(&cfg());
     assert!(!out.verified());
     assert_eq!(out.violations[0].kind, ViolationKind::Termination);
 }
@@ -224,7 +231,7 @@ mod fuzzing {
                 .iter()
                 .map(|&v| WpaxosNode::new(v, WpaxosConfig::new(n)))
                 .collect();
-            let out = Explorer::new(topo, procs, inputs, 0).fuzz(FuzzConfig {
+            let out = explorer(topo, procs, inputs, 0).fuzz(FuzzConfig {
                 walks: 10,
                 seed: 7,
                 ..FuzzConfig::default()
@@ -241,7 +248,7 @@ mod fuzzing {
         // randomized delay schedulers cannot express.
         let inputs: Vec<Value> = (0..6).map(|i| (i % 2) as Value).collect();
         let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let out = Explorer::new(Topology::clique(6), procs, inputs, 0).fuzz(FuzzConfig {
+        let out = explorer(Topology::clique(6), procs, inputs, 0).fuzz(FuzzConfig {
             walks: 200,
             seed: 11,
             ..FuzzConfig::default()
@@ -256,16 +263,36 @@ mod fuzzing {
         // two-phase, matching the exhaustive result (Theorem 3.2).
         let inputs = vec![0, 1, 1];
         let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let explorer = Explorer::new(Topology::clique(3), procs, inputs, 1);
-        let out = explorer.fuzz(FuzzConfig {
+        let ex = explorer(Topology::clique(3), procs, inputs, 1);
+        let out = ex.fuzz(FuzzConfig {
             walks: 500,
             seed: 5,
             ..FuzzConfig::default()
         });
         assert!(!out.clean(), "some walk must break within 500 tries");
         let v = &out.violations[0];
-        let m = explorer.replay(&v.schedule);
+        let m = ex.replay(&v.schedule);
         assert_eq!(m.decisions(), v.decisions);
+    }
+}
+
+/// What the deleted `checker::machine::ExploreMachine` walk returned
+/// for these crash-free instances, recorded before its removal: the
+/// same verdict and the same number of distinct states, so the ledger
+/// machine's fingerprint merges exactly the interleavings the legacy
+/// one did.
+#[test]
+fn crash_free_state_counts_match_the_legacy_machine() {
+    for (inputs, states) in [
+        (vec![0, 1], 89),
+        (vec![0, 1, 1], 35_333),
+        (vec![1, 1, 1], 53_190),
+    ] {
+        let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
+        let out = explorer(Topology::clique(inputs.len()), procs, inputs.clone(), 0).run(&cfg());
+        assert!(out.verified(), "inputs {inputs:?}: {:?}", out.violations);
+        assert_eq!(out.states, states, "inputs {inputs:?}");
+        assert_eq!(out.distinct_states, states, "inputs {inputs:?}");
     }
 }
 
@@ -273,11 +300,11 @@ mod fuzzing {
 fn exploration_statistics_are_plausible() {
     let inputs = vec![0, 1];
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let out = Explorer::new(Topology::clique(2), procs, inputs, 0).run(cfg());
+    let out = explorer(Topology::clique(2), procs, inputs, 0).run(&cfg());
     assert!(out.verified());
     // Two nodes, two phases each: at least 8 scheduler moves on the
     // longest branch (2 deliveries + 2 acks per phase).
     assert!(out.max_depth_reached >= 8);
-    assert!(out.states > out.terminal_states);
-    assert!(out.terminal_states >= 1);
+    assert!(out.states > out.quiescent_states);
+    assert!(out.quiescent_states >= 1);
 }

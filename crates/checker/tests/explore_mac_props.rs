@@ -1,4 +1,4 @@
-//! Property tests for the `explore_mac` determinism contract.
+//! Property tests for the explorer's determinism contract.
 //!
 //! Replay *is* the contract: a violation's schedule must reproduce the
 //! identical violating state on a fresh machine, and re-running the
@@ -6,13 +6,12 @@
 //! counters, same violations, same rendered trace bytes. Descriptors
 //! are drawn over the explorable slice of the scenario space: two-phase
 //! cliques (wPAXOS's untimed ballot space grows past any useful bound,
-//! see the `explore_mac` module docs), random binary inputs, crash
+//! see `amacl explore`'s usage text), random binary inputs, crash
 //! budgets 0–1, and all three ledger mutations, under both reductions.
 
-use amacl_checker::explore_mac::{
-    LedgerMutation, MacExploreConfig, MacExploreDescriptor, Reduction,
-};
 use amacl_checker::scenario::{ScenarioAlgo, ScenarioTopo};
+use amacl_checker::{MacExploreConfig, MacExploreDescriptor, Reduction, SearchOrder};
+use amacl_model::machine::LedgerMutation;
 use proptest::prelude::*;
 
 fn arb_descriptor() -> impl Strategy<Value = MacExploreDescriptor> {
@@ -60,7 +59,7 @@ proptest! {
         dpor in any::<bool>(),
     ) {
         prop_assert!(d.validate().is_ok(), "{d:?}");
-        let cfg = bounded(if dpor { Reduction::Dpor } else { Reduction::Naive });
+        let cfg = bounded(if dpor { Reduction::Dpor } else { Reduction::Naive(SearchOrder::Dfs) });
         let a = d.explore(&cfg);
         let b = d.explore(&cfg);
         prop_assert_eq!(&a, &b, "explorer nondeterministic on {:?}", d);

@@ -5,7 +5,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use amacl_checker::{
-    cross_check, CrossCheckConfig, ExploreConfig, Explorer, FuzzConfig, SearchOrder,
+    cross_check, CrossCheckConfig, FuzzConfig, MacExploreConfig, MacExploreDescriptor, MacExplorer,
+    Reduction, SearchOrder, ViolationKind,
 };
 use amacl_core::baselines::flood_gather::FloodGather;
 use amacl_core::extensions::ben_or::BenOr;
@@ -15,6 +16,7 @@ use amacl_core::tree_gather::TreeGather;
 use amacl_core::two_phase::TwoPhase;
 use amacl_core::verify::check_consensus;
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
+use amacl_model::machine::LedgerMutation;
 use amacl_model::prelude::*;
 use amacl_model::sim::conformance::check_trace;
 use amacl_model::sim::trace::TraceEvent;
@@ -114,8 +116,8 @@ pub fn execute(cmd: Command) -> Result<String, String> {
 }
 
 /// Maps a parsed topology spec onto its scenario-descriptor form (the
-/// plain-data shape `explore_mac` descriptors and lowered scenarios
-/// carry), rejecting families the catalogue cannot express.
+/// plain-data shape explore descriptors and lowered scenarios carry),
+/// rejecting families the catalogue cannot express.
 fn scenario_topo(spec: &TopoSpec) -> Result<amacl_checker::scenario::ScenarioTopo, String> {
     use amacl_checker::scenario::ScenarioTopo;
     let text = spec.text.as_str();
@@ -159,6 +161,19 @@ fn scenario_topo(spec: &TopoSpec) -> Result<amacl_checker::scenario::ScenarioTop
     }
 }
 
+/// Termination is judged in quiescent states only; a full cover that
+/// met none (wPAXOS's services never stop broadcasting) proved safety
+/// alone, and the report says so next to its `VERIFIED` line.
+fn note_unjudged_termination(text: &mut String, quiescent_states: u64) {
+    if quiescent_states == 0 {
+        let _ = writeln!(
+            text,
+            "note: no quiescent state is reachable, so termination was never judged — \
+             only agreement and validity are proven"
+        );
+    }
+}
+
 /// Enumerates the delivery/ack/crash interleavings behind the
 /// `MacLayer` seam for one instance, optionally under a seeded ledger
 /// bug, and lowers the first violating schedule into a sweep-ready
@@ -174,9 +189,6 @@ fn explore_mac(
     naive: bool,
     mutate: Option<String>,
 ) -> Result<String, String> {
-    use amacl_checker::explore_mac::{
-        LedgerMutation, MacExploreConfig, MacExploreDescriptor, Reduction,
-    };
     use amacl_checker::scenario::{sweep_scenario, ScenarioAlgo};
 
     let scenario_algo = match algo {
@@ -210,7 +222,7 @@ fn explore_mac(
         max_depth,
         max_violations: 1,
         reduction: if naive {
-            Reduction::Naive
+            Reduction::Naive(SearchOrder::Dfs)
         } else {
             Reduction::Dpor
         },
@@ -246,6 +258,7 @@ fn explore_mac(
                 text,
                 "VERIFIED: agreement, validity, and termination hold on every interleaving"
             );
+            note_unjudged_termination(&mut text, out.quiescent_states);
         }
         None => {
             let _ = writeln!(
@@ -273,8 +286,8 @@ fn explore_mac(
             scenario
                 .validate()
                 .map_err(|e| format!("{text}lowering produced an invalid scenario: {e}"))?;
-            let genuine_stall = mutation == LedgerMutation::None
-                && v.kind == amacl_checker::ViolationKind::Termination;
+            let genuine_stall =
+                mutation == LedgerMutation::None && v.kind == ViolationKind::Termination;
             if genuine_stall {
                 // A genuine violation is an algorithm-level property:
                 // THERE EXISTS a stalling interleaving. One backend
@@ -938,6 +951,64 @@ fn render_trace(events: &[TraceEvent]) -> String {
     out
 }
 
+/// A crash-budgeted explorer over one process per input.
+fn explorer<P: Process + Clone + std::fmt::Debug>(
+    topo: &Topology,
+    inputs: &[Value],
+    crash_budget: usize,
+    new: impl Fn(Value) -> P,
+) -> MacExplorer<P> {
+    MacExplorer::new(
+        topo.clone(),
+        inputs.iter().map(|&v| new(v)).collect(),
+        inputs.to_vec(),
+        crash_budget,
+        LedgerMutation::None,
+    )
+}
+
+/// Runs `$method($cfg)` on a [`MacExplorer`] over `$algo`'s processes
+/// — the one table of algorithms the untimed machine can search,
+/// shared by `check` and `fuzz`. `ben-or` draws random bits (a fork
+/// would replay them) and `fd-paxos` reads the clock (the machine has
+/// none), so both are refused.
+macro_rules! on_explorer {
+    ($verb:literal, $algo:expr, $topo:expr, $inputs:expr, $crash_budget:expr,
+     $method:ident($cfg:expr)) => {{
+        let (algo, topo, inputs, budget): (AlgoSpec, &Topology, &[Value], usize) =
+            ($algo, $topo, $inputs, $crash_budget);
+        let n = topo.len();
+        match algo {
+            AlgoSpec::TwoPhase => {
+                require_clique(algo, topo)?;
+                explorer(topo, inputs, budget, TwoPhase::new).$method($cfg)
+            }
+            AlgoSpec::Bitwise(bits) => {
+                require_clique(algo, topo)?;
+                explorer(topo, inputs, budget, |v| BitwiseTwoPhase::new(v, bits)).$method($cfg)
+            }
+            AlgoSpec::Wpaxos => explorer(topo, inputs, budget, |v| {
+                WpaxosNode::new(v, WpaxosConfig::new(n))
+            })
+            .$method($cfg),
+            AlgoSpec::TreeGather => {
+                explorer(topo, inputs, budget, |v| TreeGather::new(v, n)).$method($cfg)
+            }
+            AlgoSpec::FloodGather => {
+                explorer(topo, inputs, budget, |v| FloodGather::new(v, n)).$method($cfg)
+            }
+            AlgoSpec::BenOr | AlgoSpec::FdPaxos(_) => {
+                return Err(format!(
+                    "`{}` is not {}-compatible (randomized or clock-driven); \
+                     supported: two-phase, bitwise:<b>, wpaxos, tree-gather, flood-gather",
+                    algo.name(),
+                    $verb
+                ))
+            }
+        }
+    }};
+}
+
 fn check(
     algo: AlgoSpec,
     topo_spec: TopoSpec,
@@ -949,47 +1020,15 @@ fn check(
     let topo = topo_spec.build();
     let n = topo.len();
     let inputs = inputs_spec.materialize(n)?;
-    let cfg = ExploreConfig {
+    let cfg = MacExploreConfig {
         max_states,
-        order: if bfs {
+        ..MacExploreConfig::naive(if bfs {
             SearchOrder::Bfs
         } else {
             SearchOrder::Dfs
-        },
-        ..ExploreConfig::default()
+        })
     };
-
-    macro_rules! explore {
-        ($procs:expr) => {{
-            let explorer = Explorer::new(topo.clone(), $procs, inputs.clone(), crash_budget);
-            explorer.run(cfg)
-        }};
-    }
-
-    let out = match algo {
-        AlgoSpec::TwoPhase => {
-            require_clique(algo, &topo)?;
-            explore!(inputs.iter().map(|&v| TwoPhase::new(v)).collect())
-        }
-        AlgoSpec::Bitwise(bits) => {
-            require_clique(algo, &topo)?;
-            explore!(inputs
-                .iter()
-                .map(|&v| BitwiseTwoPhase::new(v, bits))
-                .collect())
-        }
-        AlgoSpec::TreeGather => explore!(inputs.iter().map(|&v| TreeGather::new(v, n)).collect()),
-        AlgoSpec::FloodGather => {
-            explore!(inputs.iter().map(|&v| FloodGather::new(v, n)).collect())
-        }
-        other => {
-            return Err(format!(
-                "`{}` is not checker-compatible (randomized or clock-driven); \
-                 supported: two-phase, bitwise:<b>, tree-gather, flood-gather",
-                other.name()
-            ))
-        }
-    };
+    let out = on_explorer!("checker", algo, &topo, &inputs, crash_budget, run(&cfg));
 
     let mut text = String::new();
     let _ = writeln!(
@@ -1003,7 +1042,7 @@ fn check(
         text,
         "explored {} states ({} terminal), deepest schedule {} moves{}",
         out.states,
-        out.terminal_states,
+        out.quiescent_states,
         out.max_depth_reached,
         if out.truncated { " — TRUNCATED" } else { "" }
     );
@@ -1013,6 +1052,7 @@ fn check(
                 text,
                 "VERIFIED: agreement, validity, and termination hold on every schedule"
             );
+            note_unjudged_termination(&mut text, out.quiescent_states);
         }
         None => {
             let _ = writeln!(
@@ -1020,14 +1060,7 @@ fn check(
                 "no violation found, but the cover is incomplete — raise --max-states"
             );
         }
-        Some(v) => {
-            let _ = writeln!(text, "VIOLATION: {:?}", v.kind);
-            let _ = writeln!(text, "decisions: {:?}", v.decisions);
-            let _ = writeln!(text, "schedule ({} moves):", v.schedule.len());
-            for c in &v.schedule {
-                let _ = writeln!(text, "  {c:?}");
-            }
-        }
+        Some(v) => text.push_str(&v.render()),
     }
     Ok(text)
 }
@@ -1048,43 +1081,7 @@ fn fuzz(
         seed,
         ..FuzzConfig::default()
     };
-
-    macro_rules! campaign {
-        ($procs:expr) => {{
-            Explorer::new(topo.clone(), $procs, inputs.clone(), crash_budget).fuzz(cfg)
-        }};
-    }
-
-    let out = match algo {
-        AlgoSpec::TwoPhase => {
-            require_clique(algo, &topo)?;
-            campaign!(inputs.iter().map(|&v| TwoPhase::new(v)).collect())
-        }
-        AlgoSpec::Bitwise(bits) => {
-            require_clique(algo, &topo)?;
-            campaign!(inputs
-                .iter()
-                .map(|&v| BitwiseTwoPhase::new(v, bits))
-                .collect())
-        }
-        AlgoSpec::Wpaxos => {
-            campaign!(inputs
-                .iter()
-                .map(|&v| WpaxosNode::new(v, WpaxosConfig::new(n)))
-                .collect())
-        }
-        AlgoSpec::TreeGather => campaign!(inputs.iter().map(|&v| TreeGather::new(v, n)).collect()),
-        AlgoSpec::FloodGather => {
-            campaign!(inputs.iter().map(|&v| FloodGather::new(v, n)).collect())
-        }
-        other => {
-            return Err(format!(
-                "`{}` is not fuzz-compatible (randomized or clock-driven); \
-                 supported: two-phase, bitwise:<b>, wpaxos, tree-gather, flood-gather",
-                other.name()
-            ))
-        }
-    };
+    let out = on_explorer!("fuzz", algo, &topo, &inputs, crash_budget, fuzz(cfg));
 
     let mut text = String::new();
     let _ = writeln!(
@@ -1111,14 +1108,7 @@ fn fuzz(
                 "CLEAN: no walk violated agreement/validity/termination"
             );
         }
-        Some(v) => {
-            let _ = writeln!(text, "VIOLATION: {:?}", v.kind);
-            let _ = writeln!(text, "decisions: {:?}", v.decisions);
-            let _ = writeln!(text, "schedule ({} moves):", v.schedule.len());
-            for c in &v.schedule {
-                let _ = writeln!(text, "  {c:?}");
-            }
-        }
+        Some(v) => text.push_str(&v.render()),
     }
     Ok(text)
 }
@@ -1251,9 +1241,39 @@ mod tests {
     }
 
     #[test]
+    fn check_bfs_pins_the_minimum_crash_counterexample() {
+        let out = cli("check --algo two-phase --topo clique:2 --inputs 0,1 --crash-budget 1 --bfs")
+            .unwrap();
+        assert!(out.contains("VIOLATION: Termination"), "{out}");
+        assert!(out.contains("schedule (4 moves)"), "{out}");
+    }
+
+    #[test]
     fn check_rejects_randomized_algorithms() {
         let err = cli("check --algo ben-or --topo clique:3").unwrap_err();
         assert!(err.contains("not checker-compatible"), "{err}");
+        assert!(err.contains("wpaxos"), "one algo table with fuzz: {err}");
+    }
+
+    /// wPAXOS is neither randomized nor clock-driven, so `check` walks
+    /// it like `explore` and `fuzz` do. Its services never quiesce:
+    /// the two-node space closes (safety proven, termination never
+    /// judged — and the report says so), anything larger truncates.
+    #[test]
+    fn check_accepts_wpaxos_and_reports_honestly() {
+        let out = cli("check --algo wpaxos --topo clique:2 --inputs 0,1").unwrap();
+        assert!(out.contains("(0 terminal)"), "{out}");
+        assert!(out.contains("VERIFIED"), "{out}");
+        assert!(out.contains("termination was never judged"), "{out}");
+        let out =
+            cli("check --algo wpaxos --topo clique:3 --inputs 0,1,1 --max-states 2000").unwrap();
+        assert!(out.contains("explored 2000 states (0 terminal)"), "{out}");
+        assert!(out.contains("TRUNCATED"), "{out}");
+        assert!(out.contains("cover is incomplete"), "{out}");
+        assert!(!out.contains("VERIFIED"), "{out}");
+        // A space with quiescent states carries no such note.
+        let out = cli("check --algo two-phase --topo clique:2 --inputs 0,1").unwrap();
+        assert!(!out.contains("never judged"), "{out}");
     }
 
     #[test]

@@ -80,11 +80,16 @@ CRASH:   slot=<s>,time=<t>  |  slot=<s>,bcast=<nth>,delivered=<k>
 
 `check` explores EVERY schedule (and crash placement within the budget)
 for the instance and reports either full verification or a violating
-schedule. Supported: two-phase, bitwise, tree-gather, flood-gather.
+schedule — with `--bfs`, a shortest one. It walks the same ledger-backed
+machine `explore` does, deduplicating converged states. Supported:
+two-phase, bitwise, wpaxos, tree-gather, flood-gather (ben-or draws
+random bits and fd-paxos reads the clock; the machine is untimed).
+wPAXOS never quiesces, so termination is never judged on it: clique:2
+closes with safety proven, larger instances report TRUNCATED.
 
 `fuzz` runs random walks over the same unrestricted scheduler space at
-sizes `check` cannot cover (additionally supports wpaxos), checking
-safety at every move.
+sizes `check` cannot cover (same algorithms), judging every state a
+walk passes through.
 
 `crosscheck` runs the same algorithm on BOTH execution backends — the
 discrete-event engine and the threaded runtime — through the shared
@@ -116,7 +121,7 @@ interleaving — its round trip gates on engine byte-identity across
 queue cores and shard counts plus safety, and reports whether the
 engine reproduces the stall. Supported: two-phase, wpaxos (note
 wPAXOS's untimed ballot space is far too large to cover exhaustively
-— expect truncation).
+from n = 3 on — expect truncation).
 
 `sweep` runs the named adversarial scenario catalogue — healing
 partitions (single and multi-cut, line and torus), quorum-member timed

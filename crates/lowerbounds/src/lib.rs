@@ -9,7 +9,9 @@
 //!
 //! * [`step`] / [`bivalence`] — **Theorem 3.2** (no deterministic
 //!   consensus with one crash): a step machine implementing the proof's
-//!   *valid step* semantics, plus an exhaustive explorer that verifies
+//!   *valid step* semantics (as a restriction of the ledger-backed
+//!   [`MacMachine`](amacl_model::machine::MacMachine) the model checker
+//!   searches), plus an exhaustive explorer that verifies
 //!   bivalent initial configurations exist, finds the *critical
 //!   configurations* whose absence Lemma 3.1 proves for any
 //!   crash-tolerant algorithm, and exhibits the stuck schedules where a

@@ -15,13 +15,21 @@
 //! crash steps (a crashed node takes no further steps and its in-flight
 //! message is never delivered further — the mid-broadcast partial
 //! delivery the model allows).
+//!
+//! It owns no MAC state of its own: it is the *valid-step restriction*
+//! of a clique [`MacMachine`], the forkable state that asks the real
+//! [`BcastLedger`](amacl_model::mac::BcastLedger) every delivery, ack
+//! and crash question. Each [`Step`] names exactly one of the
+//! machine's [`MacChoice`]s, so Theorem 3.2's bivalence search runs on
+//! the same ledger the simulator and the threaded runtime do. Like
+//! every `MacMachine` execution it is untimed: callbacks observe clock
+//! zero.
 
-use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
-use amacl_model::ids::NodeId;
+use amacl_model::mac::MacChoice;
+use amacl_model::machine::{LedgerMutation, MacMachine};
 use amacl_model::prelude::*;
-use amacl_model::proc::NodeCell;
 
 /// One step of the valid-step semantics.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -32,227 +40,92 @@ pub enum Step {
     /// Acknowledge node `u`'s current message (a type-(b) step of `u`,
     /// valid only once all non-crashed peers have received it).
     Ack(usize),
-    /// Crash node `u` (the adversary's move; consumes one unit of the
-    /// crash budget).
+    /// Crash node `u` (the adversary's move; how many it may make is
+    /// the caller's to budget).
     Crash(usize),
 }
 
 /// A single-hop valid-step executor.
 ///
+/// Dereferences to the underlying [`MacMachine`] for read access —
+/// `len`, `process`, `is_crashed`, `decisions`, `decided_values`,
+/// `all_alive_decided`, `fingerprint` — while every mutation goes
+/// through [`StepMachine::apply`], which admits valid steps only.
+///
 /// `P` must be `Clone` (the explorer forks states) and `Debug` (global
 /// states are fingerprinted via their debug representation, which is
 /// deterministic for the `BTree`-based algorithm states used here).
-pub struct StepMachine<P: Process + Clone + std::fmt::Debug> {
-    procs: Vec<P>,
-    cells: Vec<NodeCell<P::Msg>>,
-    ids: Vec<NodeId>,
-    outstanding: Vec<Option<P::Msg>>,
-    delivered: Vec<BTreeSet<usize>>,
-    crashed: Vec<bool>,
-    steps_taken: u64,
-}
+#[derive(Clone)]
+pub struct StepMachine<P: Process>(MacMachine<P>);
 
-impl<P> Clone for StepMachine<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        // NodeCell is not Clone (it owns an RNG); rebuild cells with
-        // deterministic seeds and copy the observable state. Only
-        // deterministic algorithms are explored, so the RNG state is
-        // irrelevant.
-        let mut cells: Vec<NodeCell<P::Msg>> = (0..self.procs.len())
-            .map(|i| NodeCell::new(i as u64))
-            .collect();
-        for (i, cell) in cells.iter_mut().enumerate() {
-            cell.decision = self.cells[i].decision;
-            cell.ts_seq = self.cells[i].ts_seq;
-            cell.busy_discards = self.cells[i].busy_discards;
-        }
-        Self {
-            procs: self.procs.clone(),
-            cells,
-            ids: self.ids.clone(),
-            outstanding: self.outstanding.clone(),
-            delivered: self.delivered.clone(),
-            crashed: self.crashed.clone(),
-            steps_taken: self.steps_taken,
-        }
+impl<P: Process> Deref for StepMachine<P> {
+    type Target = MacMachine<P>;
+    fn deref(&self) -> &MacMachine<P> {
+        &self.0
     }
 }
 
-impl<P> StepMachine<P>
-where
-    P: Process + Clone + std::fmt::Debug,
-    P::Msg: Clone + std::fmt::Debug,
-{
+impl<P: Process + Clone + std::fmt::Debug> StepMachine<P> {
     /// Builds a machine over a clique of `procs.len()` nodes (ids equal
     /// to indices) and runs every `on_start`, collecting initial
     /// broadcasts.
-    pub fn new(mut procs: Vec<P>) -> Self {
+    pub fn new(procs: Vec<P>) -> Self {
         let n = procs.len();
         assert!(n >= 2, "step semantics need at least two nodes");
-        let ids: Vec<NodeId> = (0..n).map(|i| NodeId(i as u64)).collect();
-        let mut cells: Vec<NodeCell<P::Msg>> = (0..n).map(|i| NodeCell::new(i as u64)).collect();
-        let mut outstanding: Vec<Option<P::Msg>> = vec![None; n];
-        for i in 0..n {
-            let mut ctx = cells[i].ctx(ids[i], Time::ZERO, false);
-            procs[i].on_start(&mut ctx);
-            outstanding[i] = cells[i].outbox.take();
-        }
-        Self {
+        // Every node may crash (once): the step semantics leave the
+        // crash budget to the adversary driving the machine.
+        Self(MacMachine::new(
+            Topology::clique(n),
             procs,
-            cells,
-            ids,
-            outstanding,
-            delivered: vec![BTreeSet::new(); n],
-            crashed: vec![false; n],
-            steps_taken: 0,
-        }
+            n,
+            LedgerMutation::None,
+        ))
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// `true` if the machine has no nodes (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.procs.is_empty()
-    }
-
-    /// The process at `slot`, for state inspection.
-    pub fn process(&self, slot: usize) -> &P {
-        &self.procs[slot]
-    }
-
-    /// Whether `slot` has crashed.
-    pub fn is_crashed(&self, slot: usize) -> bool {
-        self.crashed[slot]
-    }
-
-    /// Decisions so far.
-    pub fn decisions(&self) -> Vec<Option<Value>> {
-        self.cells
-            .iter()
-            .map(|c| c.decision.map(|d| d.value))
-            .collect()
-    }
-
-    /// Distinct decided values.
-    pub fn decided_values(&self) -> BTreeSet<Value> {
-        self.cells
-            .iter()
-            .filter_map(|c| c.decision.map(|d| d.value))
-            .collect()
-    }
-
-    /// `true` when every non-crashed node has decided.
-    pub fn all_alive_decided(&self) -> bool {
-        (0..self.len()).all(|i| self.crashed[i] || self.cells[i].decision.is_some())
-    }
-
-    /// Steps taken so far (the machine's logical clock).
+    /// Steps taken so far.
     pub fn steps_taken(&self) -> u64 {
-        self.steps_taken
-    }
-
-    /// The pending recipient for `u`'s current message: the smallest
-    /// non-crashed other node that has not yet received it.
-    fn next_recipient(&self, u: usize) -> Option<usize> {
-        self.outstanding[u].as_ref()?;
-        (0..self.len()).find(|&v| v != u && !self.crashed[v] && !self.delivered[u].contains(&v))
+        self.moves_taken()
     }
 
     /// The valid non-crash steps available now: for each non-crashed
     /// node with a current message, either its next delivery or (once
     /// fully delivered) its ack.
     pub fn valid_steps(&self) -> Vec<Step> {
-        let mut steps = Vec::new();
-        for u in 0..self.len() {
-            if self.crashed[u] || self.outstanding[u].is_none() {
-                continue;
-            }
-            match self.next_recipient(u) {
-                Some(_) => steps.push(Step::Deliver(u)),
-                None => steps.push(Step::Ack(u)),
-            }
-        }
-        steps
+        (0..self.len())
+            .filter_map(|u| self.next_step_of(u))
+            .collect()
     }
 
     /// The next valid non-crash step *of node `u`*, if it has one.
     pub fn next_step_of(&self, u: usize) -> Option<Step> {
-        if self.crashed[u] || self.outstanding[u].is_none() {
+        if self.is_crashed(u) {
             return None;
         }
+        self.in_flight_nth(u)?;
         Some(match self.next_recipient(u) {
             Some(_) => Step::Deliver(u),
             None => Step::Ack(u),
         })
     }
 
-    /// Applies a step.
+    /// Applies a step: the delivery goes to the smallest live node
+    /// still owed `u`'s message, and the machine refuses an ack while
+    /// any such node remains.
     ///
     /// # Panics
     ///
     /// Panics if the step is not currently valid.
     pub fn apply(&mut self, step: Step) {
-        self.steps_taken += 1;
-        let now = Time(self.steps_taken);
-        match step {
-            Step::Deliver(u) => {
-                let v = self
+        self.0.apply(match step {
+            Step::Deliver(u) => MacChoice::Deliver {
+                from: u,
+                to: self
                     .next_recipient(u)
-                    .expect("Deliver step requires a pending recipient");
-                let msg = self.outstanding[u].clone().expect("current message");
-                self.delivered[u].insert(v);
-                let busy = self.outstanding[v].is_some();
-                let mut ctx = self.cells[v].ctx(self.ids[v], now, busy);
-                self.procs[v].on_receive(msg, &mut ctx);
-                if let Some(m) = self.cells[v].outbox.take() {
-                    debug_assert!(self.outstanding[v].is_none());
-                    self.outstanding[v] = Some(m);
-                    self.delivered[v].clear();
-                }
-            }
-            Step::Ack(u) => {
-                assert!(
-                    self.next_recipient(u).is_none() && self.outstanding[u].is_some(),
-                    "Ack step requires full delivery"
-                );
-                self.outstanding[u] = None;
-                self.delivered[u].clear();
-                let mut ctx = self.cells[u].ctx(self.ids[u], now, false);
-                self.procs[u].on_ack(&mut ctx);
-                if let Some(m) = self.cells[u].outbox.take() {
-                    self.outstanding[u] = Some(m);
-                }
-            }
-            Step::Crash(u) => {
-                assert!(!self.crashed[u], "node already crashed");
-                self.crashed[u] = true;
-                // The in-flight message (if any) is frozen: remaining
-                // nodes never receive it — mid-broadcast partial
-                // delivery.
-            }
-        }
-    }
-
-    /// A deterministic fingerprint of the full global state, for
-    /// memoized exploration.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        for i in 0..self.len() {
-            format!("{:?}", self.procs[i]).hash(&mut h);
-            format!("{:?}", self.outstanding[i]).hash(&mut h);
-            self.delivered[i].iter().for_each(|v| v.hash(&mut h));
-            0xFFu8.hash(&mut h);
-            self.crashed[i].hash(&mut h);
-            self.cells[i].decision.map(|d| d.value).hash(&mut h);
-        }
-        h.finish()
+                    .expect("Deliver step requires a pending recipient"),
+            },
+            Step::Ack(u) => MacChoice::Ack(u),
+            Step::Crash(u) => MacChoice::Crash(u),
+        });
     }
 }
 
@@ -331,6 +204,31 @@ mod tests {
         // Node 1's message now only needs node 2 (node 0 is crashed).
         m.apply(Step::Deliver(1));
         assert_eq!(m.next_step_of(1), Some(Step::Ack(1)));
+    }
+
+    /// The restriction claim itself: whatever the step machine calls
+    /// valid, the ledger machine underneath has enabled.
+    #[test]
+    fn every_valid_step_is_an_enabled_ledger_choice() {
+        let mut m = machine(&[0, 1, 1]);
+        m.apply(Step::Deliver(2));
+        m.apply(Step::Crash(0));
+        while let Some(&last) = m.valid_steps().last() {
+            let enabled = m.choices();
+            for step in m.valid_steps() {
+                let choice = match step {
+                    Step::Deliver(u) => MacChoice::Deliver {
+                        from: u,
+                        to: m.next_recipient(u).unwrap(),
+                    },
+                    Step::Ack(u) => MacChoice::Ack(u),
+                    Step::Crash(_) => unreachable!("crashes are never offered"),
+                };
+                assert!(enabled.contains(&choice), "{step:?} in {enabled:?}");
+            }
+            m.apply(last);
+        }
+        assert!(m.quiescent());
     }
 
     #[test]

@@ -37,7 +37,11 @@
 //!   (one `Process` implementation, many execution substrates) and the
 //!   [`BcastLedger`](mac::BcastLedger) delivery/ack/crash bookkeeping
 //!   shared by the simulator and the threaded runtime in
-//!   `amacl-runtime`.
+//!   `amacl-runtime`,
+//! * [`machine`] — the forkable [`MacMachine`](machine::MacMachine):
+//!   one global state plus every scheduler move the ledger enables
+//!   from it, which the exhaustive checker, the schedule fuzzer and
+//!   the FLP valid-step explorer all search.
 //!
 //! ## Quick example
 //!
@@ -77,6 +81,7 @@
 
 pub mod ids;
 pub mod mac;
+pub mod machine;
 pub mod msg;
 pub mod proc;
 pub mod sim;

@@ -490,26 +490,38 @@ impl BcastLedger {
         out
     }
 
-    /// A 64-bit fingerprint of the complete ledger state — crash
-    /// flags, broadcast counts, armed watches, live countdowns, ack
-    /// obligations, and the id → sender table.
+    /// A 64-bit fingerprint of everything that determines the
+    /// ledger's future answers: crash flags and, per sender slot, the
+    /// awaited confirmations, the live countdown's remaining
+    /// deliveries, and any armed watch (with the broadcast count it is
+    /// relative to).
     ///
-    /// Every hashed container is a `Vec` or `BTreeSet`, so the
-    /// fingerprint is a pure function of ledger state with no
-    /// iteration-order dependence; `DefaultHasher` uses fixed keys, so
-    /// it is also stable across runs of the same build. The explorer
-    /// combines it with a process-state hash to deduplicate (or merely
-    /// count) converging interleavings.
+    /// Broadcast ids are names, not state — two interleavings that
+    /// reach the same obligations under different id assignments hash
+    /// alike — so the id-keyed halves of the tables, the id → sender
+    /// table, and the broadcast counts of slots with no watch armed
+    /// are left out. Every hashed container is a `Vec` or `BTreeSet`
+    /// and `DefaultHasher` uses fixed keys, so the value is a pure
+    /// function of ledger state, stable across runs of the same build.
+    /// [`MacMachine`](crate::machine::MacMachine) combines it with a
+    /// process-state hash to deduplicate converging interleavings.
     pub fn fingerprint(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
         self.crashed.hash(&mut h);
-        self.counts.hash(&mut h);
-        self.watches.hash(&mut h);
-        self.active.hash(&mut h);
-        self.awaiting.hash(&mut h);
-        self.senders.hash(&mut h);
+        for slot in 0..self.crashed.len() {
+            self.watches[slot]
+                .map(|watch| (watch, self.counts[slot]))
+                .hash(&mut h);
+            self.active[slot]
+                .map(|(_, remaining)| remaining)
+                .hash(&mut h);
+            self.awaiting[slot]
+                .as_ref()
+                .map(|(_, set)| set)
+                .hash(&mut h);
+        }
         h.finish()
     }
 
@@ -1078,23 +1090,31 @@ mod tests {
         let mut a = BcastLedger::new(3);
         let mut b = BcastLedger::new(3);
         assert_eq!(a.fingerprint(), b.fingerprint());
+        // Broadcast ids are names: the same obligation under different
+        // ids (and different id histories) hashes alike.
         a.admit_broadcast(0, 0);
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        b.admit_broadcast(0, 0);
+        b.admit_broadcast(1, 0);
+        b.admit_broadcast(0, 7);
         assert_eq!(a.fingerprint(), b.fingerprint());
         a.register_ack_obligation(0, 0, [1, 2].into());
-        b.register_ack_obligation(0, 0, [1, 2].into());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        b.register_ack_obligation(7, 0, [1, 2].into());
         assert_eq!(a.fingerprint(), b.fingerprint());
         // Confirmations in a different interleaving converge to the
         // same fingerprint once the same set has confirmed.
         a.confirm(0, 1);
-        b.confirm(0, 2);
+        b.confirm(7, 2);
         assert_ne!(a.fingerprint(), b.fingerprint());
         a.confirm(0, 2);
-        b.confirm(0, 1);
+        b.confirm(7, 1);
         assert_eq!(a.fingerprint(), b.fingerprint());
         let snap = a.fingerprint();
         assert_eq!(a.clone().fingerprint(), snap, "clone preserves state");
+        // Crashes and armed watches are state.
+        a.mark_crashed(2);
+        assert_ne!(a.fingerprint(), snap);
+        b.arm_watch(1, 3, 1);
+        assert_ne!(b.fingerprint(), snap);
     }
 
     #[test]

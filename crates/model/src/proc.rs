@@ -89,8 +89,10 @@ pub struct Context<'a, M> {
 /// The built-in simulator drives processes itself; other executors —
 /// the lower-bound step machine, the threaded MAC runtime — need to
 /// run [`Process`] callbacks too. A `NodeCell` owns the per-node state
-/// a [`Context`] borrows and mints contexts on demand.
-#[derive(Debug)]
+/// a [`Context`] borrows and mints contexts on demand. Cloning a cell
+/// forks it exactly — RNG stream included — which is what lets
+/// [`MacMachine`](crate::machine::MacMachine) branch an execution.
+#[derive(Clone, Debug)]
 pub struct NodeCell<M> {
     /// Message the last callback asked to broadcast, if any.
     pub outbox: Option<M>,

@@ -14,19 +14,33 @@
 //! Run with: `cargo run --release --example exhaustive_check`
 
 use amacl::algorithms::two_phase::TwoPhase;
-use amacl::checker::{ExploreConfig, Explorer, ViolationKind};
+use amacl::checker::{MacExploreConfig, MacExplorer, SearchOrder, ViolationKind};
+use amacl::model::machine::LedgerMutation;
 use amacl::model::prelude::*;
 
+fn explorer(procs: Vec<TwoPhase>, inputs: &[Value], crash_budget: usize) -> MacExplorer<TwoPhase> {
+    MacExplorer::new(
+        Topology::clique(inputs.len()),
+        procs,
+        inputs.to_vec(),
+        crash_budget,
+        LedgerMutation::None,
+    )
+}
+
 fn main() {
+    // Fingerprint-dedup walks: depth first to cover a space, breadth
+    // first for the shortest counterexample.
+    let walk = MacExploreConfig::naive;
+
     // 1. Full verification, no crashes.
     let inputs = vec![0, 1, 1];
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let explorer = Explorer::new(Topology::clique(3), procs, inputs.clone(), 0);
-    let out = explorer.run(ExploreConfig::default());
+    let out = explorer(procs, &inputs, 0).run(&walk(SearchOrder::Dfs));
     println!("Two-Phase on clique(3), inputs {inputs:?}, every schedule:");
     println!(
         "  {} distinct states, {} terminal, deepest schedule {} moves",
-        out.states, out.terminal_states, out.max_depth_reached
+        out.states, out.quiescent_states, out.max_depth_reached
     );
     out.assert_verified();
     println!("  verified: agreement, validity, and termination hold on ALL schedules\n");
@@ -36,22 +50,21 @@ fn main() {
         TwoPhase::with_literal_r2_check(0),
         TwoPhase::with_literal_r2_check(1),
     ];
-    let explorer = Explorer::new(Topology::clique(2), procs, vec![0, 1], 0);
-    let out = explorer.run(ExploreConfig::default());
+    let literal = explorer(procs, &[0, 1], 0);
+    let out = literal.run(&walk(SearchOrder::Bfs));
     let v = &out.violations[0];
     assert_eq!(v.kind, ViolationKind::Agreement);
     println!("Literal R_2-only check (the paper's line 23 as written):");
     println!("  violation: {:?} after {} moves", v.kind, v.schedule.len());
     println!("  schedule: {:?}", v.schedule);
-    let bad = explorer.replay(&v.schedule);
+    let bad = literal.replay(&v.schedule);
     println!("  replayed decisions: {:?}\n", bad.decisions());
 
     // 3. One crash is enough to break any deterministic algorithm
     //    (Theorem 3.2); the explorer exhibits the failure.
     let inputs = vec![0, 1, 1];
     let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-    let explorer = Explorer::new(Topology::clique(3), procs, inputs, 1);
-    let out = explorer.run(ExploreConfig::default());
+    let out = explorer(procs, &inputs, 1).run(&walk(SearchOrder::Bfs));
     let v = &out.violations[0];
     println!("Same algorithm, scheduler allowed one crash:");
     println!("  violation: {:?} after {} moves", v.kind, v.schedule.len());

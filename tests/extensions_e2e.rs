@@ -6,7 +6,8 @@
 use amacl::algorithms::extensions::fd_paxos::FdPaxos;
 use amacl::algorithms::multivalued::BitwiseTwoPhase;
 use amacl::algorithms::verify::check_consensus;
-use amacl::checker::{ExploreConfig, Explorer};
+use amacl::checker::{MacExploreConfig, MacExplorer, SearchOrder};
+use amacl::model::machine::LedgerMutation;
 use amacl::model::prelude::*;
 use amacl::runtime::{MacRuntime, RuntimeConfig, RuntimeCrash};
 use proptest::prelude::*;
@@ -99,10 +100,16 @@ proptest! {
 
         let n = inputs.len();
         let procs: Vec<TwoPhase> = inputs.iter().map(|&v| TwoPhase::new(v)).collect();
-        let explorer = Explorer::new(Topology::clique(n), procs, inputs.clone(), 0);
-        let out = explorer.run(ExploreConfig {
+        let explorer = MacExplorer::new(
+            Topology::clique(n),
+            procs,
+            inputs.clone(),
+            0,
+            LedgerMutation::None,
+        );
+        let out = explorer.run(&MacExploreConfig {
             max_violations: usize::MAX,
-            ..ExploreConfig::default()
+            ..MacExploreConfig::naive(SearchOrder::Dfs)
         });
         prop_assert!(out.verified());
 
