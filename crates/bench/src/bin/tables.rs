@@ -4,98 +4,24 @@
 //! With no arguments, all experiments run in order. Output is the
 //! source of the measured numbers recorded in `EXPERIMENTS.md`.
 //!
-//! Special modes:
-//!
-//! * `tables -- --smoke` — a seconds-long sanity pass (tiny e1/e2
-//!   slices plus a short engine throughput run) for CI.
-//! * `tables -- bench-engine [--out <path>]` — the scaling sweep:
-//!   measures engine events/sec on the reference wPAXOS workload for
-//!   every `(queue core, n, shards, threads)` configuration in
-//!   [`amacl_bench::scaling::SWEEP`] × [`amacl_bench::scaling::CONFIG_SWEEP`]
-//!   (n ∈ {32, 128, 512} × heap/calendar × (S, T) ∈ {(1,1), (4,1),
-//!   (4,4)}), serially and with the parallel multi-seed driver, and
-//!   writes the `amacl-bench-engine/v6` JSON baseline
-//!   (`BENCH_engine.json` at the repo root by convention). Each row
-//!   also records the coordinator's cross-shard delivery and window
-//!   counts, the payload-arena counters (`payload_clones` summed and
-//!   `arena_bytes_peak` maxed over the row's seeds) and — for threaded
-//!   rows — the barrier-wait share plus the persistent pool's
-//!   superstep and worker-wakeup counts (summed over the row's
-//!   seeds); the top-level `events_per_sec` repeats the
-//!   heap/n=32/serial reference row for log readers.
-//! * `tables -- bench-latency [--out <path>]` — the open-loop latency
-//!   sweep: runs the steady-state workload once per
-//!   [`amacl_bench::latency::DEFAULT_GRID`] configuration (arrival
-//!   process × rate × engine shards/threads) and writes the
-//!   `amacl-bench-latency/v1` JSON baseline (`BENCH_latency.json` at
-//!   the repo root by convention). The p50/p99/p999 figures are in
-//!   virtual ticks and seed-determined — the sweep itself asserts they
-//!   are identical across engine configurations.
-//! * `tables -- bench-gate [--baseline <path>] [--tolerance <x>]
-//!   [--out <path>] [--latency-baseline <path>]` — the CI regression
-//!   gate: remeasures, writes the fresh JSON, and exits nonzero when
-//!   any configuration collapsed below `baseline / tolerance` (default
-//!   tolerance 3x, generous enough for shared-runner variance but not
-//!   for a real regression). Every row of the `amacl-bench-engine/v6`
-//!   baseline is gated individually and pins its deterministic
-//!   `payload_clones` count exactly (the superstep/wakeup counters are
-//!   informational: they follow the runner's core count); a baseline
-//!   in any other schema is refused. When the latency baseline
-//!   file exists (default `BENCH_latency.json`), its rows are gated
-//!   alongside the engine rows: virtual-tick quantiles must match
-//!   exactly, wall-clock throughput within the same tolerance.
+//! `tables -- --smoke` is a seconds-long sanity pass (tiny e1/e2
+//! slices plus a short engine throughput run) for CI. Host-speed
+//! measurement lives in the repository benchmark (`BENCHMARK.json`,
+//! `benchmark/`), not here.
 
 use std::time::Instant;
 
-use amacl_bench::baseline::{gate_rows, json_number, BaselineRow, ENGINE_SCHEMA};
 use amacl_bench::experiments::*;
-use amacl_bench::latency::{gate_latency_rows, measure_latency, DEFAULT_GRID};
-use amacl_bench::parallel::{self, run_seeds};
-use amacl_bench::scaling;
 use amacl_core::harness::{alternating_inputs, run_wpaxos};
 use amacl_model::prelude::*;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opt = |key: &str| {
-        args.iter()
-            .position(|a| a == key)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    // Modes dispatch on the FIRST argument only, so a mode's own
-    // options can never be mistaken for another mode (e.g. a stray
-    // `--smoke` after `bench-gate` must not silently replace the
-    // regression gate with the smoke pass).
-    match args.first().map(String::as_str) {
-        Some("--smoke") => {
-            run_smoke();
-            return;
-        }
-        Some("bench-engine") => {
-            bench_engine(opt("--out").as_deref());
-            return;
-        }
-        Some("bench-latency") => {
-            bench_latency(opt("--out").as_deref());
-            return;
-        }
-        Some("bench-gate") => {
-            let baseline_path = opt("--baseline").unwrap_or_else(|| "BENCH_engine.json".into());
-            let latency_path =
-                opt("--latency-baseline").unwrap_or_else(|| "BENCH_latency.json".into());
-            let tolerance: f64 = opt("--tolerance")
-                .map(|s| s.parse().expect("--tolerance takes a number"))
-                .unwrap_or(3.0);
-            bench_gate(
-                &baseline_path,
-                &latency_path,
-                tolerance,
-                opt("--out").as_deref(),
-            );
-            return;
-        }
-        _ => {}
+    // The mode dispatches on the FIRST argument only, so a stray
+    // `--smoke` after experiment names cannot silently replace them.
+    if args.first().map(String::as_str) == Some("--smoke") {
+        run_smoke();
+        return;
     }
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
@@ -150,9 +76,8 @@ fn header(id: &str, claim: &str) {
     println!("\n=== {id}: {claim} ===");
 }
 
-/// One engine run of the reference workload; returns the event count
-/// the engine processed. Used by both the smoke pass and the JSON
-/// baseline.
+/// One engine run of the smoke pass's reference workload; returns the
+/// event count the engine processed.
 fn reference_workload(seed: u64) -> u64 {
     let topo = Topology::random_connected(32, 0.15, seed);
     let n = topo.len();
@@ -175,202 +100,13 @@ fn run_smoke() {
     }
     println!("=== smoke: engine throughput (4 seeds) ===");
     let t0 = Instant::now();
-    let results = run_seeds(
-        &[0, 1, 2, 3],
-        parallel::default_threads(),
-        reference_workload,
-    );
-    let events: u64 = results.iter().map(|r| r.result).sum();
+    let events: u64 = (0..4).map(reference_workload).sum();
     let wall = t0.elapsed().as_secs_f64();
     println!(
         "events={events} wall={wall:.3}s events/sec={:.0}",
         events as f64 / wall
     );
     println!("smoke OK");
-}
-
-/// Runs the full scaling sweep — every `(queue core, n, shards,
-/// threads)` configuration in [`scaling::SWEEP`] ×
-/// [`scaling::CONFIG_SWEEP`], seeds fanned out over the parallel
-/// driver — and returns the v6 JSON and the per-configuration rows.
-///
-/// The top-level `threads` field is the *driver's* seed-fan-out
-/// width; each row's `threads` is the engine's own worker thread count
-/// inside the conservative windows.
-fn measure_engine() -> (String, Vec<BaselineRow>) {
-    let threads = parallel::default_threads();
-
-    // Warm-up (page in code and allocator state).
-    let _ = scaling::workload(QueueCoreKind::Heap, 32, 0);
-
-    let mut rows: Vec<BaselineRow> = Vec::new();
-    let mut row_json: Vec<String> = Vec::new();
-    let mut events_by_n: Vec<(usize, u64)> = Vec::new();
-    for core in QueueCoreKind::all() {
-        for &(n, nseeds) in scaling::SWEEP {
-            for &(shards, step_threads) in scaling::CONFIG_SWEEP {
-                let seeds: Vec<u64> = (0..nseeds as u64).collect();
-                let report = parallel::measure_speedup(&seeds, threads, |seed| {
-                    scaling::workload_threaded(core, n, shards, step_threads, seed)
-                });
-                let serial_wall = report.serial.as_secs_f64();
-                let parallel_wall = report.parallel.as_secs_f64();
-                let events: u64 = report.results.iter().map(|r| r.result.sharded.events).sum();
-                let cross: u64 = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.sharded.cross_shard_deliveries)
-                    .sum();
-                let windows: u64 = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.sharded.window_advances)
-                    .sum();
-                let clones: u64 = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.sharded.payload_clones)
-                    .sum();
-                let arena_peak = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.sharded.arena_bytes_peak)
-                    .max()
-                    .unwrap_or(0);
-                let barrier_pct = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.barrier_pct)
-                    .fold(0.0f64, f64::max);
-                let supersteps: u64 = report
-                    .results
-                    .iter()
-                    .map(|r| r.result.superstep_count)
-                    .sum();
-                let wakeups: u64 = report.results.iter().map(|r| r.result.worker_wakeups).sum();
-                // The event count is part of the determinism contract:
-                // neither the queue core, the shard count, nor the
-                // worker thread count may change what the engine
-                // executes.
-                match events_by_n.iter().find(|&&(en, _)| en == n) {
-                    None => events_by_n.push((n, events)),
-                    Some(&(_, expected)) => assert_eq!(
-                        events, expected,
-                        "core {core} / S={shards} T={step_threads} changed the n={n} event count"
-                    ),
-                }
-                let events_per_sec = events as f64 / serial_wall;
-                eprintln!(
-                    "measured core={core} n={n} shards={shards} threads={step_threads}: \
-                     {events_per_sec:.0} events/sec ({events} events, {serial_wall:.3}s serial, \
-                     {cross} cross-shard, {clones} payload clones, {arena_peak} B arena peak, \
-                     {barrier_pct:.1}% barrier, {supersteps} supersteps, {wakeups} wakeups)"
-                );
-                row_json.push(format!(
-                    "    {{\"queue_core\": \"{core}\", \"n\": {n}, \"shards\": {shards}, \"threads\": {step_threads}, \"seeds\": {nseeds}, \"events_total\": {events}, \"cross_shard_deliveries\": {cross}, \"window_advances\": {windows}, \"payload_clones\": {clones}, \"arena_bytes_peak\": {arena_peak}, \"barrier_pct\": {barrier_pct:.1}, \"superstep_count\": {supersteps}, \"worker_wakeups\": {wakeups}, \"serial_wall_s\": {serial_wall:.4}, \"events_per_sec\": {events_per_sec:.0}, \"parallel_wall_s\": {parallel_wall:.4}, \"parallel_speedup\": {:.2}}}",
-                    report.speedup()
-                ));
-                rows.push(BaselineRow {
-                    queue_core: core.name().to_string(),
-                    n: n as u64,
-                    shards: shards as u64,
-                    threads: step_threads as u64,
-                    payload_clones: clones,
-                    arena_bytes_peak: arena_peak,
-                    superstep_count: supersteps,
-                    worker_wakeups: wakeups,
-                    events_per_sec,
-                });
-            }
-        }
-    }
-    let reference = rows
-        .iter()
-        .find(|r| r.queue_core == "heap" && r.n == 32 && r.shards == 1 && r.threads == 1)
-        .expect("heap/n=32/serial reference row")
-        .events_per_sec;
-    let json = format!(
-        "{{\n  \"schema\": \"{ENGINE_SCHEMA}\",\n  \"workload\": \"wpaxos random_connected(n,p(n),seed), RandomScheduler(F_ack=4), both queue cores x (shards, threads) {:?}\",\n  \"threads\": {threads},\n  \"events_per_sec\": {reference:.0},\n  \"rows\": [\n{}\n  ]\n}}\n",
-        scaling::CONFIG_SWEEP,
-        row_json.join(",\n")
-    );
-    (json, rows)
-}
-
-/// Measures engine events/sec across the scaling sweep and writes the
-/// v6 JSON baseline.
-fn bench_engine(out: Option<&str>) {
-    let (json, _) = measure_engine();
-    print!("{json}");
-    if let Some(path) = out {
-        std::fs::write(path, &json).expect("write baseline");
-        eprintln!("wrote {path}");
-    }
-}
-
-/// Measures the open-loop latency grid and writes the
-/// `amacl-bench-latency/v1` JSON baseline.
-fn bench_latency(out: Option<&str>) {
-    let (json, _) = measure_latency(DEFAULT_GRID);
-    print!("{json}");
-    if let Some(path) = out {
-        std::fs::write(path, &json).expect("write latency baseline");
-        eprintln!("wrote {path}");
-    }
-}
-
-/// The CI regression gate: remeasure, report, and exit nonzero when
-/// throughput collapsed relative to the committed baseline. Every
-/// `(queue core, n, shards, threads)` row of the v6 baseline is gated
-/// and pins `payload_clones` exactly; any other schema is refused.
-/// When the committed latency baseline exists, its rows are gated in
-/// the same pass (exact virtual-tick quantiles, tolerance-bounded
-/// throughput).
-fn bench_gate(baseline_path: &str, latency_path: &str, tolerance: f64, out: Option<&str>) {
-    let baseline_json = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
-    let (fresh_json, fresh_rows) = measure_engine();
-    print!("{fresh_json}");
-    if let Some(path) = out {
-        std::fs::write(path, &fresh_json).expect("write fresh measurement");
-        eprintln!("wrote {path}");
-    }
-    let verdict = gate_rows(&baseline_json, &fresh_rows, tolerance);
-    // The latency baseline rides alongside: gate it whenever the
-    // committed file is present (it is optional so older checkouts and
-    // engine-only invocations keep working).
-    let latency_verdict = match std::fs::read_to_string(latency_path) {
-        Err(_) => {
-            eprintln!("bench gate: no latency baseline at {latency_path}; skipping latency gate");
-            Ok(Vec::new())
-        }
-        Ok(latency_json) => {
-            let (_, fresh_latency) = measure_latency(DEFAULT_GRID);
-            gate_latency_rows(&latency_json, &fresh_latency, tolerance)
-        }
-    };
-    match verdict.and_then(|mut lines| {
-        latency_verdict.map(|latency_lines| {
-            lines.extend(latency_lines);
-            lines
-        })
-    }) {
-        Ok(lines) => {
-            println!("bench gate OK:");
-            for line in lines {
-                println!("  {line}");
-            }
-            // Context for log readers chasing a near-miss: the
-            // baseline's own serial wall time, if present.
-            if let Some(wall) = json_number(&baseline_json, "serial_wall_s") {
-                println!("baseline first serial wall: {wall:.4}s");
-            }
-        }
-        Err(msg) => {
-            eprintln!("bench gate FAILED: {msg}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn print_e1() {

@@ -10,21 +10,12 @@
 //! in `DESIGN.md` and produces the series whose *shape* the paper
 //! predicts (who wins, by what factor, where the gaps open).
 //!
-//! Multi-seed sweeps parallelize with [`parallel::run_seeds`] — one
-//! single-threaded engine per seed over crossbeam scoped threads, with
-//! results returned in seed order so parallel and serial sweeps are
-//! byte-identical. The `tables` binary's `bench-engine` mode uses it
-//! to produce the `BENCH_engine.json` throughput baseline; its
-//! `bench-latency` mode uses [`latency::measure_latency`] to produce
-//! the `BENCH_latency.json` open-loop latency baseline, whose
-//! virtual-tick quantiles are gated for *exact* equality (they are
-//! seed-determined, so drift is a semantic regression, not noise).
+//! The crate holds the paper experiments E1–E15 and nothing else:
+//! how fast the engine runs on a given host is measured by the
+//! repository benchmark (`BENCHMARK.json`, `benchmark/`), the one perf
+//! contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod experiments;
-pub mod latency;
-pub mod parallel;
-pub mod scaling;

@@ -11,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use amacl_bench::scaling;
+use amacl_core::harness::{alternating_inputs, run_wpaxos_on};
 use amacl_model::prelude::*;
 
 /// Counts every allocation and reallocation routed through the global
@@ -38,14 +38,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
+/// The n = 512 reference workload the ceiling was recorded on: wPAXOS
+/// over `random_connected(512, 0.02, seed)` (mean degree ~10, so the
+/// run exercises the queue rather than quadratic fan-out) under the
+/// random scheduler with `F_ack = 4`. Returns the events processed.
+fn workload(core: QueueCoreKind, seed: u64) -> u64 {
+    let n = 512;
+    let topo = Topology::random_connected(n, 0.02, seed);
+    let run = run_wpaxos_on(
+        topo,
+        &alternating_inputs(n),
+        RandomScheduler::new(4, seed),
+        core,
+    );
+    run.check.assert_ok();
+    run.report.metrics.events
+}
+
 /// Allocator calls per event ×1000 (fixed-point so the recorded
 /// ceiling is an integer) for one serial n = 512 reference run.
 fn milli_allocs_per_event(core: QueueCoreKind) -> (u64, u64) {
     // Warm-up run: page in code paths and let the allocator settle so
-    // the measured run reflects steady state, like the bench sweep.
-    let _ = scaling::workload(core, 512, 0);
+    // the measured run reflects steady state.
+    let _ = workload(core, 0);
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let events = scaling::workload(core, 512, 0);
+    let events = workload(core, 0);
     let after = ALLOC_CALLS.load(Ordering::Relaxed);
     assert!(events > 1_000_000, "n=512 run is implausibly small");
     ((after - before) * 1000 / events, events)

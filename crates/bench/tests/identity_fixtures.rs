@@ -1,9 +1,9 @@
 //! Byte-identity fixtures for the memory-lean engine layout.
 //!
-//! The hashes below were recorded from the pre-arena engine (the tree
-//! as of `BENCH_engine.json` v4) over a deterministic family of random
-//! workload descriptors. Every run folds the rendered trace, the run
-//! report (outcome, decisions, deterministic metrics), and the
+//! The hashes below were recorded from the pre-arena engine over a
+//! deterministic family of random workload descriptors. Every run
+//! folds the rendered trace, the run report (outcome, decisions,
+//! deterministic metrics), and the
 //! decision-latency histogram into one FNV-1a digest; the tests demand
 //! that the arena-backed engine reproduces those digests bit for bit
 //! across both queue cores × shards {1, 2, 3, 7} × threads {1, 4}.
@@ -71,14 +71,9 @@ fn fnv(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Runs one descriptor at `(core, shards, threads)` and digests
-/// everything the byte-identity contract covers: the rendered trace,
-/// the report, and the decision-latency histogram. Shard/thread
-/// bookkeeping counters (cross-shard deliveries, window advances,
-/// mailbox flushes, bucket overflows) legitimately vary per
-/// configuration and are excluded — exactly like the engine's own
-/// identity tests.
-fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> u64 {
+/// Builds one descriptor's traced wPAXOS simulation at `(core, shards,
+/// threads)`.
+fn build(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> Sim<WpaxosNode> {
     let topo = Topology::random_connected(d.n, d.edge_p, d.topo_seed);
     let cfg = WpaxosConfig::new(d.n);
     let inputs: Vec<Value> = (0..d.n).map(|i| (i % 2) as Value).collect();
@@ -90,7 +85,7 @@ fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize)
     } else {
         CrashPlan::none()
     };
-    let mut sim = SimBuilder::new(topo, |s| WpaxosNode::new(inputs[s.index()], cfg))
+    SimBuilder::new(topo, |s| WpaxosNode::new(inputs[s.index()], cfg))
         .scheduler(RandomScheduler::new(d.f_ack, d.sched_seed))
         .queue_core(core)
         .shards(shards)
@@ -99,7 +94,18 @@ fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize)
         .crashes(plan)
         .message_id_budget(10)
         .trace(true)
-        .build();
+        .build()
+}
+
+/// Runs one descriptor at `(core, shards, threads)` and digests
+/// everything the byte-identity contract covers: the rendered trace,
+/// the report, and the decision-latency histogram. Shard/thread
+/// bookkeeping counters (cross-shard deliveries, window advances,
+/// mailbox flushes, bucket overflows) legitimately vary per
+/// configuration and are excluded — exactly like the engine's own
+/// identity tests.
+fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> u64 {
+    let mut sim = build(d, core, shards, threads);
     let report = sim.run();
 
     let mut h = FNV_OFFSET;
@@ -130,8 +136,7 @@ fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize)
         .as_bytes(),
     );
     // Decision-latency histogram: decide-time tick counts in time
-    // order (the quantile surface `amacl-bench-latency` gates on is a
-    // function of exactly this).
+    // order (every latency quantile is a function of exactly this).
     let mut histo: Vec<u64> = sim
         .trace()
         .events()
@@ -196,4 +201,23 @@ fn arena_engine_matches_prearena_fixtures() {
         panic!("capture mode: fixtures printed above, not asserted");
     }
     assert_eq!(descs.len(), FIXTURES.len());
+}
+
+/// Arena clones are custody-protocol facts, not noise: one per shared
+/// own-shard delivery that is not the payload's last reference, plus
+/// one per destination shard a broadcast crosses into. The count is a
+/// function of (descriptor, shards) alone — pinned here exactly for
+/// descriptor 0, and equal at every thread count.
+#[test]
+fn payload_clones_are_pinned_per_shard_count() {
+    let d = descriptors()[0];
+    for (shards, want) in [(1usize, 1915u64), (4, 1998)] {
+        for &threads in THREAD_GRID {
+            let got = build(d, QueueCoreKind::Heap, shards, threads)
+                .run()
+                .metrics
+                .payload_clones;
+            assert_eq!(got, want, "descriptor 0 at S={shards} T={threads}");
+        }
+    }
 }

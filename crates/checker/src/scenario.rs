@@ -1017,9 +1017,9 @@ pub struct SweepShardStats {
     /// barriers, in percent (wall-clock derived: varies run to run and
     /// never participates in identity comparisons).
     pub barrier_pct: u64,
-    /// Worker wakeups the parallel stepper's persistent pool performed
-    /// (superstep batching collapses consecutive windows into one
-    /// wakeup; pure wake-policy, never part of identity comparisons).
+    /// Worker passes through pool-executed windows on the parallel
+    /// stepper (worker groups × pooled windows; pure wake-policy,
+    /// never part of identity comparisons).
     pub worker_wakeups: u64,
     /// Payload-arena clones the sharded run performed (one per extra
     /// destination shard per broadcast; like `barrier_pct`, this varies
@@ -1396,7 +1396,7 @@ impl SweepOutcome {
             col("flushes", |s| s.mailbox_flushes),
             col("skew%", |s| s.skew_pct),
             col("barrier%", |s| s.barrier_pct),
-            col("wakeups", |s| s.worker_wakeups),
+            col("passes", |s| s.worker_wakeups),
             col("pclones", |s| s.payload_clones),
         );
         let _ = writeln!(
@@ -1411,7 +1411,7 @@ impl SweepOutcome {
             "flushes",
             "skew%",
             "barrier%",
-            "wakeups",
+            "passes",
             "pclones"
         );
         for row in &self.rows {

@@ -4,7 +4,7 @@
 //! configuration cross product (queue core × shards {1, 2, 4} ×
 //! threads {1, 4}), not just the sweep's spot checks.
 
-use amacl_checker::workload::{run_load, LoadScenario, WorkloadSpec};
+use amacl_checker::workload::{run_load, ArrivalKind, LoadScenario, WorkloadSpec};
 use amacl_model::sim::queue::QueueCoreKind;
 
 /// A shortened steady-state scenario so the 12-configuration grid
@@ -85,5 +85,40 @@ fn crash_scenario_is_identical_across_representative_grid_corners() {
             run.completed, reference.completed,
             "{label}: latencies diverged"
         );
+    }
+}
+
+/// The default steady-state surface, pinned exactly: submit→decide
+/// latency is measured in virtual ticks and the workload is a pure
+/// function of its spec (seed 1, 20 000 ticks + 20 000 drain, rate 5),
+/// so any movement is a semantic change to the engine or the
+/// consensus pipeline, never noise — at every engine configuration.
+#[test]
+fn default_steady_state_latency_surface_is_pinned() {
+    // (arrival, decided, p50, p99, max)
+    let surfaces = [
+        (ArrivalKind::Deterministic, 99, 125, 125, 125),
+        (ArrivalKind::Poisson, 122, 255, 596, 596),
+    ];
+    for (arrival, decided, p50, p99, max) in surfaces {
+        let scenario = LoadScenario {
+            name: format!("pinned-{}", arrival.name()),
+            spec: WorkloadSpec {
+                arrival,
+                ..WorkloadSpec::default_spec()
+            },
+            crash: None,
+            partition: None,
+        };
+        for (shards, threads) in [(1usize, 1usize), (2, 1), (4, 4)] {
+            let run = run_load(&scenario, QueueCoreKind::Heap, shards, threads, false);
+            let h = &run.histogram;
+            assert_eq!(run.unfinished, 0, "{arrival:?}: steady state must drain");
+            assert_eq!(
+                (h.count(), h.p50(), h.p99(), h.max()),
+                (decided, p50, p99, max),
+                "{arrival:?} S={shards} T={threads}: latency surface moved"
+            );
+        }
     }
 }

@@ -368,7 +368,7 @@ fn sweep(
     list: bool,
     engine: EngineFlags,
 ) -> Result<String, String> {
-    use amacl_bench::parallel::{default_threads, run_seeds};
+    use crate::parallel::{default_threads, run_seeds};
     use amacl_checker::scenario::{
         sweep_scenario_sharded, Scenario, SweepOutcome, SWEEP_SHARD_COUNTS,
     };
@@ -432,9 +432,7 @@ fn sweep(
         let (si, seed) = jobs[i as usize];
         sweep_scenario_sharded(&scenarios[si], seed, core, &shard_counts, step_threads)
     });
-    let outcome = SweepOutcome {
-        rows: rows.into_iter().map(|r| r.result).collect(),
-    };
+    let outcome = SweepOutcome { rows };
 
     let shard_label = shard_counts
         .iter()
@@ -905,8 +903,8 @@ fn run(
             );
             let _ = writeln!(
                 out,
-                "pool: spawns {} | wakeups {} | supersteps {} | serial shortcuts {}",
-                m.worker_spawns, m.worker_wakeups, m.superstep_count, m.serial_window_shortcuts
+                "pool: spawns {} | pooled windows {} | worker passes {} | serial shortcuts {}",
+                m.worker_spawns, m.superstep_count, m.worker_wakeups, m.serial_window_shortcuts
             );
         }
     }
@@ -1490,7 +1488,7 @@ mod tests {
         assert!(threaded.contains("threads: 2 | busy"), "{threaded}");
         assert!(threaded.contains("barrier wait"), "{threaded}");
         assert!(threaded.contains("pool: spawns"), "{threaded}");
-        assert!(threaded.contains("| supersteps"), "{threaded}");
+        assert!(threaded.contains("| pooled windows"), "{threaded}");
         let outcome = |s: &str| {
             s.lines()
                 .find(|l| l.starts_with("outcome:"))
@@ -1498,22 +1496,6 @@ mod tests {
                 .to_string()
         };
         assert_eq!(outcome(&serial), outcome(&threaded));
-    }
-
-    #[test]
-    fn run_accepts_window_batch_and_matches_serial() {
-        let serial = cli("run --algo wpaxos --topo torus:4x4 --sched random:4:9").unwrap();
-        let batched = cli("run --algo wpaxos --topo torus:4x4 --sched random:4:9 \
-             --shards 4 --threads 2 --window-batch 8")
-        .unwrap();
-        assert!(batched.contains("pool: spawns"), "{batched}");
-        let outcome = |s: &str| {
-            s.lines()
-                .find(|l| l.starts_with("outcome:"))
-                .unwrap()
-                .to_string()
-        };
-        assert_eq!(outcome(&serial), outcome(&batched));
     }
 
     #[test]

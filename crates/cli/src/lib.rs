@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod exec;
+mod parallel;
 pub mod spec;
 
 /// Parses `args` (without the program name) and executes the command,
@@ -43,7 +44,6 @@ USAGE:
   amacl run   --algo <ALGO> --topo <TOPO> [--sched <SCHED>] [--inputs <INPUTS>]
               [--crash <CRASH>]... [--trace] [--audit] [--id-budget <N>]
               [--queue heap|calendar] [--shards <S>] [--threads <T>]
-              [--window-batch auto|<K>]
   amacl check --algo <ALGO> --topo <TOPO> [--inputs <INPUTS>]
               [--crash-budget <N>] [--max-states <N>] [--bfs]
   amacl fuzz  --algo <ALGO> --topo <TOPO> [--inputs <INPUTS>]
@@ -53,17 +53,14 @@ USAGE:
               [--sched <SCHED>] [--crash <CRASH>]... [--f-ack <N>]
               [--seed <S>] [--jitter-us <N>] [--timeout-ms <N>] [--strict]
               [--queue heap|calendar] [--shards <S>] [--threads <T>]
-              [--window-batch auto|<K>]
   amacl explore --algo <ALGO> --topo <TOPO> [--inputs <INPUTS>]
               [--crash-budget <N>] [--max-states <N>] [--max-depth <N>]
               [--naive] [--mutate none|ack-early|drop-releases]
   amacl sweep [--smoke] [--scenario <NAME>] [--seeds <N>] [--list]
               [--queue heap|calendar] [--shards <S>] [--threads <T>]
-              [--window-batch auto|<K>]
   amacl load  [--scenario <NAME>] [--arrival det|poisson] [--rate <R>]
               [--duration <TICKS>] [--seed <S>] [--list]
               [--queue heap|calendar] [--shards <S>] [--threads <T>]
-              [--window-batch auto|<K>]
 
 ALGO:    two-phase | wpaxos | tree-gather | flood-gather | bitwise:<bits>
          | ben-or | fd-paxos[:<initial-timeout>]
@@ -153,18 +150,15 @@ unless the trace, the histogram, and every per-request latency are
 byte-identical; with an engine flag the run is pinned to that
 configuration and only the latency surface is reported.
 
-`--queue/--shards/--threads/--window-batch` select the engine on every
+`--queue/--shards/--threads` select the engine on every
 engine-running subcommand (run, crosscheck, sweep, load) through one
 shared parser and one resolution rule: an explicit flag beats the
-`AMACL_QUEUE_CORE` / `AMACL_SHARDS` / `AMACL_THREADS` /
-`AMACL_WINDOW_BATCH` env vars, which beat the serial-heap default
-(`EngineConfig::from_env` is the single documented env route).
-`--shards` executes the engine sharded (the conservative time-window
-coordinator; identical results by construction, surfaced so the claim
-is checkable from the CLI); `--threads` steps windows on a persistent
-worker pool, and `--window-batch` caps how many consecutive windows
-each pool wakeup covers (`auto` or a count >= 1 — pure wake-policy,
-results stay byte-identical); a typo in any flag or env var is
-rejected rather than silently ignored, with the same message
-everywhere.
+`AMACL_QUEUE_CORE` / `AMACL_SHARDS` / `AMACL_THREADS` env vars, which
+beat the serial-heap default (`EngineConfig::from_env` is the single
+documented env route). `--shards` executes the engine sharded (the
+conservative time-window coordinator; identical results by
+construction, surfaced so the claim is checkable from the CLI);
+`--threads` steps windows on a persistent worker pool (results stay
+byte-identical); a typo in any flag or env var is rejected rather
+than silently ignored, with the same message everywhere.
 ";

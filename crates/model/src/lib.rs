@@ -110,7 +110,7 @@ pub mod prelude {
         sync::SynchronousScheduler,
         BroadcastPlan, Scheduler,
     };
-    pub use crate::sim::shard::{ShardCount, ShardMap, ThreadCount, WindowBatch};
+    pub use crate::sim::shard::{ShardCount, ShardMap, ThreadCount};
     pub use crate::sim::time::{Time, Timestamp};
     pub use crate::topo::Topology;
 }

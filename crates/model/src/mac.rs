@@ -41,7 +41,6 @@ use crate::sim::sched::random::RandomScheduler;
 use crate::sim::sched::stall::MaxDelayScheduler;
 use crate::sim::sched::sync::SynchronousScheduler;
 use crate::sim::sched::Scheduler;
-use crate::sim::shard::WindowBatch;
 use crate::sim::time::Time;
 use crate::sim::trace::Trace;
 use crate::topo::Topology;
@@ -759,7 +758,6 @@ impl fmt::Debug for SimBackend {
             .field("queue", &self.cfg.queue_core)
             .field("shards", &self.cfg.shards.get())
             .field("threads", &self.cfg.threads.get())
-            .field("window_batch", &self.cfg.window_batch)
             .finish()
     }
 }
@@ -859,21 +857,6 @@ impl SimBackend {
     /// The worker-thread count this backend builds engines on.
     pub fn thread_count(&self) -> usize {
         self.cfg.threads.get()
-    }
-
-    /// Caps how many consecutive parallel windows the pooled engine
-    /// runs per worker wakeup (a superstep). Pure wake-policy — every
-    /// batch size yields byte-identical traces and reports — so like
-    /// `threads` this is a performance knob, surfaced so cross-checks
-    /// can prove the equivalence per scenario.
-    pub fn window_batch(mut self, batch: WindowBatch) -> Self {
-        self.cfg = self.cfg.window_batch(batch);
-        self
-    }
-
-    /// The superstep window-batch cap this backend builds engines on.
-    pub fn window_batch_cap(&self) -> WindowBatch {
-        self.cfg.window_batch
     }
 
     /// Sets the virtual-time horizon.

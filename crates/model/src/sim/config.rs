@@ -10,12 +10,12 @@
 //! of them hold an [`EngineConfig`] and delegate their fluent setters
 //! to it, and [`EngineConfig::from_env`] is the **single documented
 //! path** from the `AMACL_QUEUE_CORE` / `AMACL_SHARDS` /
-//! `AMACL_THREADS` / `AMACL_WINDOW_BATCH` environment variables to a
-//! configuration. (Each variable still has exactly one low-level parse
-//! site — [`QueueCoreKind::from_env`], [`ShardCount::from_env`],
-//! [`ThreadCount::from_env`], [`WindowBatch::from_env`] — and each of
-//! those rejects malformed values with a panic naming the variable
-//! rather than silently falling back.)
+//! `AMACL_THREADS` environment variables to a configuration. (Each
+//! variable still has exactly one low-level parse site —
+//! [`QueueCoreKind::from_env`], [`ShardCount::from_env`],
+//! [`ThreadCount::from_env`] — and each of those rejects malformed
+//! values with a panic naming the variable rather than silently
+//! falling back.)
 //!
 //! The config deliberately covers only *execution-architecture* knobs
 //! plus the crash plan: everything in it except the crash plan is
@@ -28,7 +28,7 @@
 
 use super::crash::CrashPlan;
 use super::queue::QueueCoreKind;
-use super::shard::{ShardCount, ThreadCount, WindowBatch};
+use super::shard::{ShardCount, ThreadCount};
 
 /// Every execution-architecture knob an engine accepts, in one place:
 /// the RNG seed, the event-queue core, the shard count, the
@@ -57,10 +57,6 @@ pub struct EngineConfig {
     /// Worker threads stepping each conservative window (effective
     /// parallelism is `min(threads, shards)`).
     pub threads: ThreadCount,
-    /// How many consecutive conservative windows the persistent worker
-    /// pool may batch per wakeup (a superstep); purely a wake-policy
-    /// knob, see [`WindowBatch`].
-    pub window_batch: WindowBatch,
     /// Scheduled crash failures.
     pub crash_plan: CrashPlan,
 }
@@ -80,27 +76,24 @@ impl EngineConfig {
     /// This is the **one** sanctioned route from the `AMACL_*`
     /// environment variables into an engine:
     ///
-    /// | variable             | knob             | parse site                 |
-    /// |----------------------|------------------|----------------------------|
-    /// | `AMACL_QUEUE_CORE`   | [`queue_core`]   | [`QueueCoreKind::from_env`]|
-    /// | `AMACL_SHARDS`       | [`shards`]       | [`ShardCount::from_env`]   |
-    /// | `AMACL_THREADS`      | [`threads`]      | [`ThreadCount::from_env`]  |
-    /// | `AMACL_WINDOW_BATCH` | [`window_batch`] | [`WindowBatch::from_env`]  |
+    /// | variable           | knob           | parse site                 |
+    /// |--------------------|----------------|----------------------------|
+    /// | `AMACL_QUEUE_CORE` | [`queue_core`] | [`QueueCoreKind::from_env`]|
+    /// | `AMACL_SHARDS`     | [`shards`]     | [`ShardCount::from_env`]   |
+    /// | `AMACL_THREADS`    | [`threads`]    | [`ThreadCount::from_env`]  |
     ///
-    /// Unset variables fall back to the defaults (heap, 1, 1, auto);
+    /// Unset variables fall back to the defaults (heap, 1, 1);
     /// set but malformed values **panic** with a message naming the
     /// variable — typos are never silently ignored.
     ///
     /// [`queue_core`]: EngineConfig::queue_core
     /// [`shards`]: EngineConfig::shards
     /// [`threads`]: EngineConfig::threads
-    /// [`window_batch`]: EngineConfig::window_batch
     pub fn from_env() -> Self {
         Self {
             queue_core: QueueCoreKind::from_env(),
             shards: ShardCount::from_env(),
             threads: ThreadCount::from_env(),
-            window_batch: WindowBatch::from_env(),
             ..Self::default()
         }
     }
@@ -137,12 +130,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the superstep window-batch policy.
-    pub fn window_batch(mut self, batch: WindowBatch) -> Self {
-        self.window_batch = batch;
-        self
-    }
-
     /// Sets the crash plan.
     pub fn crash_plan(mut self, plan: CrashPlan) -> Self {
         self.crash_plan = plan;
@@ -161,7 +148,6 @@ mod tests {
         assert_eq!(cfg.queue_core, QueueCoreKind::Heap);
         assert_eq!(cfg.shards.get(), 1);
         assert_eq!(cfg.threads.get(), 1);
-        assert_eq!(cfg.window_batch, WindowBatch::Auto);
         assert!(cfg.crash_plan.specs().is_empty());
         assert_eq!(cfg, EngineConfig::default());
     }
@@ -172,13 +158,11 @@ mod tests {
             .seed(7)
             .queue_core(QueueCoreKind::Calendar)
             .shards(4)
-            .threads(2)
-            .window_batch(WindowBatch::Fixed(8));
+            .threads(2);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.queue_core, QueueCoreKind::Calendar);
         assert_eq!(cfg.shards.get(), 4);
         assert_eq!(cfg.threads.get(), 2);
-        assert_eq!(cfg.window_batch, WindowBatch::Fixed(8));
     }
 
     #[test]

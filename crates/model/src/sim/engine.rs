@@ -32,14 +32,14 @@
 //! [`super::shard`]. Serial (`S = 1`) takes a dedicated fast path
 //! with no window or routing overhead.
 //!
-//! # Persistent pool, parallel stepping, and supersteps
+//! # Persistent pool and parallel stepping
 //!
 //! With [`SimBuilder::threads`] (or `AMACL_THREADS`) above 1, windows
 //! are *executed* in parallel by a **persistent worker pool**: one
 //! worker per shard group, spawned **once per `run`/`run_until` call**
 //! (thread spawns are O(1) in the window count, surfaced as
-//! [`Metrics::worker_spawns`]), coordinated through epoch-stamped
-//! supersteps. Each `ShardCell` sits behind a mutex; a worker locks
+//! [`Metrics::worker_spawns`]), paced by one reusable barrier. Each
+//! `ShardCell` sits behind a mutex; a worker locks
 //! exactly its own cells during a window's two phases, and the
 //! coordinator locks all of them between windows — the lock is never
 //! contended, it only *transfers* ownership at the barriers. Within a
@@ -50,16 +50,18 @@
 //! imported payload clones), never as writes into another shard's
 //! cell.
 //!
-//! Workers park on a condvar between supersteps: the coordinator
-//! wakes the pool once per batch of up to
-//! [`super::shard::WindowBatch`] consecutive windows
-//! ([`Metrics::superstep_count`] / [`Metrics::worker_wakeups`]), and
-//! an **adaptive serial gate** steps windows whose predecessor drained
-//! fewer than `SERIAL_WINDOW_MIN_EVENTS` events inline on the
-//! coordinator without waking workers at all
+//! A pool-executed window is three barrier rounds — descriptor
+//! published, gate statistics complete, phases done
+//! ([`Metrics::superstep_count`] counts such windows,
+//! [`Metrics::worker_wakeups`] the worker passes through them) — and
+//! between windows the workers sleep in the first round's
+//! `Barrier::wait` while the coordinator plans. An **adaptive serial
+//! gate** steps windows whose predecessor drained fewer than
+//! `SERIAL_WINDOW_MIN_EVENTS` events inline on the coordinator without
+//! releasing that barrier at all
 //! ([`Metrics::serial_window_shortcuts`]) — tiny windows dominate at
-//! small `n`, and a merged drain is cheaper than a barrier round.
-//! Both policies are pure wake-policy: the window sequence and every
+//! small `n`, and a merged drain is cheaper than a barrier round. The
+//! gate is pure wake-policy: the window sequence and every
 //! deterministic counter are unchanged.
 //!
 //! Byte-identity with the serial engine is preserved by splitting
@@ -96,7 +98,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Barrier, Condvar, Mutex, MutexGuard};
+use std::sync::{Barrier, Mutex, MutexGuard};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -116,7 +118,7 @@ use super::event::{BcastId, EventClass, EventKind};
 use super::queue::{EventId, EventQueue, QueueCoreKind};
 use super::sched::random::RandomScheduler;
 use super::sched::Scheduler;
-use super::shard::{MailEntry, Mailbox, ShardMap, WindowBatch};
+use super::shard::{MailEntry, Mailbox, ShardMap};
 use super::time::Time;
 use super::trace::{Metrics, Trace, TraceEvent};
 
@@ -206,9 +208,8 @@ impl<P: Process> SimBuilder<P> {
     /// stop-on-all-decided, no id-budget enforcement, tracing off, and
     /// the engine configuration from [`EngineConfig::from_env`] — seed
     /// 0, no crashes, and the queue core / shard count / worker-thread
-    /// budget / window batch named by `AMACL_QUEUE_CORE` /
-    /// `AMACL_SHARDS` / `AMACL_THREADS` / `AMACL_WINDOW_BATCH` (heap /
-    /// serial / single-threaded / auto when unset).
+    /// budget named by `AMACL_QUEUE_CORE` / `AMACL_SHARDS` /
+    /// `AMACL_THREADS` (heap / serial / single-threaded when unset).
     pub fn new(topo: Topology, mut init: impl FnMut(Slot) -> P) -> Self {
         let n = topo.len();
         let procs: Vec<P> = (0..n).map(|i| init(Slot(i))).collect();
@@ -230,11 +231,10 @@ impl<P: Process> SimBuilder<P> {
     }
 
     /// Replaces the whole engine configuration — seed, queue core,
-    /// shards, threads, window batch, and crash plan — in one call.
+    /// shards, threads, and crash plan — in one call.
     /// The individual fluent setters ([`seed`](Self::seed),
     /// [`queue_core`](Self::queue_core), [`shards`](Self::shards),
     /// [`threads`](Self::threads),
-    /// [`window_batch`](Self::window_batch),
     /// [`crashes`](Self::crashes)) are thin delegates onto the same
     /// stored [`EngineConfig`], so the two styles compose: later calls
     /// win knob by knob.
@@ -289,19 +289,10 @@ impl<P: Process> SimBuilder<P> {
         self
     }
 
-    /// Sets how many consecutive conservative windows the persistent
-    /// worker pool may batch per wakeup (a superstep); see
-    /// [`WindowBatch`]. Pure wake-policy: the window sequence and all
-    /// deterministic counters are byte-identical at every batch size.
-    pub fn window_batch(mut self, batch: WindowBatch) -> Self {
-        self.cfg = self.cfg.window_batch(batch);
-        self
-    }
-
     /// Test hook: forces the persistent pool to spawn exactly `n`
     /// workers (clamped to the shard count), bypassing the
     /// `available_parallelism` cap. Lets pool-protocol tests exercise
-    /// real parked workers on single-core machines.
+    /// real worker threads on single-core machines.
     #[doc(hidden)]
     pub fn debug_force_pool_workers(mut self, n: usize) -> Self {
         self.pool_workers = Some(n);
@@ -490,7 +481,6 @@ impl<P: Process> SimBuilder<P> {
                 shard_map,
                 lookahead,
                 threads: self.cfg.threads.get(),
-                window_batch: self.cfg.window_batch,
                 pool_workers: self.pool_workers,
                 max_time: self.max_time,
                 max_events: self.max_events,
@@ -930,12 +920,10 @@ impl<P: Process> ShardCell<P> {
 /// ([`Metrics::serial_window_shortcuts`] counts the skips).
 const SERIAL_WINDOW_MIN_EVENTS: u64 = 128;
 
-/// Pool command published before the first barrier of a round: run a
-/// window ([`CMD_WINDOW`]), park until the next superstep
-/// ([`CMD_PARK`]), or exit ([`CMD_SHUTDOWN`]).
+/// Pool command read after the first barrier of a round: run a
+/// window ([`CMD_WINDOW`]) or exit ([`CMD_SHUTDOWN`]).
 const CMD_WINDOW: u8 = 0;
-const CMD_PARK: u8 = 1;
-const CMD_SHUTDOWN: u8 = 2;
+const CMD_SHUTDOWN: u8 = 1;
 
 /// Locks a mutex, absorbing poisoning: a worker that panicked is
 /// already being reported through [`PoolCtl::panic`] and the whole
@@ -949,17 +937,13 @@ fn plock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Shared coordination state for one `run`/`run_until` call's
 /// persistent worker pool.
 ///
-/// Protocol: workers park on `epoch_cv` until the coordinator bumps
-/// `epoch` (opening a superstep). Within a superstep, each window is
-/// three barrier rounds — descriptor published / gate statistics
-/// complete / phases done — all `cmd == CMD_WINDOW`; the coordinator
-/// ends the superstep with a two-round `CMD_PARK` handshake (publish,
-/// then a worker acknowledgement that keeps `cmd` stable until every
-/// worker has read it — only then may the next superstep's
-/// `CMD_WINDOW` store overwrite it) and ends the run with a
-/// `CMD_SHUTDOWN` round (or, for parked workers, the `shutdown` flag
-/// plus a wakeup; after `CMD_SHUTDOWN` the command is never
-/// overwritten, so no acknowledgement is needed). A worker that panics stashes the
+/// Protocol: a window is three rounds of the one reusable barrier —
+/// `W0` descriptor published, `W1` gate statistics complete, `W2`
+/// phases done. Between windows the workers sleep in `W0`'s
+/// `Barrier::wait` (a mutex + condvar) while the coordinator plans,
+/// drains inline windows, or commits; it releases them either with a
+/// window descriptor or, on every exit path, with [`CMD_SHUTDOWN`]
+/// stored before that one barrier. A worker that panics stashes the
 /// payload in `panic` and keeps hitting barriers so nobody deadlocks;
 /// the coordinator re-raises it after the window.
 struct PoolCtl {
@@ -976,22 +960,30 @@ struct PoolCtl {
     undecided_touched: AtomicU64,
     flush_edges: AtomicU64,
     any_crash: AtomicBool,
-    /// Read by parked workers (under `epoch`) to exit.
-    shutdown: AtomicBool,
-    /// Superstep stamp; bumping it (under the mutex, with a
-    /// `notify_all`) wakes the pool. Checking the stamp under the
-    /// same mutex makes lost wakeups impossible.
-    epoch: Mutex<u64>,
-    epoch_cv: Condvar,
     /// First panic payload caught worker-side this window.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// The persistent pool worker: parks between supersteps, and inside
-/// one runs barrier-paced windows over its group of shard cells. All
-/// atomics use relaxed ordering — the barriers provide every
-/// happens-before edge the protocol needs. Panics from shard phases
-/// (e.g. the message-id-budget assertion) are caught, stashed in
+impl PoolCtl {
+    /// The commit gate, valid between `W1` and the next descriptor:
+    /// every worker and the coordinator evaluate it from the same
+    /// complete statistics, so they all take the same branch.
+    fn gate_passes(&self, max_events: u64, stop_all: bool) -> bool {
+        !self.any_crash.load(Ordering::Relaxed)
+            && self.events_before.load(Ordering::Relaxed)
+                + self.total_drained.load(Ordering::Relaxed)
+                <= max_events
+            && (!stop_all
+                || self.undecided_touched.load(Ordering::Relaxed)
+                    < self.undecided_before.load(Ordering::Relaxed))
+    }
+}
+
+/// The persistent pool worker: runs barrier-paced windows over its
+/// group of shard cells until told to shut down. All atomics use
+/// relaxed ordering — the barriers provide every happens-before edge
+/// the protocol needs. Panics from shard phases (e.g. the
+/// message-id-budget assertion) are caught, stashed in
 /// [`PoolCtl::panic`], and re-raised by the coordinator: a worker
 /// that unwound past a barrier would deadlock the pool.
 fn pool_worker<P: Process>(
@@ -1001,75 +993,42 @@ fn pool_worker<P: Process>(
     max_events: u64,
     stop_all: bool,
 ) {
-    let mut my_epoch = 0u64;
     loop {
-        // Park until the next superstep opens (or shutdown).
-        {
-            let mut e = plock(&ctl.epoch);
-            while *e == my_epoch && !ctl.shutdown.load(Ordering::Relaxed) {
-                e = ctl.epoch_cv.wait(e).unwrap_or_else(|p| p.into_inner());
-            }
-            if ctl.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-            my_epoch = *e;
+        ctl.barrier.wait(); // W0: window descriptor (or shutdown) published
+        if ctl.cmd.load(Ordering::Relaxed) == CMD_SHUTDOWN {
+            return;
         }
-        loop {
-            ctl.barrier.wait(); // W0: window descriptor published
-            match ctl.cmd.load(Ordering::Relaxed) {
-                CMD_PARK => {
-                    // Acknowledge before parking: the coordinator may
-                    // not overwrite `cmd` (for the next superstep's
-                    // first window) until every worker has read the
-                    // park command — a worker that missed it would
-                    // stay in the window loop one barrier round out
-                    // of step with the rest of the pool.
-                    ctl.barrier.wait();
-                    break;
-                }
-                CMD_SHUTDOWN => return,
-                _ => {}
+        let window_end = Time(ctl.window_end.load(Ordering::Relaxed));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            for cell in cells {
+                plock(cell).phase1(
+                    window_end,
+                    &ctl.flush_edges,
+                    &ctl.total_drained,
+                    &ctl.any_crash,
+                    &ctl.undecided_touched,
+                );
             }
-            let window_end = Time(ctl.window_end.load(Ordering::Relaxed));
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                for cell in cells {
-                    plock(cell).phase1(
-                        window_end,
-                        &ctl.flush_edges,
-                        &ctl.total_drained,
-                        &ctl.any_crash,
-                        &ctl.undecided_touched,
-                    );
-                }
-            }));
-            if let Err(p) = r {
-                plock(&ctl.panic).get_or_insert(p);
-            }
-            ctl.barrier.wait(); // W1: gate statistics complete
-                                // Every worker evaluates the identical gate from the
-                                // now-complete shared statistics.
-            let commit_ok = !ctl.any_crash.load(Ordering::Relaxed)
-                && ctl.events_before.load(Ordering::Relaxed)
-                    + ctl.total_drained.load(Ordering::Relaxed)
-                    <= max_events
-                && (!stop_all
-                    || ctl.undecided_touched.load(Ordering::Relaxed)
-                        < ctl.undecided_before.load(Ordering::Relaxed));
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                for cell in cells {
-                    let mut cell = plock(cell);
-                    if commit_ok {
-                        cell.phase2_commit(&env);
-                    } else {
-                        cell.phase2_abort();
-                    }
-                }
-            }));
-            if let Err(p) = r {
-                plock(&ctl.panic).get_or_insert(p);
-            }
-            ctl.barrier.wait(); // W2: phases done; coordinator commits
+        }));
+        if let Err(p) = r {
+            plock(&ctl.panic).get_or_insert(p);
         }
+        ctl.barrier.wait(); // W1: gate statistics complete
+        let commit_ok = ctl.gate_passes(max_events, stop_all);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            for cell in cells {
+                let mut cell = plock(cell);
+                if commit_ok {
+                    cell.phase2_commit(&env);
+                } else {
+                    cell.phase2_abort();
+                }
+            }
+        }));
+        if let Err(p) = r {
+            plock(&ctl.panic).get_or_insert(p);
+        }
+        ctl.barrier.wait(); // W2: phases done; coordinator commits
     }
 }
 
@@ -1088,8 +1047,6 @@ struct Shared {
     /// parallelism is `min(threads, shards)`, and 1 keeps the merged
     /// single-threaded drain.
     threads: usize,
-    /// Superstep batch policy for the persistent pool.
-    window_batch: WindowBatch,
     /// Test hook: forced pool size (bypasses the
     /// `available_parallelism` cap).
     pool_workers: Option<usize>,
@@ -1390,16 +1347,16 @@ impl<P: Process> Sim<P> {
     /// completion. Each window either executes in parallel — three
     /// barrier rounds against the pool, then a single-threaded
     /// ordered commit — or drains inline on this thread: eligibility
-    /// is the same commit-gate precondition as before (no armed crash
-    /// machinery, window inside every horizon), and on top of it the
-    /// adaptive serial gate skips the pool for windows following a
-    /// sub-[`SERIAL_WINDOW_MIN_EVENTS`] window. Workers park on a
-    /// condvar between supersteps; one wakeup covers up to
-    /// `window_batch` consecutive parallel windows. Every stop path —
-    /// normal outcomes, coordinator panics (e.g. a lookahead
+    /// is the commit-gate precondition (no armed crash machinery,
+    /// window inside every horizon), and on top of it the adaptive
+    /// serial gate skips the pool for windows following a
+    /// sub-[`SERIAL_WINDOW_MIN_EVENTS`] window. Between parallel
+    /// windows the workers sleep at the first barrier. Every stop path
+    /// — normal outcomes, coordinator panics (e.g. a lookahead
     /// violation caught mid-commit), and re-raised worker panics —
-    /// shuts the pool down before the scope joins, so the engine
-    /// never deadlocks on a barrier.
+    /// leaves the loop with the workers at that barrier, so one
+    /// [`CMD_SHUTDOWN`] round releases them before the scope joins and
+    /// the engine never deadlocks.
     fn run_pooled(&mut self, until: Option<Time>, nworkers: usize) -> RunOutcome {
         if !self.core.started {
             self.exec(|ex| ex.start_procs());
@@ -1415,7 +1372,6 @@ impl<P: Process> Sim<P> {
         // spawn — and count — only the groups that exist.
         let groups = s.div_ceil(chunk);
         self.core.metrics.worker_spawns += groups as u64;
-        let batch_cap = self.sh.window_batch.cap().max(1);
         let stop_all = self.core.stop_when_all_decided;
         let max_events = self.sh.max_events;
         let trace_enabled = self.core.trace.is_enabled();
@@ -1430,7 +1386,7 @@ impl<P: Process> Sim<P> {
         let locks: Vec<Mutex<&mut ShardCell<P>>> = self.cells.iter_mut().map(Mutex::new).collect();
         let ctl = PoolCtl {
             barrier: Barrier::new(groups + 1),
-            cmd: AtomicU8::new(CMD_PARK),
+            cmd: AtomicU8::new(CMD_WINDOW),
             window_end: AtomicU64::new(0),
             events_before: AtomicU64::new(0),
             undecided_before: AtomicU64::new(0),
@@ -1438,15 +1394,8 @@ impl<P: Process> Sim<P> {
             undecided_touched: AtomicU64::new(0),
             flush_edges: AtomicU64::new(0),
             any_crash: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            epoch: Mutex::new(0),
-            epoch_cv: Condvar::new(),
             panic: Mutex::new(None),
         };
-        // Whether a superstep is open — i.e. the workers are inside
-        // their barrier loop (waiting at W0) rather than parked on
-        // the condvar. Decides which shutdown handshake to use.
-        let epoch_open = std::cell::Cell::new(false);
         let result = crossbeam::thread::scope(|sc| {
             let ctl = &ctl;
             for lo in (0..s).step_by(chunk) {
@@ -1455,7 +1404,6 @@ impl<P: Process> Sim<P> {
                 sc.spawn(move |_| pool_worker(ctl, group, env, max_events, stop_all));
             }
             let r = catch_unwind(AssertUnwindSafe(|| {
-                let mut windows_in_epoch = 0usize;
                 // The serial gate keys off the previous window's
                 // event count; MAX sends the first window to the
                 // pool.
@@ -1484,29 +1432,8 @@ impl<P: Process> Sim<P> {
                             undecided_before,
                         } => (window_end, events_before, undecided_before),
                     };
-                    // Superstep management: close a full batch with a
-                    // PARK round, open a new one with an epoch bump.
-                    if epoch_open.get() && windows_in_epoch >= batch_cap {
-                        ctl.cmd.store(CMD_PARK, Ordering::Relaxed);
-                        ctl.barrier.wait();
-                        // Second rendezvous: workers acknowledge the
-                        // park command between the two rounds, so the
-                        // CMD_WINDOW store below cannot overwrite it
-                        // before a slow worker reads it.
-                        ctl.barrier.wait();
-                        epoch_open.set(false);
-                    }
-                    if !epoch_open.get() {
-                        core.metrics.superstep_count += 1;
-                        core.metrics.worker_wakeups += groups as u64;
-                        {
-                            let mut e = plock(&ctl.epoch);
-                            *e += 1;
-                            ctl.epoch_cv.notify_all();
-                        }
-                        epoch_open.set(true);
-                        windows_in_epoch = 0;
-                    }
+                    core.metrics.superstep_count += 1;
+                    core.metrics.worker_wakeups += groups as u64;
                     // Publish the descriptor and run the three
                     // barrier rounds.
                     ctl.window_end.store(window_end.ticks(), Ordering::Relaxed);
@@ -1517,21 +1444,16 @@ impl<P: Process> Sim<P> {
                     ctl.undecided_touched.store(0, Ordering::Relaxed);
                     ctl.flush_edges.store(0, Ordering::Relaxed);
                     ctl.any_crash.store(false, Ordering::Relaxed);
-                    ctl.cmd.store(CMD_WINDOW, Ordering::Relaxed);
                     let t0 = Instant::now();
                     ctl.barrier.wait(); // W0: descriptor out
                     ctl.barrier.wait(); // W1: gate statistics in
                     ctl.barrier.wait(); // W2: phases done, cells quiescent
                     let elapsed = t0.elapsed().as_nanos() as u64;
-                    windows_in_epoch += 1;
                     // Re-lock the cells and absorb the window.
                     if let Some(p) = plock(&ctl.panic).take() {
                         resume_unwind(p);
                     }
-                    let committed = !ctl.any_crash.load(Ordering::Relaxed)
-                        && events_before + ctl.total_drained.load(Ordering::Relaxed) <= max_events
-                        && (!stop_all
-                            || ctl.undecided_touched.load(Ordering::Relaxed) < undecided_before);
+                    let committed = ctl.gate_passes(max_events, stop_all);
                     let mut guards: Vec<MutexGuard<'_, &mut ShardCell<P>>> =
                         locks.iter().map(plock).collect();
                     let mut refs: Vec<&mut ShardCell<P>> =
@@ -1546,31 +1468,24 @@ impl<P: Process> Sim<P> {
                         elapsed,
                         ctl.flush_edges.load(Ordering::Relaxed),
                     );
-                    if committed {
-                        last_window_events = ex.core.metrics.events - events_before;
-                    } else {
-                        // The gate refused the window: the workers
-                        // flushed their inboxes and pushed the
-                        // drained events back (keys and ids intact),
-                        // so the merged drain — no re-flush — replays
-                        // it in the exact serial order.
+                    // A refused window: the workers flushed their
+                    // inboxes and pushed the drained events back
+                    // (keys and ids intact), so the merged drain — no
+                    // re-flush — replays it in the exact serial order.
+                    if !committed {
                         if let Some(outcome) = ex.drain_window_merged(window_end, until) {
                             return outcome;
                         }
-                        last_window_events = ex.core.metrics.events - events_before;
                     }
+                    last_window_events = ex.core.metrics.events - events_before;
                 }
             }));
-            // Shut the pool down on every exit path — normal stop or
-            // unwind — so the scope's implicit join cannot deadlock.
-            if epoch_open.get() {
-                ctl.cmd.store(CMD_SHUTDOWN, Ordering::Relaxed);
-                ctl.barrier.wait();
-            } else {
-                let _e = plock(&ctl.epoch);
-                ctl.shutdown.store(true, Ordering::Relaxed);
-                ctl.epoch_cv.notify_all();
-            }
+            // Every way out of the loop — normal stop or unwind —
+            // leaves the workers at (or on their way to) W0; release
+            // them with the shutdown command so the scope's implicit
+            // join cannot deadlock.
+            ctl.cmd.store(CMD_SHUTDOWN, Ordering::Relaxed);
+            ctl.barrier.wait();
             r
         })
         .expect("persistent pool workers");
@@ -2215,11 +2130,10 @@ impl<P: Process> Exec<'_, '_, P> {
     {
         let shard = self.sh.shard_map.shard_of(slot.0);
         let mut outbox: Option<P::Msg> = None;
-        let had_decision;
-        {
+        let new_decision = {
             let cell = &mut *self.cells[shard];
             let li = slot.0 - cell.base;
-            had_decision = cell.decisions[li].is_some();
+            let had_decision = cell.decisions[li].is_some();
             let mut ctx = Context {
                 id: self.sh.ids[slot.0],
                 now: self.core.now,
@@ -2231,25 +2145,26 @@ impl<P: Process> Exec<'_, '_, P> {
                 rng: &mut cell.rngs[li],
             };
             f(&mut cell.procs[li], &mut ctx);
+            cell.decisions[li].filter(|_| !had_decision)
+        };
+        // Callbacks only run on live nodes, so the decision counts now:
+        // the broadcast below may crash this very node (a mid-broadcast
+        // crash armed with zero deliveries), and `handle_crash` only
+        // subtracts nodes that have *not* decided.
+        if new_decision.is_some() {
+            self.core.undecided -= 1;
         }
         if let Some(m) = outbox {
             self.start_broadcast(slot, m);
         }
-        if !had_decision {
-            let decision = {
-                let cell = &*self.cells[shard];
-                cell.decisions[slot.0 - cell.base]
-            };
-            if let Some(d) = decision {
-                self.core.trace.push(TraceEvent::Decide {
-                    time: d.time,
-                    slot,
-                    value: d.value,
-                });
-                if !self.core.ledger.is_crashed(slot.0) {
-                    self.core.undecided -= 1;
-                }
-            }
+        // The trace keeps Broadcast (and any Crash it triggers) ahead
+        // of Decide.
+        if let Some(d) = new_decision {
+            self.core.trace.push(TraceEvent::Decide {
+                time: d.time,
+                slot,
+                value: d.value,
+            });
         }
     }
 
@@ -3273,7 +3188,7 @@ mod tests {
     /// single-threaded sharded run's field for field, and the
     /// wall-clock worker timings (excluded from that equality) are
     /// populated with one entry per shard. The forced pool size
-    /// exercises real parked workers regardless of host parallelism.
+    /// exercises real worker threads regardless of host parallelism.
     #[test]
     fn threaded_metrics_match_sharded_and_time_the_workers() {
         let run = |threads: usize| {
@@ -3375,91 +3290,54 @@ mod tests {
         assert_eq!(serial, run(3, 4), "event limit diverged under threads");
     }
 
-    /// A dense pooled sim: clique(64) `Chatter` keeps every window
-    /// above [`SERIAL_WINDOW_MIN_EVENTS`], so parallel windows (and
-    /// the pool protocol) actually run even with the serial gate on.
-    fn dense_pool_sim(batch: WindowBatch, max_time: u64) -> Sim<Chatter> {
+    /// A dense sharded sim: clique(64) `Chatter` keeps every window
+    /// above [`SERIAL_WINDOW_MIN_EVENTS`], so the serial gate sends
+    /// them all to the pool, and with stop-on-all-decided off the
+    /// commit gate lets the workers run them (every window touches
+    /// every undecided node).
+    fn dense_sharded_sim(max_time: u64) -> SimBuilder<Chatter> {
         SimBuilder::new(Topology::clique(64), |_| Chatter)
             .scheduler(SynchronousScheduler::new(1))
             .max_time(Time(max_time))
+            .stop_when_all_decided(false)
             .shards(4)
-            .threads(4)
-            .window_batch(batch)
-            .debug_force_pool_workers(2)
-            .build()
     }
 
-    /// The tentpole invariant: one `run` call spawns the pool exactly
-    /// once (O(1) in the window count), and supersteps batch several
-    /// windows per wakeup — strictly fewer wakeups than windows.
+    /// [`dense_sharded_sim`] on a forced two-worker pool.
+    fn dense_pool_sim(max_time: u64) -> SimBuilder<Chatter> {
+        dense_sharded_sim(max_time)
+            .threads(4)
+            .debug_force_pool_workers(2)
+    }
+
+    /// Every `run*` call spawns the pool exactly once (one worker per
+    /// shard group, O(1) in the window count), every dense window goes
+    /// through it, and the pooled execution — metrics and trace —
+    /// equals the inline sharded one.
     #[test]
-    fn pool_spawns_once_per_run_and_batches_windows() {
-        let mut sim = dense_pool_sim(WindowBatch::Fixed(4), 10);
+    fn pool_spawns_once_per_run_and_matches_inline() {
+        let mut sim = dense_pool_sim(10).trace(true).build();
         let report = sim.run();
         assert_eq!(report.outcome, RunOutcome::MaxTime);
         let m = &report.metrics;
         // 4 shards on 2 forced workers = 2 groups, spawned once.
         assert_eq!(m.worker_spawns, 2, "thread spawns must be O(1) per run");
-        // 10 windows (the start broadcasts land at t = 1, so windows
-        // open at t = 1..=10) at batch 4 → 3 supersteps.
+        // The start broadcasts land at t = 1, so windows open at
+        // t = 1..=10, and each one is dense enough for the pool.
         assert_eq!(m.shard_window_advances, 10);
-        assert_eq!(m.superstep_count, 3, "batching collapsed wakeups");
+        assert_eq!(m.superstep_count, 10, "every window is pool-executed");
         assert_eq!(m.worker_wakeups, m.superstep_count * 2);
         assert_eq!(m.serial_window_shortcuts, 0, "every window is dense");
-        // And the pooled execution matches the merged sharded one.
-        let mut inline = SimBuilder::new(Topology::clique(64), |_| Chatter)
-            .scheduler(SynchronousScheduler::new(1))
-            .max_time(Time(10))
-            .shards(4)
-            .build();
+        let mut inline = dense_sharded_sim(10).trace(true).build();
         assert_eq!(inline.run().metrics, report.metrics, "pool diverged");
+        assert_eq!(inline.trace(), sim.trace(), "pool trace diverged");
     }
 
-    /// Window batching is pure wake-policy: every batch size (and
-    /// auto) yields byte-identical traces and deterministic metrics,
-    /// with the same window sequence; only the wakeup accounting
-    /// moves.
+    /// A crash event landing in a pool-executed window fails the
+    /// commit gate: the window aborts to the merged path verbatim, and
+    /// the whole run — trace included — stays byte-identical to serial.
     #[test]
-    fn window_batch_sizes_are_observably_identical() {
-        let run = |batch: WindowBatch| {
-            let mut sim = SimBuilder::new(Topology::clique(64), |_| Chatter)
-                .scheduler(SynchronousScheduler::new(1))
-                .max_time(Time(8))
-                .shards(4)
-                .threads(4)
-                .window_batch(batch)
-                .debug_force_pool_workers(2)
-                .trace(true)
-                .build();
-            let report = sim.run();
-            (report.metrics, sim.trace().clone())
-        };
-        let baseline = run(WindowBatch::Fixed(1));
-        // Batch 1 parks after every window: one superstep per window.
-        assert_eq!(
-            baseline.0.superstep_count, baseline.0.shard_window_advances,
-            "batch 1 must wake the pool once per window"
-        );
-        for batch in [
-            WindowBatch::Fixed(2),
-            WindowBatch::Fixed(8),
-            WindowBatch::Auto,
-        ] {
-            let other = run(batch);
-            assert_eq!(baseline.0, other.0, "{batch:?} diverged");
-            assert_eq!(baseline.1, other.1, "{batch:?} trace diverged");
-            assert!(
-                other.0.superstep_count < other.0.shard_window_advances,
-                "{batch:?} never batched"
-            );
-        }
-    }
-
-    /// A crash event landing mid-superstep fails the commit gate: the
-    /// window aborts to the merged path verbatim, and the whole run —
-    /// trace included — stays byte-identical to serial.
-    #[test]
-    fn superstep_gate_failure_mid_batch_aborts_to_merged() {
+    fn gate_failure_aborts_window_to_merged() {
         #[derive(Clone, Copy, PartialEq)]
         enum Mode {
             Serial,
@@ -3474,15 +3352,13 @@ mod tests {
                     time: Time(5),
                 }]))
                 .max_time(Time(12))
+                .stop_when_all_decided(false)
                 .trace(true);
             if mode != Mode::Serial {
                 builder = builder.shards(4);
             }
             if mode == Mode::Pooled {
-                builder = builder
-                    .threads(4)
-                    .window_batch(WindowBatch::Fixed(8))
-                    .debug_force_pool_workers(2);
+                builder = builder.threads(4).debug_force_pool_workers(2);
             }
             let mut sim = builder.build();
             let report = sim.run();
@@ -3506,12 +3382,12 @@ mod tests {
     }
 
     /// Every early stop condition — a `run_until` horizon and an
-    /// event limit — shuts the pool down cleanly (parked or
-    /// mid-superstep), and the next `run*` call spawns a fresh pool
-    /// that picks up exactly where the last one stopped.
+    /// event limit — shuts the pool down cleanly, and the next `run*`
+    /// call spawns a fresh pool that picks up exactly where the last
+    /// one stopped.
     #[test]
     fn pool_shuts_down_on_early_stop() {
-        let mut sim = dense_pool_sim(WindowBatch::Fixed(4), 20);
+        let mut sim = dense_pool_sim(20).build();
         assert_eq!(sim.run_until(Time(5)), RunOutcome::MaxTime);
         let spawns_after_first = sim.metrics().worker_spawns;
         assert_eq!(spawns_after_first, 2, "first run_until spawns one pool");
@@ -3521,30 +3397,108 @@ mod tests {
             spawns_after_first + 2,
             "resume spawns a fresh pool once"
         );
-        // An event limit mid-superstep: the gate aborts the window,
+        // An event limit inside a window: the gate aborts the window,
         // the merged path stops at the exact count, the pool shuts
         // down on the way out.
-        let mut inline = SimBuilder::new(Topology::clique(64), |_| Chatter)
-            .scheduler(SynchronousScheduler::new(1))
-            .max_time(Time(20))
-            .shards(4)
-            .max_events(10_000)
-            .stop_when_all_decided(false)
-            .build();
-        let want = inline.run();
+        let want = dense_sharded_sim(20).max_events(10_000).build().run();
         assert_eq!(want.outcome, RunOutcome::EventLimit);
-        let mut capped = SimBuilder::new(Topology::clique(64), |_| Chatter)
-            .scheduler(SynchronousScheduler::new(1))
-            .max_time(Time(20))
-            .shards(4)
-            .threads(4)
-            .window_batch(WindowBatch::Fixed(4))
-            .debug_force_pool_workers(2)
-            .max_events(10_000)
-            .stop_when_all_decided(false)
-            .build();
-        let got = capped.run();
+        let got = dense_pool_sim(20).max_events(10_000).build().run();
         assert_eq!(got.outcome, RunOutcome::EventLimit);
         assert_eq!(got.metrics, want.metrics, "event-limit stop diverged");
+    }
+
+    /// Relays an over-budget message once the token arrives — on a
+    /// line that is several windows in, inside a pool worker's phase 2.
+    struct LateWide {
+        sent: bool,
+    }
+    impl Process for LateWide {
+        type Msg = Wide;
+        fn on_start(&mut self, ctx: &mut Context<'_, Wide>) {
+            ctx.broadcast(Wide(0));
+        }
+        fn on_receive(&mut self, _m: Wide, _ctx: &mut Context<'_, Wide>) {}
+        fn on_ack(&mut self, ctx: &mut Context<'_, Wide>) {
+            let ids = if self.sent { 9 } else { 0 };
+            self.sent = true;
+            ctx.broadcast(Wide(ids));
+        }
+    }
+
+    /// A handler panic *inside a pool worker* is stashed, carried past
+    /// the window's remaining barriers, and re-raised by `run()` with
+    /// its original message; the shutdown round then releases every
+    /// worker, so the test finishes instead of hanging.
+    #[test]
+    #[should_panic(expected = "exceeding the O(1) budget")]
+    fn worker_panic_reaches_the_caller_without_hanging() {
+        // clique(64) keeps every window dense, so the second-round
+        // acks — the ones that broadcast 9 ids — run on the workers.
+        let mut sim = SimBuilder::new(Topology::clique(64), |_| LateWide { sent: false })
+            .scheduler(SynchronousScheduler::new(1))
+            .message_id_budget(4)
+            .max_time(Time(10))
+            .stop_when_all_decided(false)
+            .shards(4)
+            .threads(4)
+            .debug_force_pool_workers(2)
+            .build();
+        sim.run();
+    }
+
+    /// Decides and broadcasts in `on_start`.
+    struct DecideAndSend {
+        send: bool,
+    }
+    impl Process for DecideAndSend {
+        type Msg = Token;
+        fn on_start(&mut self, ctx: &mut Context<'_, Token>) {
+            ctx.decide(1);
+            if self.send {
+                ctx.broadcast(Token);
+            }
+        }
+        fn on_receive(&mut self, _m: Token, _ctx: &mut Context<'_, Token>) {}
+        fn on_ack(&mut self, _ctx: &mut Context<'_, Token>) {}
+    }
+
+    /// A node that decides and, in the same callback, starts the
+    /// broadcast its zero-delivery mid-broadcast crash is armed on was
+    /// alive when it decided: it must leave the undecided count, or
+    /// the run reports `Quiescent` with every live node decided.
+    #[test]
+    fn decide_then_crash_in_one_callback_is_counted_as_decided() {
+        for shards in [1usize, 4] {
+            let mut sim =
+                SimBuilder::new(Topology::clique(3), |s| DecideAndSend { send: s.0 == 0 })
+                    .scheduler(SynchronousScheduler::new(1))
+                    .crashes(CrashPlan::new(vec![CrashSpec::MidBroadcast {
+                        slot: Slot(0),
+                        nth_broadcast: 0,
+                        delivered: 0,
+                    }]))
+                    .shards(shards)
+                    .trace(true)
+                    .build();
+            let report = sim.run();
+            assert!(sim.is_crashed(Slot(0)), "S={shards}: planned crash skipped");
+            assert!(report.decisions.iter().all(Option::is_some));
+            assert!(sim.all_alive_decided(), "S={shards}: undecided leaked");
+            assert_eq!(report.outcome, RunOutcome::AllDecided, "S={shards}");
+            // Slot 0's own records keep the Broadcast, Crash, Decide
+            // order the identity fixtures were recorded with.
+            let kinds: Vec<&str> = sim
+                .trace()
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Broadcast { slot: Slot(0), .. } => Some("broadcast"),
+                    TraceEvent::Crash { slot: Slot(0), .. } => Some("crash"),
+                    TraceEvent::Decide { slot: Slot(0), .. } => Some("decide"),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(kinds, ["broadcast", "crash", "decide"], "S={shards}");
+        }
     }
 }

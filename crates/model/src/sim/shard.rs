@@ -200,122 +200,6 @@ impl std::fmt::Display for ThreadCount {
     }
 }
 
-/// How many consecutive conservative windows the threaded engine's
-/// persistent worker pool may run per wake-up (one *superstep*),
-/// honoring the `AMACL_WINDOW_BATCH` environment variable.
-///
-/// The pool parks its workers between supersteps; within one, windows
-/// rendezvous on cheap barriers instead of a park/unpark round trip,
-/// so larger batches amortize the wake cost over more windows. This is
-/// purely a wake-policy knob: the window *sequence* — and with it the
-/// trace, decisions, and every deterministic counter — is byte-
-/// identical at every batch size, enforced the same way sharding and
-/// threading are.
-///
-/// # The superstep commit-gate invariant
-///
-/// A superstep never outruns the commit gate: every window inside it
-/// still runs the full two-phase protocol (drain + gate statistics,
-/// barrier, commit or abort), and the coordinator still performs the
-/// ordered single-threaded commit between consecutive windows — window
-/// `w`'s deferred broadcasts must allocate ids and consume engine RNG
-/// before window `w + 1` opens, exactly as serially. When the gate
-/// fails mid-batch (a crash event, an event-limit crossing, a possible
-/// all-decided stop), the workers push their drained events back — keys
-/// and ids intact — and the coordinator replays that window through the
-/// merged single-threaded drain verbatim before the batch continues or
-/// the pool parks. Batching therefore changes *when workers sleep*,
-/// never *what executes*.
-///
-/// Mirrors [`ShardCount`]/[`ThreadCount`] parsing: unset means
-/// [`WindowBatch::Auto`], and a set value must be `auto` or a positive
-/// integer — a typo (or `0`, which would forbid progress) must surface
-/// rather than silently fall back.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum WindowBatch {
-    /// Let the engine pick the batch cap (currently 16 windows per
-    /// wake).
-    #[default]
-    Auto,
-    /// At most this many windows per worker wake-up (always >= 1).
-    Fixed(usize),
-}
-
-impl WindowBatch {
-    /// The batch cap [`WindowBatch::Auto`] resolves to.
-    pub const AUTO_CAP: usize = 16;
-
-    /// A validated fixed batch size.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `0`: every superstep must be allowed at least one
-    /// window or the pool could never advance.
-    pub fn fixed(windows: usize) -> Result<Self, String> {
-        if windows == 0 {
-            Err("window batch must be at least 1".into())
-        } else {
-            Ok(Self::Fixed(windows))
-        }
-    }
-
-    /// The effective cap: consecutive windows one worker wake-up may
-    /// cover.
-    pub fn cap(self) -> usize {
-        match self {
-            Self::Auto => Self::AUTO_CAP,
-            Self::Fixed(k) => k,
-        }
-    }
-
-    /// The default batch policy from the `AMACL_WINDOW_BATCH`
-    /// environment variable ([`WindowBatch::Auto`] when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to anything but `auto` or a
-    /// positive integer: a typo must surface, not silently change the
-    /// wake policy under test.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("AMACL_WINDOW_BATCH").ok().as_deref())
-            .unwrap_or_else(|e| panic!("AMACL_WINDOW_BATCH: {e}"))
-    }
-
-    /// [`WindowBatch::from_env`]'s pure core: `None` (unset) means
-    /// auto; a set value must parse.
-    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None => Ok(Self::Auto),
-            Some(v) => v.parse(),
-        }
-    }
-}
-
-impl std::str::FromStr for WindowBatch {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "auto" {
-            return Ok(Self::Auto);
-        }
-        match s.parse::<usize>() {
-            Ok(n) => Self::fixed(n),
-            Err(_) => Err(format!(
-                "unknown window batch `{s}` (expected `auto` or a positive integer)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for WindowBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Auto => write!(f, "auto"),
-            Self::Fixed(k) => write!(f, "{k}"),
-        }
-    }
-}
-
 impl std::str::FromStr for ShardCount {
     type Err = String;
 
@@ -500,40 +384,6 @@ mod tests {
         assert_eq!(ThreadCount::from_env_value(Some("7")).unwrap().get(), 7);
         assert!(ThreadCount::from_env_value(Some("0")).is_err());
         assert!(ThreadCount::from_env_value(Some("two")).is_err());
-    }
-
-    #[test]
-    fn window_batch_parses_and_rejects() {
-        assert_eq!("auto".parse::<WindowBatch>().unwrap(), WindowBatch::Auto);
-        assert_eq!("4".parse::<WindowBatch>().unwrap(), WindowBatch::Fixed(4));
-        assert_eq!(WindowBatch::default(), WindowBatch::Auto);
-        assert_eq!(WindowBatch::Auto.cap(), WindowBatch::AUTO_CAP);
-        assert_eq!(WindowBatch::Fixed(3).cap(), 3);
-        assert!("0".parse::<WindowBatch>().is_err());
-        assert!("eight".parse::<WindowBatch>().is_err());
-        assert!("".parse::<WindowBatch>().is_err());
-        assert_eq!(WindowBatch::fixed(8).unwrap().to_string(), "8");
-        assert_eq!(WindowBatch::Auto.to_string(), "auto");
-        assert!(WindowBatch::fixed(0).is_err());
-    }
-
-    #[test]
-    fn window_batch_env_selection_rejects_typos_instead_of_falling_back() {
-        // (Pure helper — no env mutation, safe under parallel tests.)
-        assert_eq!(
-            WindowBatch::from_env_value(None).unwrap(),
-            WindowBatch::Auto
-        );
-        assert_eq!(
-            WindowBatch::from_env_value(Some("auto")).unwrap(),
-            WindowBatch::Auto
-        );
-        assert_eq!(
-            WindowBatch::from_env_value(Some("7")).unwrap(),
-            WindowBatch::Fixed(7)
-        );
-        assert!(WindowBatch::from_env_value(Some("0")).is_err());
-        assert!(WindowBatch::from_env_value(Some("always")).is_err());
     }
 
     #[test]

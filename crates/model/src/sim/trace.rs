@@ -246,8 +246,8 @@ impl Trace {
 /// shard counts, and thread counts. The timing fields measure the
 /// host machine, the custody counters measure the memory layout — a
 /// cross-shard delivery legitimately clones at `S = 4` where `S = 1`
-/// moves — and the pool counters measure wake policy (batch cap,
-/// serial gate, worker availability), so all three families
+/// moves — and the pool counters measure wake policy (serial gate,
+/// worker availability), so all three families
 /// legitimately differ between semantically identical runs.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
@@ -302,14 +302,14 @@ pub struct Metrics {
     /// overhead observable instead of inferred from end-to-end wall
     /// clock: see [`Metrics::barrier_pct`]. Excluded from equality.
     pub shard_barrier_wait_ns: Vec<u64>,
-    /// Times a parked pool worker was woken for a superstep, summed
-    /// over all workers (always 0 serial/inline). Scheduling policy,
-    /// not execution semantics — the serial gate and batch cap change
-    /// it freely — so **excluded from equality** like the wall-clock
-    /// fields.
+    /// Worker passes through a pool-executed window, summed over all
+    /// workers: worker groups × [`Metrics::superstep_count`] (always 0
+    /// serial/inline). Scheduling policy, not execution semantics —
+    /// the serial gate and the host's core count change it freely — so
+    /// **excluded from equality** like the wall-clock fields.
     pub worker_wakeups: u64,
-    /// Supersteps the persistent pool ran: each wakes every worker
-    /// once and covers up to `window_batch` consecutive windows
+    /// Windows the persistent pool executed (three barrier rounds
+    /// each), whether the commit gate then committed or aborted them
     /// (always 0 serial/inline). Excluded from equality (see
     /// [`Metrics::worker_wakeups`]).
     pub superstep_count: u64,
