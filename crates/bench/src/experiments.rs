@@ -4,9 +4,7 @@
 use std::time::Duration;
 
 use amacl_core::extensions::ben_or::BenOr;
-use amacl_core::harness::{
-    alternating_inputs, run_flood_gather, run_two_phase, run_wpaxos, run_wpaxos_with,
-};
+use amacl_core::harness::{alternating_inputs, run_flood_gather, run_two_phase, run_wpaxos};
 use amacl_core::two_phase::TwoPhase;
 use amacl_core::verify::check_consensus;
 use amacl_core::wpaxos::{wpaxos_node, WpaxosConfig, WpaxosNode};
@@ -55,13 +53,6 @@ pub mod e1 {
             }
         }
         rows
-    }
-
-    /// A single run, used by the Criterion bench.
-    pub fn one(n: usize, f_ack: u64, seed: u64) -> u64 {
-        let run = run_two_phase(&alternating_inputs(n), RandomScheduler::new(f_ack, seed));
-        run.check.assert_ok();
-        run.decision_ticks()
     }
 }
 
@@ -123,18 +114,6 @@ pub mod e2 {
             f_ack,
         ));
         rows
-    }
-
-    /// A single run, used by the Criterion bench.
-    pub fn one(topo: Topology, f_ack: u64, seed: u64) -> u64 {
-        let n = topo.len();
-        let run = run_wpaxos(
-            topo,
-            &alternating_inputs(n),
-            RandomScheduler::new(f_ack, seed),
-        );
-        run.check.assert_ok();
-        run.decision_ticks()
     }
 }
 
@@ -787,21 +766,6 @@ pub mod e13 {
             })
             .collect()
     }
-
-    /// A single bitwise run, used by the Criterion bench.
-    pub fn one(n: usize, bits: u32, f_ack: u64, seed: u64) -> u64 {
-        let inputs = wide_inputs(n, bits);
-        let iv = inputs.clone();
-        let mut sim = SimBuilder::new(Topology::clique(n), |s| {
-            BitwiseTwoPhase::new(iv[s.index()], bits)
-        })
-        .scheduler(RandomScheduler::new(f_ack, seed))
-        .message_id_budget(1)
-        .build();
-        let report = sim.run();
-        check_consensus(&inputs, &report, &[]).assert_ok();
-        report.max_decision_time().expect("decided").ticks()
-    }
 }
 
 /// E14: the failure-detector escape from Theorem 3.2 — deterministic
@@ -1009,18 +973,4 @@ pub mod e15 {
         ));
         rows
     }
-}
-
-/// Shared helper: run wPAXOS with a config and return the full run
-/// (re-exported for the Criterion benches).
-pub fn wpaxos_run_for_bench(topo: Topology, cfg: WpaxosConfig, f_ack: u64, seed: u64) -> u64 {
-    let n = topo.len();
-    let run = run_wpaxos_with(
-        topo,
-        &alternating_inputs(n),
-        cfg,
-        RandomScheduler::new(f_ack, seed),
-    );
-    run.check.assert_ok();
-    run.decision_ticks()
 }

@@ -1,8 +1,7 @@
 //! # `amacl-bench`: the experiment harness
 //!
-//! Shared measurement code behind the Criterion benches
-//! (`benches/e*.rs`) and the [`tables`](../src/bin/tables.rs) binary
-//! that regenerates every experiment series in `EXPERIMENTS.md`.
+//! Shared measurement code behind the [`tables`](../src/bin/tables.rs)
+//! binary that regenerates every experiment series in `EXPERIMENTS.md`.
 //!
 //! The paper is a theory paper: its "results" are asymptotic claims and
 //! worst-case constructions rather than numbered tables of a testbed.

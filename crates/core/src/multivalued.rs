@@ -56,10 +56,23 @@
 //! before the receiver's round-`r` phase-1 ack, it is replayed into
 //! `R_1`, preserving the ack-ordering argument of Theorem 4.1 round by
 //! round.
+//!
+//! ## Cost per event
+//!
+//! Each round keeps the same summaries as [`crate::two_phase`] instead
+//! of its `R_1`/`R_2` sets, so a receive costs `O(log n)` and building
+//! `W` costs `O(n log n)` once per round. The flags are exact because
+//! a node's proposed bit is fixed for the whole round. Adoption reads
+//! the smallest seen candidate in the prefix's interval with one
+//! ordered-set range query. That works because the candidates sharing
+//! an aligned prefix are exactly one contiguous interval.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 use amacl_model::prelude::*;
+
+use crate::two_phase::WitnessWait;
 
 /// Status chosen at a round's phase-1 ack (the per-bit analogue of
 /// [`TpStatus`](crate::two_phase::TpStatus)).
@@ -114,57 +127,43 @@ enum RoundStage {
 #[derive(Clone, Debug)]
 struct Round {
     stage: RoundStage,
-    r1: BTreeSet<BwMsg>,
-    r2: BTreeSet<BwMsg>,
     status: Option<BwStatus>,
-    witnesses: BTreeSet<NodeId>,
+    /// `R_1` holds a phase-1 proposal of the other bit or a bivalent
+    /// phase-2 message.
+    conflict: bool,
+    /// `R_1 ∪ R_2` holds a `decided(0)` phase-2 message (the union, per
+    /// the Theorem 4.1 proof — see the pseudocode-discrepancy note in
+    /// [`crate::two_phase`]).
+    decided_zero: bool,
+    wait: WitnessWait,
 }
 
 impl Round {
     fn new() -> Self {
         Self {
             stage: RoundStage::Phase1,
-            r1: BTreeSet::new(),
-            r2: BTreeSet::new(),
             status: None,
-            witnesses: BTreeSet::new(),
+            conflict: false,
+            decided_zero: false,
+            wait: WitnessWait::default(),
         }
     }
 
-    fn insert(&mut self, msg: BwMsg) {
-        match self.stage {
-            RoundStage::Phase1 => {
-                self.r1.insert(msg);
+    /// Files a message of this round into `R_1` or `R_2`; `my_bit` is
+    /// the bit this node proposes in the round.
+    fn insert(&mut self, msg: BwMsg, my_bit: u8) {
+        let in_r1 = self.stage == RoundStage::Phase1;
+        match msg.kind {
+            BwKind::Phase1 => {
+                self.conflict |= in_r1 && bit_of(msg.candidate, msg.round) != my_bit;
+                self.wait.hear(msg.id, false);
             }
-            RoundStage::Phase2 | RoundStage::AwaitWitnesses => {
-                self.r2.insert(msg);
+            BwKind::Phase2(status) => {
+                self.conflict |= in_r1 && status == BwStatus::Bivalent;
+                self.decided_zero |= status == BwStatus::Decided(0);
+                self.wait.hear(msg.id, true);
             }
         }
-    }
-
-    fn saw_conflicting_evidence(&self, my_bit: u8) -> bool {
-        self.r1.iter().any(|m| match m.kind {
-            BwKind::Phase1 => bit_of(m.candidate, m.round) != my_bit,
-            BwKind::Phase2(status) => status == BwStatus::Bivalent,
-        })
-    }
-
-    fn have_phase2_from(&self, id: NodeId) -> bool {
-        let check = |m: &BwMsg| m.id == id && matches!(m.kind, BwKind::Phase2(_));
-        self.r1.iter().any(check) || self.r2.iter().any(check)
-    }
-
-    fn decided_zero(&self) -> Option<&BwMsg> {
-        // Union scan (R_1 ∪ R_2), per the Theorem 4.1 proof — see the
-        // pseudocode-discrepancy note in [`crate::two_phase`].
-        self.r1
-            .iter()
-            .chain(self.r2.iter())
-            .find(|m| matches!(m.kind, BwKind::Phase2(BwStatus::Decided(0))))
-    }
-
-    fn witnesses_complete(&self) -> bool {
-        self.witnesses.iter().all(|&w| self.have_phase2_from(w))
     }
 }
 
@@ -292,13 +291,11 @@ impl BitwiseTwoPhase {
         bit_of(self.candidate, self.round)
     }
 
-    /// A candidate matches the agreed prefix through round `r` iff its
-    /// top `r + 1` aligned bits equal the (agreed) top bits of
-    /// `self.candidate` *after* the adoption step — during adoption we
-    /// compare against an explicit prefix instead.
-    fn matches_prefix(v: Value, prefix: Value, through_round: u32) -> bool {
-        let shift = 63 - through_round;
-        (v >> shift) == (prefix >> shift)
+    /// The candidates whose top `through_round + 1` aligned bits equal
+    /// `prefix`'s: one contiguous interval.
+    fn prefix_interval(prefix: Value, through_round: u32) -> RangeInclusive<Value> {
+        let low = (1u64 << (63 - through_round)) - 1;
+        (prefix & !low)..=(prefix | low)
     }
 
     fn broadcast_phase1(&mut self, ctx: &mut Context<'_, BwMsg>) {
@@ -308,7 +305,7 @@ impl BitwiseTwoPhase {
             candidate: self.candidate,
             kind: BwKind::Phase1,
         };
-        self.state.r1.insert(own);
+        self.state.insert(own, self.my_bit());
         let outcome = ctx.broadcast(own);
         debug_assert!(outcome.is_accepted(), "round start must find a free MAC");
     }
@@ -322,17 +319,13 @@ impl BitwiseTwoPhase {
         // 0..round; force bit `round` to b.
         let shift = 63 - self.round;
         let forced = (self.candidate & !(1u64 << shift)) | ((b as u64) << shift);
+        let agreed = Self::prefix_interval(forced, self.round);
         if self.my_bit() != b {
             // Adopt the smallest seen candidate matching the agreed
             // prefix; park if none has arrived yet (module docs: one
             // is always in flight).
-            match self
-                .seen
-                .iter()
-                .copied()
-                .find(|&v| Self::matches_prefix(v, forced, self.round))
-            {
-                Some(v) => self.candidate = v,
+            match self.seen.range(agreed.clone()).next() {
+                Some(&v) => self.candidate = v,
                 None => {
                     self.pending_adoption = Some(b);
                     return;
@@ -340,7 +333,7 @@ impl BitwiseTwoPhase {
             }
         }
         self.pending_adoption = None;
-        debug_assert!(Self::matches_prefix(self.candidate, forced, self.round));
+        debug_assert!(agreed.contains(&self.candidate));
 
         if self.round + 1 == self.bits {
             self.done = true;
@@ -354,8 +347,9 @@ impl BitwiseTwoPhase {
         // Replay messages that arrived before we entered this round:
         // they all precede our phase-1 ack, so they land in R_1.
         if let Some(early) = self.buffered.remove(&self.round) {
+            let bit = self.my_bit();
             for m in early {
-                self.state.r1.insert(m);
+                self.state.insert(m, bit);
             }
         }
         // Receipt of buffered evidence never completes a round
@@ -365,12 +359,8 @@ impl BitwiseTwoPhase {
     /// Runs the witness check; on success finishes the round.
     fn try_finish_await(&mut self, ctx: &mut Context<'_, BwMsg>) {
         debug_assert_eq!(self.state.stage, RoundStage::AwaitWitnesses);
-        if self.state.witnesses_complete() {
-            let b = if self.state.decided_zero().is_some() {
-                0
-            } else {
-                1
-            };
+        if self.state.wait.complete() {
+            let b = if self.state.decided_zero { 0 } else { 1 };
             self.finish_round(b, ctx);
         }
     }
@@ -407,7 +397,7 @@ impl Process for BitwiseTwoPhase {
             self.buffered.entry(msg.round).or_default().push(msg);
             return;
         }
-        self.state.insert(msg);
+        self.state.insert(msg, self.my_bit());
         if self.state.stage == RoundStage::AwaitWitnesses {
             self.try_finish_await(ctx);
         }
@@ -419,7 +409,7 @@ impl Process for BitwiseTwoPhase {
         }
         match self.state.stage {
             RoundStage::Phase1 => {
-                let status = if self.state.saw_conflicting_evidence(self.my_bit()) {
+                let status = if self.state.conflict {
                     BwStatus::Bivalent
                 } else {
                     BwStatus::Decided(self.my_bit())
@@ -432,7 +422,7 @@ impl Process for BitwiseTwoPhase {
                     candidate: self.candidate,
                     kind: BwKind::Phase2(status),
                 };
-                self.state.r2.insert(own);
+                self.state.insert(own, self.my_bit());
                 ctx.broadcast(own);
             }
             RoundStage::Phase2 => match self.state.status.expect("status set at phase-1 ack") {
@@ -440,13 +430,7 @@ impl Process for BitwiseTwoPhase {
                     self.finish_round(b, ctx);
                 }
                 BwStatus::Bivalent => {
-                    self.state.witnesses = self
-                        .state
-                        .r1
-                        .iter()
-                        .chain(self.state.r2.iter())
-                        .map(|m| m.id)
-                        .collect();
+                    self.state.wait.build();
                     self.state.stage = RoundStage::AwaitWitnesses;
                     self.try_finish_await(ctx);
                 }

@@ -39,8 +39,22 @@
 //! This implementation scans `R_1 ∪ R_2`;
 //! [`TwoPhase::with_literal_r2_check`] reproduces the paper's literal
 //! pseudocode for the regression demonstration.
+//!
+//! ## Cost per event
+//!
+//! The handlers never scan `R_1` or `R_2`; neither set is stored.
+//! Each receive updates a fixed set of summaries in `O(log n)`: a
+//! `conflict` flag, a `decided_zero` flag, one ordered map from each
+//! sender heard to whether its phase-2 message has arrived (its keys
+//! become `W`), and the count of witnesses still missing. Building `W`
+//! at the phase-2 ack costs `O(n log n)` once. The flags are exact
+//! because they only ever turn on, just as a set only ever grows.
+//! `conflict` is the phase-1 ack's "any conflicting message in `R_1`",
+//! so it is only raised while the node is in phase 1. `decided_zero`
+//! is line 23's "any `decided(0)` in the scanned sets", so the literal
+//! variant does not raise it for messages filed in `R_1`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use amacl_model::prelude::*;
 
@@ -101,16 +115,69 @@ pub enum TpStage {
     Done,
 }
 
+/// The witness wait, kept incrementally: who has been heard from, and
+/// how many witnesses still owe a phase-2 message. Shared with the
+/// per-round machine of [`crate::multivalued`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct WitnessWait {
+    /// Every sender heard so far, mapped to whether its phase-2 message
+    /// has arrived. Once `W` is built no sender is added, so the keys
+    /// are `W`.
+    heard: BTreeMap<NodeId, bool>,
+    /// The witness list `W`. Empty until built, and never empty after:
+    /// a node always hears its own phase-1 message first.
+    witnesses: BTreeSet<NodeId>,
+    /// Witnesses whose phase-2 message has not arrived, once `W` is
+    /// built.
+    missing: usize,
+}
+
+impl WitnessWait {
+    /// Records a message from `id`; `phase2` says it carries a status.
+    pub(crate) fn hear(&mut self, id: NodeId, phase2: bool) {
+        if self.witnesses.is_empty() {
+            *self.heard.entry(id).or_default() |= phase2;
+        } else if phase2 && self.heard.get(&id) == Some(&false) {
+            self.heard.insert(id, true);
+            self.missing -= 1;
+        }
+    }
+
+    /// Builds `W` from every sender heard so far (the phase-2 ack).
+    pub(crate) fn build(&mut self) {
+        self.witnesses = self.heard.keys().copied().collect();
+        self.missing = self.heard.values().filter(|&&p2| !p2).count();
+    }
+
+    /// `true` once every witness's phase-2 message has arrived.
+    pub(crate) fn complete(&self) -> bool {
+        self.missing == 0
+    }
+
+    /// Drops the bookkeeping after the decision; `W` stays readable.
+    pub(crate) fn retire(&mut self) {
+        self.heard = BTreeMap::new();
+    }
+
+    /// The witness list `W` (empty until built).
+    pub(crate) fn witnesses(&self) -> &BTreeSet<NodeId> {
+        &self.witnesses
+    }
+}
+
 /// One node running Two-Phase Consensus.
 #[derive(Clone, Debug)]
 pub struct TwoPhase {
     input: Value,
     literal_r2: bool,
     stage: TpStage,
-    r1: BTreeSet<TpMsg>,
-    r2: BTreeSet<TpMsg>,
     status: Option<TpStatus>,
-    witnesses: BTreeSet<NodeId>,
+    /// `R_1` holds a phase-1 message with the other value or a bivalent
+    /// phase-2 message.
+    conflict: bool,
+    /// The sets line 23 scans hold a `decided(0)` phase-2 message.
+    decided_zero: bool,
+    wait: WitnessWait,
 }
 
 impl TwoPhase {
@@ -126,10 +193,10 @@ impl TwoPhase {
             input,
             literal_r2: false,
             stage: TpStage::Phase1,
-            r1: BTreeSet::new(),
-            r2: BTreeSet::new(),
             status: None,
-            witnesses: BTreeSet::new(),
+            conflict: false,
+            decided_zero: false,
+            wait: WitnessWait::default(),
         }
     }
 
@@ -160,44 +227,37 @@ impl TwoPhase {
 
     /// The witness list `W` (empty until built at the phase-2 ack).
     pub fn witnesses(&self) -> &BTreeSet<NodeId> {
-        &self.witnesses
+        self.wait.witnesses()
     }
 
-    fn saw_conflicting_evidence(&self) -> bool {
-        self.r1.iter().any(|m| match *m {
-            TpMsg::Phase1 { value, .. } => value != self.input,
-            TpMsg::Phase2 { status, .. } => status == TpStatus::Bivalent,
-        })
-    }
-
-    fn have_phase2_from(&self, id: NodeId) -> bool {
-        let check = |m: &TpMsg| matches!(*m, TpMsg::Phase2 { id: i, .. } if i == id);
-        self.r1.iter().any(check) || self.r2.iter().any(check)
-    }
-
-    fn decided_zero_visible(&self) -> bool {
-        let check = |m: &TpMsg| {
-            matches!(
-                *m,
-                TpMsg::Phase2 {
-                    status: TpStatus::Decided(0),
-                    ..
-                }
-            )
-        };
-        if self.literal_r2 {
-            self.r2.iter().any(check)
-        } else {
-            self.r1.iter().any(check) || self.r2.iter().any(check)
+    /// Files `msg` into `R_1` (during phase 1) or `R_2` (after), keeping
+    /// only what the handlers read from those sets.
+    fn record(&mut self, msg: TpMsg) {
+        let in_r1 = self.stage == TpStage::Phase1;
+        match msg {
+            TpMsg::Phase1 { id, value } => {
+                self.conflict |= in_r1 && value != self.input;
+                self.wait.hear(id, false);
+            }
+            TpMsg::Phase2 { id, status } => {
+                self.conflict |= in_r1 && status == TpStatus::Bivalent;
+                self.decided_zero |= status == TpStatus::Decided(0) && !(in_r1 && self.literal_r2);
+                self.wait.hear(id, true);
+            }
         }
+    }
+
+    fn decide(&mut self, value: Value, ctx: &mut Context<'_, TpMsg>) {
+        ctx.decide(value);
+        self.stage = TpStage::Done;
+        self.wait.retire();
     }
 
     fn try_finish(&mut self, ctx: &mut Context<'_, TpMsg>) {
         debug_assert_eq!(self.stage, TpStage::AwaitWitnesses);
-        if self.witnesses.iter().all(|&w| self.have_phase2_from(w)) {
-            let value = if self.decided_zero_visible() { 0 } else { 1 };
-            ctx.decide(value);
-            self.stage = TpStage::Done;
+        if self.wait.complete() {
+            let value = if self.decided_zero { 0 } else { 1 };
+            self.decide(value, ctx);
         }
     }
 }
@@ -210,20 +270,15 @@ impl Process for TwoPhase {
             id: ctx.id(),
             value: self.input,
         };
-        self.r1.insert(own);
+        self.record(own);
         ctx.broadcast(own);
     }
 
     fn on_receive(&mut self, msg: TpMsg, ctx: &mut Context<'_, TpMsg>) {
-        match self.stage {
-            TpStage::Phase1 => {
-                self.r1.insert(msg);
-            }
-            TpStage::Phase2 | TpStage::AwaitWitnesses => {
-                self.r2.insert(msg);
-            }
-            TpStage::Done => return,
+        if self.stage == TpStage::Done {
+            return;
         }
+        self.record(msg);
         if self.stage == TpStage::AwaitWitnesses {
             self.try_finish(ctx);
         }
@@ -232,7 +287,7 @@ impl Process for TwoPhase {
     fn on_ack(&mut self, ctx: &mut Context<'_, TpMsg>) {
         match self.stage {
             TpStage::Phase1 => {
-                let status = if self.saw_conflicting_evidence() {
+                let status = if self.conflict {
                     TpStatus::Bivalent
                 } else {
                     TpStatus::Decided(self.input)
@@ -243,21 +298,13 @@ impl Process for TwoPhase {
                     id: ctx.id(),
                     status,
                 };
-                self.r2.insert(own);
+                self.record(own);
                 ctx.broadcast(own);
             }
             TpStage::Phase2 => match self.status.expect("status set at phase-1 ack") {
-                TpStatus::Decided(v) => {
-                    ctx.decide(v);
-                    self.stage = TpStage::Done;
-                }
+                TpStatus::Decided(v) => self.decide(v, ctx),
                 TpStatus::Bivalent => {
-                    self.witnesses = self
-                        .r1
-                        .iter()
-                        .chain(self.r2.iter())
-                        .map(TpMsg::sender)
-                        .collect();
+                    self.wait.build();
                     self.stage = TpStage::AwaitWitnesses;
                     self.try_finish(ctx);
                 }
