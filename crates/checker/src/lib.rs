@@ -57,6 +57,9 @@
 //! * [`scenario`] / [`workload`] — the named adversarial scenario
 //!   catalogue behind `amacl sweep` and the open-loop load generator
 //!   behind `amacl load`.
+//! * [`grid`] — the engine-identity grid: the one list of engine
+//!   configurations every sweep row, load row and identity test must
+//!   reproduce byte for byte, and the driver that checks it.
 //!
 //! ## Scope
 //!
@@ -74,6 +77,7 @@ pub mod crosscheck;
 pub mod explore;
 pub mod explore_mac;
 pub mod fuzz;
+pub mod grid;
 pub mod scenario;
 pub mod workload;
 

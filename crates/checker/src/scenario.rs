@@ -18,7 +18,7 @@
 //!   exactly the point: the algorithm's guarantees (agreement,
 //!   validity, termination) must hold under *both* timings, so the
 //!   sweep cross-checks the outcomes through the shared
-//!   [`MacLayer`](amacl_model::mac::MacLayer) trait and reports the
+//!   [`MacLayer`] trait and reports the
 //!   first diverging slot.
 //!
 //! Scenarios are plain data (no closures), so they can be generated by
@@ -31,21 +31,14 @@
 //! [`Scenario::smoke`] is the bounded subset CI runs on every PR.
 //!
 //! Beyond the two execution backends, every sweep row also proves the
-//! engine's two **queue cores** (indexed heap vs. hierarchical
-//! calendar, see `amacl_model::sim::queue`) byte-identical on the
-//! scenario: [`sweep_scenario`] runs the engine once per core and
-//! fails the row unless the two [`MacReport`]s match field-for-field.
-//! Since the engine went sharded (`amacl_model::sim::shard`), every
-//! row additionally proves the **sharded** engine byte-identical to
-//! serial — one run per shard count in [`SWEEP_SHARD_COUNTS`],
-//! alternating queue cores — and surfaces the coordinator's
-//! cross-shard counters (mailbox deliveries, window advances, flushes,
-//! load skew) as aligned report columns, so partition imbalance is
-//! visible at a glance. With the thread-per-shard parallel stepper,
-//! every row further re-runs the largest shard count with worker
-//! threads inside each window and proves *that* byte-identical to
-//! serial too, surfacing the barrier-wait share (`barrier%`) next to
-//! the load skew.
+//! engine's report identical across the
+//! [engine grid](crate::grid::engine_grid) — both queue cores, the
+//! sharded engine, and the thread-per-shard parallel stepper — and
+//! fails the row unless every [`MacReport`] matches field-for-field.
+//! The row surfaces the coordinator's cross-shard counters (mailbox
+//! deliveries, window advances, flushes, load skew) and the
+//! barrier-wait share (`barrier%`) as aligned report columns, so
+//! partition imbalance is visible at a glance.
 //!
 //! # Which crash + schedule combinations stall wPAXOS
 //!
@@ -82,24 +75,24 @@ use std::time::Duration;
 use amacl_core::two_phase::TwoPhase;
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::ids::Slot;
-use amacl_model::mac::{MacReport, SchedulerFactory, SimBackend};
+use amacl_model::mac::{MacLayer, MacReport, SchedulerFactory, SimBackend};
 use amacl_model::proc::Value;
+use amacl_model::sim::config::EngineConfig;
 use amacl_model::sim::crash::{CrashPlan, CrashSpec};
-use amacl_model::sim::queue::QueueCoreKind;
+use amacl_model::sim::engine::RunReport;
 use amacl_model::sim::sched::dual::DualBoundScheduler;
 use amacl_model::sim::sched::partition::{DirectedCut, EdgeDelayScheduler};
 use amacl_model::sim::sched::random::RandomScheduler;
 use amacl_model::sim::sched::scripted::ScriptedScheduler;
 use amacl_model::sim::sched::stall::MaxDelayScheduler;
 use amacl_model::sim::sched::sync::SynchronousScheduler;
-use amacl_model::sim::shard::ThreadCount;
 use amacl_model::sim::time::Time;
+use amacl_model::sim::trace::Metrics;
 use amacl_model::topo::Topology;
 use amacl_runtime::{MacRuntime, RuntimeConfig};
 
-use amacl_model::sim::conformance::compare_reports;
-
 use crate::crosscheck::{cross_check, CrossCheckConfig, CrossCheckOutcome};
+use crate::grid::{check_engine_grid, diff_reports, grid_token};
 
 /// Which algorithm a scenario runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -442,8 +435,8 @@ impl Scenario {
         Ok(())
     }
 
-    /// The engine backend realizing this scenario (queue core per the
-    /// `AMACL_QUEUE_CORE` default).
+    /// The engine backend realizing this scenario on the default
+    /// (serial heap) engine configuration.
     pub fn sim_backend(&self, seed: u64) -> SimBackend {
         SimBackend::with_factory(
             self.topo.build(),
@@ -452,18 +445,6 @@ impl Scenario {
         )
         .seed(seed)
         .crash_plan(CrashPlan::new(self.crashes.clone()))
-    }
-
-    /// The engine backend realizing this scenario on an explicit queue
-    /// core.
-    pub fn sim_backend_on(&self, seed: u64, core: QueueCoreKind) -> SimBackend {
-        self.sim_backend(seed).queue_core(core)
-    }
-
-    /// The engine backend realizing this scenario on an explicit queue
-    /// core and shard count (the sharded conservative-window engine).
-    pub fn sim_backend_sharded(&self, seed: u64, core: QueueCoreKind, shards: usize) -> SimBackend {
-        self.sim_backend_on(seed, core).shards(shards)
     }
 
     /// The threaded backend realizing this scenario's crash plan under
@@ -482,50 +463,19 @@ impl Scenario {
     /// Runs the scenario on the engine alone (determinism checks,
     /// quick sanity runs).
     pub fn run_engine(&self, seed: u64) -> MacReport {
-        self.run_one(&mut self.sim_backend(seed))
+        self.run_engine_with(seed, &EngineConfig::default()).0
     }
 
-    /// Runs the scenario on the engine with an explicit queue core.
-    pub fn run_engine_on(&self, seed: u64, core: QueueCoreKind) -> MacReport {
-        self.run_one(&mut self.sim_backend_on(seed, core))
-    }
-
-    /// Runs the scenario on the sharded engine, returning the portable
-    /// report plus the full engine report (whose metrics carry the
-    /// cross-shard counters the sweep surfaces).
-    pub fn run_engine_sharded(
-        &self,
-        seed: u64,
-        core: QueueCoreKind,
-        shards: usize,
-    ) -> (MacReport, amacl_model::sim::engine::RunReport) {
-        let mut backend = self.sim_backend_sharded(seed, core, shards);
-        let n = self.topo.build().len();
-        let iv = self.inputs.materialize(n);
-        match self.algo {
-            ScenarioAlgo::TwoPhase => {
-                backend.execute_full(&mut |s: Slot| TwoPhase::new(iv[s.index()]))
-            }
-            ScenarioAlgo::Wpaxos => backend
-                .execute_full(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n))),
-        }
-    }
-
-    /// Runs the scenario on the thread-per-shard parallel stepper:
-    /// the sharded engine with `threads` worker threads stepping each
-    /// conservative window. Byte-identical to the serial engine by
-    /// contract; the returned full report's wall-clock worker timers
-    /// carry the barrier-overhead diagnostic.
-    pub fn run_engine_threaded(
-        &self,
-        seed: u64,
-        core: QueueCoreKind,
-        shards: usize,
-        threads: usize,
-    ) -> (MacReport, amacl_model::sim::engine::RunReport) {
+    /// Runs the scenario on the engine with `cfg`'s queue core, shard
+    /// count and worker threads, returning the portable report plus
+    /// the full engine report (whose metrics carry the coordinator
+    /// counters). The seed and crash plan stay the scenario's.
+    pub fn run_engine_with(&self, seed: u64, cfg: &EngineConfig) -> (MacReport, RunReport) {
         let mut backend = self
-            .sim_backend_sharded(seed, core, shards)
-            .threads(threads);
+            .sim_backend(seed)
+            .queue_core(cfg.queue_core)
+            .shards(cfg.shards.get())
+            .threads(cfg.threads.get());
         let n = self.topo.build().len();
         let iv = self.inputs.materialize(n);
         match self.algo {
@@ -539,15 +489,14 @@ impl Scenario {
 
     /// Runs the scenario on the threaded runtime alone.
     pub fn run_threads(&self, seed: u64) -> MacReport {
-        self.run_one(&mut self.runtime(seed))
-    }
-
-    fn run_one(&self, backend: &mut dyn ErasedBackend) -> MacReport {
+        let mut rt = self.runtime(seed);
         let n = self.topo.build().len();
         let iv = self.inputs.materialize(n);
         match self.algo {
-            ScenarioAlgo::TwoPhase => backend.run_two_phase(&iv),
-            ScenarioAlgo::Wpaxos => backend.run_wpaxos(&iv, n),
+            ScenarioAlgo::TwoPhase => rt.execute(&mut |s: Slot| TwoPhase::new(iv[s.index()])),
+            ScenarioAlgo::Wpaxos => {
+                rt.execute(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)))
+            }
         }
     }
 
@@ -555,15 +504,9 @@ impl Scenario {
     /// outcomes (per-backend agreement + termination + validity;
     /// identical decisions additionally when [`Scenario::strict`]).
     pub fn cross_check(&self, seed: u64) -> CrossCheckOutcome {
-        self.cross_check_on(seed, QueueCoreKind::from_env())
-    }
-
-    /// [`Scenario::cross_check`] with the engine pinned to an explicit
-    /// queue core.
-    pub fn cross_check_on(&self, seed: u64, core: QueueCoreKind) -> CrossCheckOutcome {
         let n = self.topo.build().len();
         let inputs = self.inputs.materialize(n);
-        let mut sim = self.sim_backend_on(seed, core);
+        let mut sim = self.sim_backend(seed);
         let mut rt = self.runtime(seed);
         let cfg = CrossCheckConfig {
             expect_identical_decisions: self.strict,
@@ -870,9 +813,8 @@ impl Scenario {
             // entry: one crash past the minority boundary (4 of 7, all
             // at t=2) removes every possible quorum, so wPAXOS stalls
             // under any schedule — the Theorem 3.2 boundary from the
-            // other side. The sweep asserts the stall and that both
-            // queue cores and all shard counts agree on it byte for
-            // byte.
+            // other side. The sweep asserts the stall and that the
+            // whole engine grid agrees on it byte for byte.
             stall(
                 "wpaxos-majority-loss-stall",
                 ScenarioTopo::Clique(7),
@@ -970,38 +912,9 @@ impl Scenario {
     }
 }
 
-/// Object-safe adapter so [`Scenario::run_engine`]/[`run_threads`]
-/// share one dispatch over the algorithm's concrete message types.
-trait ErasedBackend {
-    fn run_two_phase(&mut self, inputs: &[Value]) -> MacReport;
-    fn run_wpaxos(&mut self, inputs: &[Value], n: usize) -> MacReport;
-}
-
-impl ErasedBackend for SimBackend {
-    fn run_two_phase(&mut self, inputs: &[Value]) -> MacReport {
-        use amacl_model::mac::MacLayer;
-        self.execute(&mut |s: Slot| TwoPhase::new(inputs[s.index()]))
-    }
-    fn run_wpaxos(&mut self, inputs: &[Value], n: usize) -> MacReport {
-        use amacl_model::mac::MacLayer;
-        self.execute(&mut |s: Slot| WpaxosNode::new(inputs[s.index()], WpaxosConfig::new(n)))
-    }
-}
-
-impl ErasedBackend for MacRuntime {
-    fn run_two_phase(&mut self, inputs: &[Value]) -> MacReport {
-        use amacl_model::mac::MacLayer;
-        self.execute(&mut |s: Slot| TwoPhase::new(inputs[s.index()]))
-    }
-    fn run_wpaxos(&mut self, inputs: &[Value], n: usize) -> MacReport {
-        use amacl_model::mac::MacLayer;
-        self.execute(&mut |s: Slot| WpaxosNode::new(inputs[s.index()], WpaxosConfig::new(n)))
-    }
-}
-
-/// The cross-shard coordinator counters of one sweep row's sharded
-/// verification runs, surfaced so shard-partition imbalance is visible
-/// directly in `amacl sweep` output.
+/// The cross-shard coordinator counters of one sweep row's grid runs,
+/// surfaced so shard-partition imbalance is visible directly in
+/// `amacl sweep` output.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SweepShardStats {
     /// Deliveries routed through cross-shard mailboxes.
@@ -1028,6 +941,25 @@ pub struct SweepShardStats {
     pub payload_clones: u64,
 }
 
+impl SweepShardStats {
+    /// Folds in one grid run's counters: the first sharded, serially
+    /// stepped run fills the mailbox and window columns (a sharded run
+    /// always opens a window), the parallel-stepped run fills
+    /// `barrier%` and `passes`.
+    fn record(&mut self, cfg: &EngineConfig, m: &Metrics) {
+        if cfg.threads.get() > 1 {
+            self.barrier_pct = m.barrier_pct().round() as u64;
+            self.worker_wakeups = m.worker_wakeups;
+        } else if cfg.shards.get() > 1 && self.window_advances == 0 {
+            self.cross_shard_deliveries = m.cross_shard_deliveries;
+            self.window_advances = m.shard_window_advances;
+            self.mailbox_flushes = m.shard_mailbox_flushes;
+            self.skew_pct = (m.shard_skew() * 100.0).round() as u64;
+            self.payload_clones = m.payload_clones;
+        }
+    }
+}
+
 /// One sweep row: a scenario run under one seed, condensed to the
 /// deterministic facts a report gates on.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -1038,50 +970,27 @@ pub struct SweepRow {
     pub seed: u64,
     /// Whether every required property held.
     pub ok: bool,
-    /// Condensed outcome: per-backend agreement values and the first
-    /// diverging slot (or `-`).
+    /// Condensed outcome: per-backend agreement values, the first
+    /// diverging slot (or `-`), and the engine-grid verdict.
     pub summary: String,
-    /// Coordinator counters from the row's sharded runs (the `S = 2`
-    /// run on the primary core).
+    /// Coordinator counters from the row's grid runs.
     pub shard_stats: SweepShardStats,
     /// The failures, verbatim (empty when `ok`).
     pub failures: Vec<String>,
 }
 
-/// Shard counts every sweep row proves byte-identical to serial (one
-/// on each queue core).
-pub const SWEEP_SHARD_COUNTS: [usize; 2] = [2, 4];
-
-/// Runs one scenario under one seed on both backends and condenses
-/// the outcome. The engine runs with the `AMACL_QUEUE_CORE` default
-/// core for the backend cross-check; see [`sweep_scenario_on`].
+/// Runs one scenario under one seed and condenses the outcome.
+///
+/// A normal row cross-checks the engine against the threaded runtime.
+/// An [`Scenario::expect_stall`] row runs the engine alone and asserts
+/// the stall (some live node never decides within the horizon) with
+/// safety intact among the deciders; the runtime is skipped because
+/// the starving schedule is engine-side by construction, and it would
+/// only burn its wall-clock timeout confirming that nothing happens.
+/// Either way the engine report is then proven identical across the
+/// [engine grid](crate::grid::engine_grid), reusing the report already
+/// in hand as the reference.
 pub fn sweep_scenario(scenario: &Scenario, seed: u64) -> SweepRow {
-    sweep_scenario_on(scenario, seed, QueueCoreKind::from_env())
-}
-
-/// [`sweep_scenario_on`] with the default [`SWEEP_SHARD_COUNTS`] and
-/// the `AMACL_THREADS` worker count (floored at 2 so the parallel
-/// stepper actually runs).
-pub fn sweep_scenario_on(scenario: &Scenario, seed: u64, core: QueueCoreKind) -> SweepRow {
-    let threads = ThreadCount::from_env().get().max(2);
-    sweep_scenario_sharded(scenario, seed, core, &SWEEP_SHARD_COUNTS, threads)
-}
-
-/// Runs one scenario under one seed — the engine once per **queue
-/// core** (the two reports must be byte-identical), the
-/// engine-vs-threads cross-check with the engine on `core`, the
-/// **sharded** engine once per entry in `shard_counts` (alternating
-/// between the two cores, each run compared byte-for-byte against the
-/// matching serial report), and the **parallel stepper** once at the
-/// largest shard count with `threads` worker threads (also compared
-/// byte-for-byte against serial) — and condenses the outcome.
-pub fn sweep_scenario_sharded(
-    scenario: &Scenario,
-    seed: u64,
-    core: QueueCoreKind,
-    shard_counts: &[usize],
-    threads: usize,
-) -> SweepRow {
     if let Err(e) = scenario.validate() {
         return SweepRow {
             scenario: scenario.name.clone(),
@@ -1092,87 +1001,6 @@ pub fn sweep_scenario_sharded(
             failures: vec![e],
         };
     }
-    if scenario.expect_stall {
-        return sweep_stall_sharded(scenario, seed, core, shard_counts, threads);
-    }
-    // Run the engine-vs-threads cross-check on `core`, then prove
-    // queue-core conformance by re-running the engine on the *other*
-    // core only: the cross-check's own (deterministic) engine report
-    // stands in for `core`, so the core proof costs two engine
-    // executions, not three, while still comparing heap vs calendar
-    // field-for-field.
-    let mut outcome = scenario.cross_check_on(seed, core);
-    let other_core = match core {
-        QueueCoreKind::Heap => QueueCoreKind::Calendar,
-        QueueCoreKind::Calendar => QueueCoreKind::Heap,
-    };
-    let other = scenario.run_engine_on(seed, other_core);
-    let cores_identical = outcome.left == other;
-    if !cores_identical {
-        let detail = match compare_reports(&outcome.left, &other) {
-            Some(d) => d.to_string(),
-            None => "aggregate counters differ".to_string(),
-        };
-        outcome.failures.push(format!(
-            "queue cores diverged ({core} vs {other_core}): {detail}"
-        ));
-    }
-    // The sharded-engine proof: each shard count runs on an
-    // alternating core and must reproduce that core's serial report
-    // byte-for-byte. The serial reports are already in hand (the
-    // cross-check's `left` for `core`, `other` for the other core), so
-    // each shard count costs exactly one extra engine execution.
-    let mut shards_identical = true;
-    let mut shard_stats = SweepShardStats::default();
-    for (i, &shards) in shard_counts.iter().enumerate() {
-        let (run_core, serial) = if i % 2 == 0 {
-            (core, &outcome.left)
-        } else {
-            (other_core, &other)
-        };
-        let (sharded, full) = scenario.run_engine_sharded(seed, run_core, shards);
-        if i == 0 {
-            shard_stats = SweepShardStats {
-                cross_shard_deliveries: full.metrics.cross_shard_deliveries,
-                window_advances: full.metrics.shard_window_advances,
-                mailbox_flushes: full.metrics.shard_mailbox_flushes,
-                skew_pct: (full.metrics.shard_skew() * 100.0).round() as u64,
-                barrier_pct: 0,
-                worker_wakeups: 0,
-                payload_clones: full.metrics.payload_clones,
-            };
-        }
-        if &sharded != serial {
-            shards_identical = false;
-            let detail = match compare_reports(serial, &sharded) {
-                Some(d) => d.to_string(),
-                None => "aggregate counters differ".to_string(),
-            };
-            outcome.failures.push(format!(
-                "sharded engine diverged from serial (S={shards}, {run_core} core): {detail}"
-            ));
-        }
-    }
-    // The parallel-stepper proof: the largest shard count again, this
-    // time with worker threads inside each window, against the primary
-    // core's serial report.
-    let mut threaded_identical = true;
-    if let Some(&shards) = shard_counts.iter().max() {
-        let (stepped, full) = scenario.run_engine_threaded(seed, core, shards, threads);
-        shard_stats.barrier_pct = full.metrics.barrier_pct().round() as u64;
-        shard_stats.worker_wakeups = full.metrics.worker_wakeups;
-        if stepped != outcome.left {
-            threaded_identical = false;
-            let detail = match compare_reports(&outcome.left, &stepped) {
-                Some(d) => d.to_string(),
-                None => "aggregate counters differ".to_string(),
-            };
-            outcome.failures.push(format!(
-                "parallel stepper diverged from serial (S={shards}, T={threads}, {core} core): \
-                 {detail}"
-            ));
-        }
-    }
     let fmt_vals = |vals: Vec<Value>| -> String {
         if vals.is_empty() {
             "none".to_string()
@@ -1183,169 +1011,61 @@ pub fn sweep_scenario_sharded(
                 .join(",")
         }
     };
-    let divergence = match &outcome.divergence {
-        None => "-".to_string(),
-        Some(d) => format!("slot {}", d.index),
-    };
-    SweepRow {
-        scenario: scenario.name.clone(),
-        seed,
-        ok: outcome.ok(),
-        summary: format!(
-            "sim decided {} | threads decided {} | first divergence {} | cores {} | shards {} \
-             | threaded {}",
+    let (reference, mut failures, head) = if scenario.expect_stall {
+        let serial = scenario.run_engine(seed);
+        let mut failures = Vec::new();
+        if serial.all_decided {
+            failures.push("expected a stall, but every node decided".to_string());
+        }
+        let decided = serial.decided_values();
+        if decided.len() > 1 {
+            failures.push(format!(
+                "agreement violated among the deciders: {decided:?}"
+            ));
+        }
+        let inputs = scenario.inputs.materialize(scenario.topo.build().len());
+        for v in &decided {
+            if !inputs.contains(v) {
+                failures.push(format!("validity violated: decided {v} was nobody's input"));
+            }
+        }
+        let head = format!(
+            "sim decided {} | stalled as expected (threads skipped)",
+            fmt_vals(decided)
+        );
+        (serial, failures, head)
+    } else {
+        let outcome = scenario.cross_check(seed);
+        let divergence = match &outcome.divergence {
+            None => "-".to_string(),
+            Some(d) => format!("slot {}", d.index),
+        };
+        let head = format!(
+            "sim decided {} | threads decided {} | first divergence {divergence}",
             fmt_vals(outcome.left.decided_values()),
             fmt_vals(outcome.right.decided_values()),
-            divergence,
-            if cores_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-            if shards_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-            if threaded_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-        ),
-        shard_stats,
-        failures: outcome.failures,
-    }
-}
-
-/// The engine-only sweep path for [`Scenario::expect_stall`] rows:
-/// asserts the stall (some live node never decides within the horizon)
-/// and that safety still holds among whoever did decide, then proves
-/// both queue cores and every shard count reproduce the stalled report
-/// byte for byte. The threaded runtime is skipped — the starving
-/// schedule is engine-side by construction, and the runtime would only
-/// burn its wall-clock timeout confirming that nothing happens.
-fn sweep_stall_sharded(
-    scenario: &Scenario,
-    seed: u64,
-    core: QueueCoreKind,
-    shard_counts: &[usize],
-    threads: usize,
-) -> SweepRow {
-    let mut failures: Vec<String> = Vec::new();
-    let serial = scenario.run_engine_on(seed, core);
-    let other_core = match core {
-        QueueCoreKind::Heap => QueueCoreKind::Calendar,
-        QueueCoreKind::Calendar => QueueCoreKind::Heap,
+        );
+        (outcome.left, outcome.failures, head)
     };
-    let other = scenario.run_engine_on(seed, other_core);
-    let cores_identical = serial == other;
-    if !cores_identical {
-        let detail = match compare_reports(&serial, &other) {
-            Some(d) => d.to_string(),
-            None => "aggregate counters differ".to_string(),
-        };
-        failures.push(format!(
-            "queue cores diverged ({core} vs {other_core}): {detail}"
-        ));
-    }
-    if serial.all_decided {
-        failures.push("expected a stall, but every node decided".to_string());
-    }
-    let decided = serial.decided_values();
-    if decided.len() > 1 {
-        failures.push(format!(
-            "agreement violated among the deciders: {decided:?}"
-        ));
-    }
-    let inputs = scenario.inputs.materialize(scenario.topo.build().len());
-    for v in &decided {
-        if !inputs.contains(v) {
-            failures.push(format!("validity violated: decided {v} was nobody's input"));
-        }
-    }
-    let mut shards_identical = true;
     let mut shard_stats = SweepShardStats::default();
-    for (i, &shards) in shard_counts.iter().enumerate() {
-        let (run_core, expect) = if i % 2 == 0 {
-            (core, &serial)
-        } else {
-            (other_core, &other)
-        };
-        let (sharded, full) = scenario.run_engine_sharded(seed, run_core, shards);
-        if i == 0 {
-            shard_stats = SweepShardStats {
-                cross_shard_deliveries: full.metrics.cross_shard_deliveries,
-                window_advances: full.metrics.shard_window_advances,
-                mailbox_flushes: full.metrics.shard_mailbox_flushes,
-                skew_pct: (full.metrics.shard_skew() * 100.0).round() as u64,
-                barrier_pct: 0,
-                worker_wakeups: 0,
-                payload_clones: full.metrics.payload_clones,
-            };
-        }
-        if &sharded != expect {
-            shards_identical = false;
-            let detail = match compare_reports(expect, &sharded) {
-                Some(d) => d.to_string(),
-                None => "aggregate counters differ".to_string(),
-            };
-            failures.push(format!(
-                "sharded engine diverged from serial (S={shards}, {run_core} core): {detail}"
-            ));
-        }
+    let (_, verdict) = check_engine_grid(
+        Some(reference),
+        &[],
+        |cfg| {
+            let (report, full) = scenario.run_engine_with(seed, cfg);
+            shard_stats.record(cfg, &full.metrics);
+            report
+        },
+        diff_reports,
+    );
+    if let Err(d) = &verdict {
+        failures.push(d.to_string());
     }
-    let mut threaded_identical = true;
-    if let Some(&shards) = shard_counts.iter().max() {
-        let (stepped, full) = scenario.run_engine_threaded(seed, core, shards, threads);
-        shard_stats.barrier_pct = full.metrics.barrier_pct().round() as u64;
-        shard_stats.worker_wakeups = full.metrics.worker_wakeups;
-        if stepped != serial {
-            threaded_identical = false;
-            let detail = match compare_reports(&serial, &stepped) {
-                Some(d) => d.to_string(),
-                None => "aggregate counters differ".to_string(),
-            };
-            failures.push(format!(
-                "parallel stepper diverged from serial (S={shards}, T={threads}, {core} core): \
-                 {detail}"
-            ));
-        }
-    }
-    let fmt_vals = |vals: Vec<Value>| -> String {
-        if vals.is_empty() {
-            "none".to_string()
-        } else {
-            vals.iter()
-                .map(Value::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        }
-    };
     SweepRow {
         scenario: scenario.name.clone(),
         seed,
         ok: failures.is_empty(),
-        summary: format!(
-            "sim decided {} | stalled as expected (threads skipped) | cores {} | shards {} \
-             | threaded {}",
-            fmt_vals(decided),
-            if cores_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-            if shards_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            },
-            if threaded_identical {
-                "identical"
-            } else {
-                "DIVERGED"
-            }
-        ),
+        summary: format!("{head} | {}", grid_token(&verdict)),
         shard_stats,
         failures,
     }
@@ -1451,6 +1171,7 @@ impl SweepOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amacl_model::sim::queue::QueueCoreKind;
 
     #[test]
     fn catalogue_is_large_named_and_valid() {
@@ -1632,47 +1353,54 @@ mod tests {
         }
     }
 
-    /// The queue cores are interchangeable on the whole catalogue:
-    /// heap- and calendar-backed engines report byte-identically on
-    /// every scenario and several seeds.
-    #[test]
-    fn queue_cores_report_identically_across_the_catalogue() {
+    /// Runs every catalogue scenario at each seed over the engine grid
+    /// plus `extra`, handing each configuration's full report to
+    /// `inspect`, and fails on the first divergence from the reference.
+    fn catalogue_on_grid(
+        seeds: &[u64],
+        extra: &[EngineConfig],
+        inspect: impl Fn(&Scenario, &EngineConfig, &RunReport),
+    ) {
         for scenario in Scenario::catalogue() {
-            for seed in [0u64, 3, 11] {
-                let heap = scenario.run_engine_on(seed, QueueCoreKind::Heap);
-                let calendar = scenario.run_engine_on(seed, QueueCoreKind::Calendar);
-                assert_eq!(
-                    heap, calendar,
-                    "{} seed {seed}: queue cores diverged",
-                    scenario.name
-                );
+            for &seed in seeds {
+                let run = |cfg: &EngineConfig| {
+                    let (report, full) = scenario.run_engine_with(seed, cfg);
+                    inspect(&scenario, cfg, &full);
+                    report
+                };
+                if let (_, Err(d)) = check_engine_grid(None, extra, run, diff_reports) {
+                    panic!("{} seed {seed}: {d}", scenario.name);
+                }
             }
         }
     }
 
+    fn calendar() -> EngineConfig {
+        EngineConfig::new().queue_core(QueueCoreKind::Calendar)
+    }
+
+    /// The queue cores are interchangeable on the whole catalogue:
+    /// heap- and calendar-backed engines (both on the grid) report
+    /// byte-identically on every scenario and several seeds.
+    #[test]
+    fn queue_cores_report_identically_across_the_catalogue() {
+        catalogue_on_grid(&[0, 3, 11], &[], |_, _, _| {});
+    }
+
     /// The acceptance gate for the sharded engine: for every catalogue
     /// scenario and **both** queue cores, the S ∈ {2, 4} sharded
-    /// engine reports byte-identically to serial.
+    /// engine reports byte-identically to serial, and every sharded run
+    /// opens a window.
     #[test]
     fn sharded_engine_reports_identically_across_the_catalogue() {
-        for scenario in Scenario::catalogue() {
-            for core in QueueCoreKind::all() {
-                let serial = scenario.run_engine_on(1, core);
-                for shards in SWEEP_SHARD_COUNTS {
-                    let (sharded, full) = scenario.run_engine_sharded(1, core, shards);
-                    assert_eq!(
-                        serial, sharded,
-                        "{} on {core}: S={shards} diverged from serial",
-                        scenario.name
-                    );
-                    assert!(
-                        full.metrics.shard_window_advances > 0,
-                        "{}: coordinator never opened a window",
-                        scenario.name
-                    );
-                }
-            }
-        }
+        let extra = [calendar().shards(2), EngineConfig::new().shards(4)];
+        catalogue_on_grid(&[1], &extra, |scenario, cfg, full| {
+            assert!(
+                cfg.shards.get() == 1 || full.metrics.shard_window_advances > 0,
+                "{}: coordinator never opened a window",
+                scenario.name
+            );
+        });
     }
 
     /// The acceptance gate for the parallel stepper: for every
@@ -1681,19 +1409,11 @@ mod tests {
     /// and the worker timers stay coherent (a bounded barrier share).
     #[test]
     fn threaded_engine_reports_identically_across_the_catalogue() {
-        for scenario in Scenario::catalogue() {
-            for core in QueueCoreKind::all() {
-                let serial = scenario.run_engine_on(1, core);
-                let (stepped, full) = scenario.run_engine_threaded(1, core, 4, 4);
-                assert_eq!(
-                    serial, stepped,
-                    "{} on {core}: S=4 T=4 diverged from serial",
-                    scenario.name
-                );
-                let pct = full.metrics.barrier_pct();
-                assert!((0.0..=100.0).contains(&pct), "barrier share {pct}");
-            }
-        }
+        let extra = [calendar().shards(4).threads(4)];
+        catalogue_on_grid(&[1], &extra, |_, _, full| {
+            let pct = full.metrics.barrier_pct();
+            assert!((0.0..=100.0).contains(&pct), "barrier share {pct}");
+        });
     }
 
     /// The torus multi-cut heals without ever severing the graph: the

@@ -30,8 +30,7 @@
 //!   latency histogram reporting p50/p99/p999 and the mean;
 //! * [`LoadScenario`] — the sustained-load scenario catalogue
 //!   (steady state, crash during steady state, partition under
-//!   backlog) with the same identity proof columns
-//!   (`cores`/`shards`/`threaded identical`) the closed-loop sweep
+//!   backlog) with the same engine-grid verdict the closed-loop sweep
 //!   rows carry, swept by [`sweep_load`].
 //!
 //! # Instance pipelining and why it stays live
@@ -71,6 +70,8 @@ use amacl_model::topo::Topology;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::grid::{check_engine_grid, grid_token, GridDivergence};
 
 /// Which arrival process generates request times.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -883,135 +884,83 @@ pub fn run_load(
 }
 
 /// One swept load scenario: the reference run's latency surface plus
-/// the same byte-identity proof columns the closed-loop sweep rows
-/// carry (`cores`/`shards`/`threaded identical`).
+/// the engine-grid verdict the closed-loop sweep rows carry.
 #[derive(Clone, PartialEq, Debug)]
 pub struct LoadSweepRow {
     /// Scenario name.
     pub name: String,
     /// The serial heap reference run.
     pub reference: LoadRun,
-    /// Whether the calendar core reproduced the reference exactly.
-    pub cores_identical: bool,
-    /// Whether every swept shard count reproduced it exactly.
-    pub shards_identical: bool,
-    /// Whether the parallel stepper reproduced it exactly.
-    pub threaded_identical: bool,
-    /// Human-readable failures (empty when all identical).
-    pub failures: Vec<String>,
+    /// `Err` names the first grid configuration that did not
+    /// reproduce the reference exactly.
+    pub verdict: Result<(), GridDivergence>,
 }
 
-/// Shard counts [`sweep_load`] proves byte-identical to serial
-/// (alternating queue cores), matching the acceptance grid
-/// `shards ∈ {1, 2, 4}`.
-pub const LOAD_SWEEP_SHARD_COUNTS: [usize; 2] = [2, 4];
-
-/// Worker-thread count of the parallel-stepper identity run.
-pub const LOAD_SWEEP_THREADS: usize = 4;
-
 impl LoadSweepRow {
-    /// `true` when every identity proof held.
+    /// `true` when every grid configuration reproduced the reference.
     pub fn ok(&self) -> bool {
-        self.failures.is_empty()
+        self.verdict.is_ok()
     }
 
-    /// One summary line per row, same grammar as the closed-loop
-    /// sweep's (`cores identical | shards identical | threaded
-    /// identical` — CI greps these columns).
+    /// One summary line per row, ending in the same grid token as the
+    /// closed-loop sweep's (`engine grid identical` or `DIVERGED at
+    /// <config>`).
     pub fn summary(&self) -> String {
-        let flag = |b: bool| if b { "identical" } else { "DIVERGED" };
         format!(
-            "{}: {} decided, {} unfinished | p50 {} p99 {} p999 {} ticks | cores {} | shards {} \
-             | threaded {}",
+            "{}: {} decided, {} unfinished | p50 {} p99 {} p999 {} ticks | {}",
             self.name,
             self.reference.histogram.count(),
             self.reference.unfinished,
             self.reference.histogram.p50(),
             self.reference.histogram.p99(),
             self.reference.histogram.p999(),
-            flag(self.cores_identical),
-            flag(self.shards_identical),
-            flag(self.threaded_identical),
+            grid_token(&self.verdict),
         )
     }
 }
 
 /// How two load runs can differ; `None` when byte-identical on every
 /// witness (trace, histogram, per-request records, condensed report).
-fn diff_runs(reference: &LoadRun, other: &LoadRun) -> Option<&'static str> {
-    if reference.trace != other.trace {
-        return Some("traces differ");
-    }
-    if reference.histogram != other.histogram {
-        return Some("latency histograms differ");
-    }
-    if reference.completed != other.completed {
-        return Some("per-request records differ");
-    }
-    if reference.report != other.report {
-        return Some("condensed reports differ");
-    }
-    if reference.unfinished != other.unfinished {
-        return Some("unfinished backlogs differ");
-    }
-    None
+fn diff_runs(reference: &LoadRun, other: &LoadRun) -> Option<String> {
+    let what = if reference.trace != other.trace {
+        "traces differ"
+    } else if reference.histogram != other.histogram {
+        "latency histograms differ"
+    } else if reference.completed != other.completed {
+        "per-request records differ"
+    } else if reference.report != other.report {
+        "condensed reports differ"
+    } else if reference.unfinished != other.unfinished {
+        "unfinished backlogs differ"
+    } else {
+        return None;
+    };
+    Some(what.to_string())
 }
 
-/// Sweeps one load scenario across the identity grid: serial heap
-/// (reference, traced), serial calendar (queue-core proof), each
-/// shard count in [`LOAD_SWEEP_SHARD_COUNTS`] on alternating cores,
-/// and the parallel stepper at the largest shard count with
-/// [`LOAD_SWEEP_THREADS`] workers — every run compared byte-for-byte
-/// (trace, histogram, per-request latencies) against the reference.
+/// Sweeps one load scenario across the
+/// [engine grid](crate::grid::engine_grid), every run traced and
+/// compared byte-for-byte (trace, histogram, per-request latencies)
+/// against the serial heap reference.
 pub fn sweep_load(scenario: &LoadScenario) -> LoadSweepRow {
-    let reference = run_load(scenario, QueueCoreKind::Heap, 1, 1, true);
-    let mut failures = Vec::new();
-    let calendar = run_load(scenario, QueueCoreKind::Calendar, 1, 1, true);
-    let cores_identical = match diff_runs(&reference, &calendar) {
-        None => true,
-        Some(d) => {
-            failures.push(format!("calendar core diverged from heap: {d}"));
-            false
-        }
-    };
-    let mut shards_identical = true;
-    for (i, &shards) in LOAD_SWEEP_SHARD_COUNTS.iter().enumerate() {
-        let core = if i % 2 == 0 {
-            QueueCoreKind::Heap
-        } else {
-            QueueCoreKind::Calendar
-        };
-        let run = run_load(scenario, core, shards, 1, true);
-        if let Some(d) = diff_runs(&reference, &run) {
-            shards_identical = false;
-            failures.push(format!(
-                "sharded run diverged (S={shards}, {core} core): {d}"
-            ));
-        }
-    }
-    let mut threaded_identical = true;
-    if let Some(&shards) = LOAD_SWEEP_SHARD_COUNTS.iter().max() {
-        let run = run_load(
-            scenario,
-            QueueCoreKind::Heap,
-            shards,
-            LOAD_SWEEP_THREADS,
-            true,
-        );
-        if let Some(d) = diff_runs(&reference, &run) {
-            threaded_identical = false;
-            failures.push(format!(
-                "parallel stepper diverged (S={shards}, T={LOAD_SWEEP_THREADS}): {d}"
-            ));
-        }
-    }
+    let (reference, verdict) = check_engine_grid(
+        None,
+        &[],
+        |cfg| {
+            run_load(
+                scenario,
+                cfg.queue_core,
+                cfg.shards.get(),
+                cfg.threads.get(),
+                true,
+            )
+        },
+        diff_runs,
+    );
     LoadSweepRow {
         name: scenario.name.clone(),
         reference,
-        cores_identical,
-        shards_identical,
-        threaded_identical,
-        failures,
+        verdict,
     }
 }
 
@@ -1021,8 +970,8 @@ pub fn render_load_rows(rows: &[LoadSweepRow]) -> String {
     let mut out = String::new();
     for row in rows {
         let _ = writeln!(out, "{}", row.summary());
-        for f in &row.failures {
-            let _ = writeln!(out, "  FAILURE: {f}");
+        if let Err(d) = &row.verdict {
+            let _ = writeln!(out, "  FAILURE: {d}");
         }
     }
     let failed = rows.iter().filter(|r| !r.ok()).count();
@@ -1211,12 +1160,9 @@ mod tests {
     #[test]
     fn sweep_proves_identity_on_steady_state() {
         let row = sweep_load(&LoadScenario::catalogue()[0]);
-        assert!(row.ok(), "{:?}", row.failures);
-        assert!(row.cores_identical && row.shards_identical && row.threaded_identical);
+        assert!(row.ok(), "{:?}", row.verdict);
         let rendered = render_load_rows(std::slice::from_ref(&row));
-        assert!(rendered.contains("cores identical"));
-        assert!(rendered.contains("shards identical"));
-        assert!(rendered.contains("threaded identical"));
+        assert!(rendered.contains("engine grid identical"));
         assert!(rendered.contains("1 passed, 0 failed"));
     }
 }

@@ -5,17 +5,18 @@
 //! into a `ScriptedScheduler` + crash-plan [`Scenario`], and from then
 //! on that scenario must behave like any other catalogue row — the
 //! discrete-event engine and the threaded runtime cross-check clean,
-//! the heap and calendar queue cores report byte-identically, and the
-//! sharded engine reproduces serial for S ∈ {1, 2, 4}. The *bug* only
+//! and every configuration of the engine grid (plus the sharded and
+//! parallel-stepped configurations of the other queue core) reports
+//! byte-identically. The *bug* only
 //! exists behind the mutated seam; the lowered schedule on the real
 //! (unmutated) backends is just another adversarial execution, which
 //! is exactly why it is safe to enroll counterexamples as regressions.
 
-use amacl_checker::scenario::{
-    sweep_scenario, sweep_scenario_sharded, Scenario, ScenarioAlgo, ScenarioTopo,
-};
+use amacl_checker::grid::{check_engine_grid, diff_reports};
+use amacl_checker::scenario::{sweep_scenario, Scenario, ScenarioAlgo, ScenarioTopo};
 use amacl_checker::{MacExploreConfig, MacExploreDescriptor};
 use amacl_model::machine::LedgerMutation;
+use amacl_model::sim::config::EngineConfig;
 use amacl_model::sim::queue::QueueCoreKind;
 
 /// The two seeded ledger bugs, each on the smallest instance where the
@@ -62,36 +63,31 @@ fn lowered_seeded_bug_counterexamples_conform_across_backends_cores_and_shards()
             .validate()
             .unwrap_or_else(|e| panic!("{label}: {e}"));
 
-        // Engine byte-identity across queue cores and shard counts
-        // S ∈ {1, 2, 4} (S = 1 is the sharded machinery in its
-        // degenerate configuration — it too must match serial).
-        let heap = scenario.run_engine_on(1, QueueCoreKind::Heap);
-        let calendar = scenario.run_engine_on(1, QueueCoreKind::Calendar);
-        assert_eq!(heap, calendar, "{label}: queue cores diverged");
-        for core in QueueCoreKind::all() {
-            let serial = scenario.run_engine_on(1, core);
-            for shards in [1usize, 2, 4] {
-                let (sharded, _) = scenario.run_engine_sharded(1, core, shards);
-                assert_eq!(
-                    serial, sharded,
-                    "{label}: S={shards} on {core} diverged from serial"
-                );
-            }
-        }
+        // Engine byte-identity across the grid, plus the sharded and
+        // parallel-stepped configurations on the other queue core.
+        let calendar = || EngineConfig::new().queue_core(QueueCoreKind::Calendar);
+        let extra = [
+            calendar().shards(2),
+            EngineConfig::new().shards(4),
+            calendar().shards(4).threads(4),
+        ];
+        let (_, verdict) = check_engine_grid(
+            None,
+            &extra,
+            |cfg| scenario.run_engine_with(1, cfg).0,
+            diff_reports,
+        );
+        verdict.unwrap_or_else(|d| panic!("{label}: {d}"));
 
         // The full sweep row — engine-vs-threads cross-check included
-        // — passes on both cores with the byte-identity gates on.
-        for core in QueueCoreKind::all() {
-            let row = sweep_scenario_sharded(&scenario, 1, core, &[1, 2, 4], 4);
-            assert!(row.ok, "{label} on {core}: {:?}", row.failures);
-            assert!(row.summary.contains("cores identical"), "{}", row.summary);
-            assert!(row.summary.contains("shards identical"), "{}", row.summary);
-            assert!(
-                row.summary.contains("threaded identical"),
-                "{}",
-                row.summary
-            );
-        }
+        // — passes with the grid gate on.
+        let row = sweep_scenario(&scenario, 1);
+        assert!(row.ok, "{label}: {:?}", row.failures);
+        assert!(
+            row.summary.contains("engine grid identical"),
+            "{}",
+            row.summary
+        );
     }
 }
 

@@ -174,7 +174,9 @@ fn traced_run(
     let n = scenario.topo.build().len();
     let iv = scenario.inputs.materialize(n);
     let mut backend = scenario
-        .sim_backend_sharded(seed, core, shards)
+        .sim_backend(seed)
+        .queue_core(core)
+        .shards(shards)
         .threads(threads);
     let (report, _, trace) =
         backend.execute_traced(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)));

@@ -4,6 +4,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use amacl_checker::grid::{check_engine_grid, config_label, diff_reports, engine_grid};
 use amacl_checker::{
     cross_check, CrossCheckConfig, FuzzConfig, MacExploreConfig, MacExploreDescriptor, MacExplorer,
     Reduction, SearchOrder, ViolationKind,
@@ -101,8 +102,7 @@ pub fn execute(cmd: Command) -> Result<String, String> {
             scenario,
             seeds,
             list,
-            engine,
-        } => sweep(smoke, scenario, seeds, list, engine),
+        } => sweep(smoke, scenario, seeds, list),
         Command::Load {
             scenario,
             arrival,
@@ -299,23 +299,18 @@ fn explore_mac(
                 // the delivery-vs-ack fine structure some stalls
                 // need). The deterministic facts to gate on are
                 // engine self-consistency and safety.
-                let heap = scenario.run_engine_on(1, QueueCoreKind::Heap);
-                let calendar = scenario.run_engine_on(1, QueueCoreKind::Calendar);
-                if heap != calendar {
+                let (serial, verdict) = check_engine_grid(
+                    None,
+                    &[],
+                    |cfg| scenario.run_engine_with(1, cfg).0,
+                    diff_reports,
+                );
+                if let Err(d) = verdict {
                     return Err(format!(
-                        "{text}round-trip FAILED: queue cores diverged on the lowered scenario"
+                        "{text}round-trip FAILED on the lowered scenario: {d}"
                     ));
                 }
-                for shards in [2usize, 4] {
-                    let (sharded, _) = scenario.run_engine_sharded(1, QueueCoreKind::Heap, shards);
-                    if sharded != heap {
-                        return Err(format!(
-                            "{text}round-trip FAILED: S={shards} diverged from serial on the \
-                             lowered scenario"
-                        ));
-                    }
-                }
-                let decided = heap.decided_values();
+                let decided = serial.decided_values();
                 if decided.len() > 1 {
                     return Err(format!(
                         "{text}round-trip FAILED: deciders disagree on the lowered scenario: \
@@ -329,10 +324,10 @@ fn explore_mac(
                 }
                 let _ = writeln!(
                     text,
-                    "round-trip ok: lowered scenario is byte-identical across queue cores \
-                     and shard counts (S in {{2, 4}}) with safety intact; the engine {} \
+                    "round-trip ok: lowered scenario is byte-identical across the engine \
+                     grid with safety intact; the engine {} \
                      (a genuine stall is existential — other timings may still wedge)",
-                    if heap.all_decided {
+                    if serial.all_decided {
                         "terminates under this scripted timing"
                     } else {
                         "reproduces the stall"
@@ -351,11 +346,17 @@ fn explore_mac(
             let _ = writeln!(
                 text,
                 "round-trip ok: lowered scenario sweeps clean on the real backends \
-                 (engine vs threads, heap vs calendar, serial vs sharded)"
+                 (engine vs threads, and across the engine grid)"
             );
         }
     }
     Ok(text)
+}
+
+/// The engine grid's configurations, for report headers.
+fn grid_label() -> String {
+    let labels: Vec<String> = engine_grid().iter().map(config_label).collect();
+    labels.join(", ")
 }
 
 /// Runs the named adversarial scenario catalogue on both backends,
@@ -366,12 +367,9 @@ fn sweep(
     scenario: Option<String>,
     seeds: usize,
     list: bool,
-    engine: EngineFlags,
 ) -> Result<String, String> {
     use crate::parallel::{default_threads, run_seeds};
-    use amacl_checker::scenario::{
-        sweep_scenario_sharded, Scenario, SweepOutcome, SWEEP_SHARD_COUNTS,
-    };
+    use amacl_checker::scenario::{sweep_scenario, Scenario, SweepOutcome};
 
     if list {
         let mut out = String::from("scenario catalogue:\n");
@@ -411,39 +409,21 @@ fn sweep(
         .enumerate()
         .flat_map(|(i, _)| seed_list.iter().map(move |&s| (i, s)))
         .collect();
-    // Fan out over the parallel driver: one cross-check per job,
-    // results reassembled in (scenario, seed) order. Each job also
-    // proves the heap and calendar queue cores byte-identical on its
-    // scenario, and the sharded engine byte-identical to serial at
-    // every shard count in `shard_counts`; `core` picks the engine
-    // core for the threads check.
-    let resolved = engine.resolve();
-    let core = resolved.queue_core;
-    let shard_counts: Vec<usize> = match engine.shards {
-        Some(s) => vec![s],
-        None => SWEEP_SHARD_COUNTS.to_vec(),
-    };
-    // The per-row threaded proof re-runs the largest shard count on
-    // the parallel stepper; floor the worker count at 2 so the proof
-    // is never vacuous, even under a serial `AMACL_THREADS` default.
-    let step_threads = resolved.threads.get().max(2);
+    // Fan out over the parallel driver: one cross-check plus one
+    // engine-grid proof per job, results reassembled in (scenario,
+    // seed) order.
     let indices: Vec<u64> = (0..jobs.len() as u64).collect();
     let rows = run_seeds(&indices, default_threads(), |i| {
         let (si, seed) = jobs[i as usize];
-        sweep_scenario_sharded(&scenarios[si], seed, core, &shard_counts, step_threads)
+        sweep_scenario(&scenarios[si], seed)
     });
     let outcome = SweepOutcome { rows };
 
-    let shard_label = shard_counts
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
     let mut out = format!(
-        "sweep: {} scenario(s) x {} seed(s), engine ({core} core) vs threads, heap vs calendar, \
-         serial vs sharded (S={{{shard_label}}}) vs parallel-stepped (T={step_threads})\n",
+        "sweep: {} scenario(s) x {} seed(s), engine vs threads, engine grid ({})\n",
         scenarios.len(),
-        seed_list.len()
+        seed_list.len(),
+        grid_label()
     );
     out.push_str(&outcome.render());
     if outcome.ok() {
@@ -459,10 +439,9 @@ fn sweep(
 /// Runs the open-loop sustained-load catalogue: arrivals at the target
 /// rate are injected into a long-lived consensus pipeline and the
 /// submit→decide latency surface (p50/p99/p999) is reported. Without
-/// engine flags every scenario is swept across the identity grid
-/// (queue cores, shard counts, the parallel stepper) with the same
-/// proof columns the closed-loop sweep carries; with an engine flag
-/// the run is pinned to the resolved configuration.
+/// engine flags every scenario is swept across the engine grid with
+/// the same verdict token the closed-loop sweep carries; with an
+/// engine flag the run is pinned to the resolved configuration.
 fn load(
     scenario: Option<String>,
     arrival: Option<amacl_checker::ArrivalKind>,
@@ -472,10 +451,7 @@ fn load(
     list: bool,
     engine: EngineFlags,
 ) -> Result<String, String> {
-    use amacl_checker::workload::{
-        render_load_rows, run_load, sweep_load, LoadScenario, LOAD_SWEEP_SHARD_COUNTS,
-        LOAD_SWEEP_THREADS,
-    };
+    use amacl_checker::workload::{render_load_rows, run_load, sweep_load, LoadScenario};
 
     let mut scenarios = LoadScenario::catalogue();
     if list {
@@ -564,15 +540,9 @@ fn load(
     }
 
     let mut out = format!(
-        "load: {} scenario(s), open-loop identity sweep (heap vs calendar, serial vs \
-         S={{{}}}, parallel-stepped T={})\n",
+        "load: {} scenario(s), open-loop identity sweep, engine grid ({})\n",
         scenarios.len(),
-        LOAD_SWEEP_SHARD_COUNTS
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(","),
-        LOAD_SWEEP_THREADS
+        grid_label()
     );
     let rows: Vec<_> = scenarios.iter().map(sweep_load).collect();
     out.push_str(&render_load_rows(&rows));
@@ -1348,7 +1318,10 @@ mod tests {
             cli("explore --algo two-phase --topo clique:2 --inputs 0,1 --crash-budget 1").unwrap();
         assert!(out.contains("VIOLATION: Termination"), "{out}");
         assert!(out.contains("round-trip ok"), "{out}");
-        assert!(out.contains("byte-identical across queue cores"), "{out}");
+        assert!(
+            out.contains("byte-identical across the engine grid"),
+            "{out}"
+        );
         assert!(
             out.contains("terminates under this scripted timing"),
             "{out}"
@@ -1425,29 +1398,22 @@ mod tests {
 
     #[test]
     fn sweep_row_reports_core_equivalence() {
-        let out = cli("sweep --scenario multi-cut-heal --seeds 1 --queue calendar").unwrap();
+        let out = cli("sweep --scenario multi-cut-heal --seeds 1").unwrap();
         assert!(out.contains("sweep OK"), "{out}");
-        assert!(out.contains("cores identical"), "{out}");
-        assert!(out.contains("calendar core"), "{out}");
+        assert!(out.contains("engine grid identical"), "{out}");
+        assert!(out.contains("calendar S=1 T=1"), "{out}");
     }
 
     #[test]
     fn sweep_row_reports_shard_equivalence_and_counters() {
         let out = cli("sweep --scenario torus-multi-cut --seeds 1").unwrap();
         assert!(out.contains("sweep OK"), "{out}");
-        assert!(out.contains("shards identical"), "{out}");
-        assert!(out.contains("serial vs sharded (S={2,4})"), "{out}");
+        assert!(out.contains("engine grid identical"), "{out}");
+        assert!(out.contains("heap S=2 T=1"), "{out}");
         // The counter columns are present and aligned under headers.
         for col in ["xdeliv", "windows", "flushes", "skew%", "pclones"] {
             assert!(out.contains(col), "missing column {col}: {out}");
         }
-    }
-
-    #[test]
-    fn sweep_accepts_a_pinned_shard_count() {
-        let out = cli("sweep --scenario sync-lockstep --seeds 1 --shards 3").unwrap();
-        assert!(out.contains("sweep OK"), "{out}");
-        assert!(out.contains("serial vs sharded (S={3})"), "{out}");
     }
 
     #[test]
@@ -1471,11 +1437,10 @@ mod tests {
 
     #[test]
     fn sweep_row_reports_threaded_equivalence_and_barrier_column() {
-        let out = cli("sweep --scenario sync-lockstep --seeds 1 --threads 2").unwrap();
+        let out = cli("sweep --scenario sync-lockstep --seeds 1").unwrap();
         assert!(out.contains("sweep OK"), "{out}");
-        assert!(out.contains("shards identical"), "{out}");
-        assert!(out.contains("threaded identical"), "{out}");
-        assert!(out.contains("parallel-stepped (T=2)"), "{out}");
+        assert!(out.contains("engine grid identical"), "{out}");
+        assert!(out.contains("heap S=4 T=4"), "{out}");
         assert!(out.contains("barrier%"), "{out}");
     }
 
@@ -1559,19 +1524,13 @@ mod tests {
     fn load_sweep_reports_identity_columns() {
         let out = cli("load --scenario load-steady-state --duration 4000 --rate 5").unwrap();
         assert!(out.contains("load-steady-state"), "{out}");
-        assert!(out.contains("cores identical"), "{out}");
-        assert!(out.contains("shards identical"), "{out}");
-        assert!(out.contains("threaded identical"), "{out}");
+        assert!(out.contains("engine grid identical"), "{out}");
         assert!(out.contains("p50"), "{out}");
         assert!(out.contains("load OK"), "{out}");
     }
 
     #[test]
     fn load_pinned_engine_reports_the_latency_surface() {
-        // All three engine flags are pinned so the expectation holds
-        // whatever AMACL_* environment the suite runs under (CI runs
-        // the whole suite with AMACL_THREADS=4 etc.; an explicit flag
-        // must beat the env var).
         let out = cli("load --scenario load-steady-state --duration 4000 \
              --queue calendar --shards 2 --threads 1")
         .unwrap();

@@ -57,7 +57,6 @@ USAGE:
               [--crash-budget <N>] [--max-states <N>] [--max-depth <N>]
               [--naive] [--mutate none|ack-early|drop-releases]
   amacl sweep [--smoke] [--scenario <NAME>] [--seeds <N>] [--list]
-              [--queue heap|calendar] [--shards <S>] [--threads <T>]
   amacl load  [--scenario <NAME>] [--arrival det|poisson] [--rate <R>]
               [--duration <TICKS>] [--seed <S>] [--list]
               [--queue heap|calendar] [--shards <S>] [--threads <T>]
@@ -96,9 +95,8 @@ picks the engine-side adversary; `--crash` injects the same crash plan
 into both backends (timed crashes map onto wall-clock deadlines on the
 threaded side). `--strict` additionally demands bit-identical decisions
 (sound only for crash-free, input-determined instances, e.g. uniform
-inputs). `--queue` pins the engine's event-queue core (default: the
-AMACL_QUEUE_CORE env var, else heap). fd-paxos is excluded (its
-timeouts are clock-scale dependent).
+inputs). `--queue` pins the engine's event-queue core (default: heap).
+fd-paxos is excluded (its timeouts are clock-scale dependent).
 
 `explore` model-checks the MacLayer seam itself: it enumerates every
 delivery/ack/crash interleaving of the shared broadcast ledger (DPOR
@@ -115,8 +113,8 @@ A violation found with NO mutation is instead a genuine property of
 the algorithm (e.g. two-phase is not crash tolerant); since such a
 stall is existential — one backend's timing may escape the exact
 interleaving — its round trip gates on engine byte-identity across
-queue cores and shard counts plus safety, and reports whether the
-engine reproduces the stall. Supported: two-phase, wpaxos (note
+the engine grid plus safety, and reports whether the engine
+reproduces the stall. Supported: two-phase, wpaxos (note
 wPAXOS's untimed ballot space is far too large to cover exhaustively
 from n = 3 on — expect truncation).
 
@@ -126,15 +124,14 @@ crashes, crash storms at the f = minority boundary (cliques and random
 trees), partial-delivery crashes, slow-ack/fast-progress skew (grids
 and hypercubes), scripted worst-case interleavings — on both backends,
 fanned out over worker threads, and fails on any divergence or
-property violation. Every row additionally (a) runs the engine once
-per queue core (heap and calendar) and (b) runs the SHARDED engine
-(default S in {2, 4}, alternating cores) and fails unless every report
-is byte-identical to serial; the cross-shard counters (mailbox
-deliveries, window advances, flushes, load skew) are printed as
-aligned columns. `--queue` picks the core used for the vs-threads
-comparison; `--shards` pins the serial-vs-sharded proof to one shard
-count. `--smoke` is the bounded subset CI runs on every PR; `--list`
-prints the catalogue.
+property violation. Every row additionally runs the engine on every
+configuration of the ENGINE GRID (both queue cores, the sharded
+engine, the parallel stepper) and fails unless every report is
+byte-identical to the serial-heap reference; the row ends in `engine
+grid identical` or `DIVERGED at <config>`, and the cross-shard
+counters (mailbox deliveries, window advances, flushes, load skew) are
+printed as aligned columns. `--smoke` is the bounded subset CI runs on
+every PR; `--list` prints the catalogue.
 
 `load` drives an OPEN-LOOP sustained workload: client requests arrive
 continuously at a target rate (`--arrival det` evenly spaced, `poisson`
@@ -144,21 +141,17 @@ pipeline of consensus instances over the bitwise machinery against one
 long-lived engine. It reports submit-to-decide latency histograms
 (p50/p99/p999/max) and sustained decisions per kilotick. By default
 every scenario — steady state, a follower crash mid-run, a partition
-building backlog before healing — is swept across the identity grid
-(heap vs calendar, serial vs sharded, parallel-stepped) and fails
-unless the trace, the histogram, and every per-request latency are
-byte-identical; with an engine flag the run is pinned to that
-configuration and only the latency surface is reported.
+building backlog before healing — is swept across the engine grid
+and fails unless the trace, the histogram, and every per-request
+latency are byte-identical; with an engine flag the run is pinned to
+that configuration and only the latency surface is reported.
 
-`--queue/--shards/--threads` select the engine on every
-engine-running subcommand (run, crosscheck, sweep, load) through one
-shared parser and one resolution rule: an explicit flag beats the
-`AMACL_QUEUE_CORE` / `AMACL_SHARDS` / `AMACL_THREADS` env vars, which
-beat the serial-heap default (`EngineConfig::from_env` is the single
-documented env route). `--shards` executes the engine sharded (the
-conservative time-window coordinator; identical results by
-construction, surfaced so the claim is checkable from the CLI);
-`--threads` steps windows on a persistent worker pool (results stay
-byte-identical); a typo in any flag or env var is rejected rather
-than silently ignored, with the same message everywhere.
+`--queue/--shards/--threads` select the engine on run, crosscheck and
+load through one shared parser; an unset flag keeps the serial-heap
+default. `--shards` executes the engine sharded (the conservative
+time-window coordinator; identical results by construction, surfaced
+so the claim is checkable from the CLI); `--threads` steps windows on
+a persistent worker pool (results stay byte-identical); a typo in any
+flag is rejected rather than silently ignored, with the same message
+everywhere.
 ";

@@ -65,38 +65,48 @@ pub struct TopoSpec {
 
 impl TopoSpec {
     /// Parses `clique:8`, `grid:4x3`, `random:12:0.2:7`, ...
+    ///
+    /// Sizes the builders cannot realize (an empty clique, a 2-ring,
+    /// `p` outside `[0, 1]`, ...) are rejected here, so no input makes
+    /// a builder panic.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (head, tail) = split_head(s);
+        let at_least = |v: usize, min: usize| -> Result<usize, String> {
+            need(v >= min, s, &format!("sizes must be at least {min}")).map(|()| v)
+        };
+        let dim = |v: usize| -> Result<usize, String> {
+            need((1..=16).contains(&v), s, "the parameter must be in 1..=16").map(|()| v)
+        };
         let topo = match head {
-            "clique" => Topology::clique(one_param(tail, s)?),
-            "line" => Topology::line(one_param(tail, s)?),
-            "ring" => Topology::ring(one_param(tail, s)?),
-            "star" => Topology::star(one_param(tail, s)?),
+            "clique" => Topology::clique(at_least(one_param(tail, s)?, 1)?),
+            "line" => Topology::line(at_least(one_param(tail, s)?, 1)?),
+            "ring" => Topology::ring(at_least(one_param(tail, s)?, 3)?),
+            "star" => Topology::star(at_least(one_param(tail, s)?, 2)?),
             "grid" => {
                 let (w, h) = wh_param(tail, s)?;
-                Topology::grid(w, h)
+                Topology::grid(at_least(w, 1)?, at_least(h, 1)?)
             }
             "torus" => {
                 let (w, h) = wh_param(tail, s)?;
-                Topology::torus(w, h)
+                Topology::torus(at_least(w, 3)?, at_least(h, 3)?)
             }
-            "hypercube" => Topology::hypercube(one_param(tail, s)?),
-            "binary-tree" => Topology::binary_tree(one_param(tail, s)?),
+            "hypercube" => Topology::hypercube(dim(one_param(tail, s)?)?),
+            "binary-tree" => Topology::binary_tree(dim(one_param(tail, s)?)?),
             "barbell" => {
                 let (k, bridge) = two_params(tail, s)?;
-                Topology::barbell(k, bridge)
+                Topology::barbell(at_least(k, 1)?, bridge)
             }
             "star-of-lines" => {
                 let (arms, len) = two_params(tail, s)?;
-                Topology::star_of_lines(arms, len)
+                Topology::star_of_lines(at_least(arms, 1)?, at_least(len, 1)?)
             }
             "caterpillar" => {
                 let (spine, legs) = two_params(tail, s)?;
-                Topology::caterpillar(spine, legs)
+                Topology::caterpillar(at_least(spine, 1)?, legs)
             }
             "lollipop" => {
                 let (k, t) = two_params(tail, s)?;
-                Topology::lollipop(k, t)
+                Topology::lollipop(at_least(k, 1)?, t)
             }
             "random" => {
                 let parts = params(tail, s, 3)?;
@@ -104,12 +114,13 @@ impl TopoSpec {
                 let p: f64 = parts[1]
                     .parse()
                     .map_err(|_| format!("bad probability in `{s}`"))?;
+                need((0.0..=1.0).contains(&p), s, "p must be in [0, 1]")?;
                 let seed: u64 = num(&parts[2], s)?;
-                Topology::random_connected(n, p, seed)
+                Topology::random_connected(at_least(n, 1)?, p, seed)
             }
             "random-tree" => {
                 let (n, seed) = two_params::<usize, u64>(tail, s)?;
-                Topology::random_tree(n, seed)
+                Topology::random_tree(at_least(n, 1)?, seed)
             }
             _ => return Err(format!("unknown topology `{s}`")),
         };
@@ -140,25 +151,29 @@ pub enum SchedSpec {
 
 impl SchedSpec {
     /// Parses `sync:2`, `random:4:42`, `dual:2:8:7`, ...
+    ///
+    /// Every bound must be at least 1, and `F_prog` must not exceed
+    /// `F_ack`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (head, tail) = split_head(s);
-        match head {
-            "sync" => Ok(SchedSpec::Sync(one_param(tail, s)?)),
-            "max-delay" => Ok(SchedSpec::MaxDelay(one_param(tail, s)?)),
+        let spec = match head {
+            "sync" => SchedSpec::Sync(one_param(tail, s)?),
+            "max-delay" => SchedSpec::MaxDelay(one_param(tail, s)?),
             "random" => {
                 let (f, seed) = two_params(tail, s)?;
-                Ok(SchedSpec::Random(f, seed))
+                SchedSpec::Random(f, seed)
             }
             "dual" => {
                 let parts = params(tail, s, 3)?;
-                Ok(SchedSpec::Dual(
-                    num(&parts[0], s)?,
-                    num(&parts[1], s)?,
-                    num(&parts[2], s)?,
-                ))
+                let (f_prog, f_ack) = (num(&parts[0], s)?, num(&parts[1], s)?);
+                need(f_prog >= 1, s, "F_prog must be at least 1")?;
+                need(f_prog <= f_ack, s, "F_prog must not exceed F_ack")?;
+                SchedSpec::Dual(f_prog, f_ack, num(&parts[2], s)?)
             }
-            _ => Err(format!("unknown scheduler `{s}`")),
-        }
+            _ => return Err(format!("unknown scheduler `{s}`")),
+        };
+        need(spec.f_ack() >= 1, s, "F_ack must be at least 1")?;
+        Ok(spec)
     }
 
     /// The `F_ack` bound this spec honors.
@@ -300,28 +315,25 @@ pub fn parse_crash(s: &str) -> Result<CrashSpec, String> {
 }
 
 /// The engine-selection flags (`--queue`, `--shards`, `--threads`)
-/// shared by every engine-running subcommand.
+/// shared by `run`, `crosscheck` and `load`.
 /// Parsing lives at one site (the private `EngineFlags::parse`), so
 /// `--shards 0`, `--threads 0`, and typos are rejected with
 /// identical messages everywhere, and resolution lives at one site
-/// ([`EngineFlags::resolve`]), so flags beat the documented `AMACL_*`
-/// env route beats the serial-heap default — uniformly across
-/// subcommands.
+/// ([`EngineFlags::resolve`]): each given flag overrides the
+/// serial-heap default.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct EngineFlags {
-    /// `--queue heap|calendar` (`None`: the `AMACL_QUEUE_CORE`
-    /// default).
+    /// `--queue heap|calendar` (`None`: heap).
     pub queue: Option<QueueCoreKind>,
-    /// `--shards <n>` (`None`: the `AMACL_SHARDS` default).
+    /// `--shards <n>` (`None`: serial).
     pub shards: Option<usize>,
-    /// `--threads <n>` (`None`: the `AMACL_THREADS` default).
+    /// `--threads <n>` (`None`: single-threaded).
     pub threads: Option<usize>,
 }
 
 impl EngineFlags {
-    /// Parses the three optional engine flags. Values go through the
-    /// same `FromStr` impls the env route uses, so the flag and env
-    /// grammars (and their rejections) cannot drift apart.
+    /// Parses the three optional engine flags through the `FromStr`
+    /// impls of [`QueueCoreKind`], [`ShardCount`] and [`ThreadCount`].
     fn parse(opts: &mut Opts) -> Result<Self, String> {
         let queue = match opts.optional("--queue") {
             Some(s) => Some(s.parse::<QueueCoreKind>()?),
@@ -350,11 +362,11 @@ impl EngineFlags {
         })
     }
 
-    /// Resolves the flags against [`EngineConfig::from_env`] into a
-    /// full engine configuration: each explicitly given flag
-    /// overrides the corresponding env-derived knob.
+    /// Resolves the flags into a full engine configuration: each
+    /// given flag overrides the corresponding [`EngineConfig::default`]
+    /// knob.
     pub fn resolve(self) -> EngineConfig {
-        let mut cfg = EngineConfig::from_env();
+        let mut cfg = EngineConfig::default();
         if let Some(q) = self.queue {
             cfg = cfg.queue_core(q);
         }
@@ -488,14 +500,6 @@ pub enum Command {
         seeds: usize,
         /// List the catalogue and exit.
         list: bool,
-        /// Engine selection: `--queue` picks the core for the
-        /// vs-threads check (both cores are always compared against
-        /// each other regardless), `--shards` pins the per-row
-        /// serial-vs-sharded proof to one shard count (default: the
-        /// `{2, 4}` pair, alternating cores), `--threads` sets the
-        /// per-row threaded proof's worker count (floored at 2 so the
-        /// parallel stepper actually runs).
-        engine: EngineFlags,
     },
     /// `amacl load ...`: open-loop sustained consensus under a target
     /// arrival rate, with submit→decide latency SLO reporting
@@ -514,10 +518,9 @@ pub enum Command {
         /// List the catalogue and exit.
         list: bool,
         /// Engine selection. Without any engine flag, every scenario
-        /// is swept across the identity grid (cores, shards, threads)
-        /// with proof columns; with one, the run is pinned to the
-        /// resolved configuration and only the latency surface is
-        /// reported.
+        /// is swept across the engine grid; with one, the run is
+        /// pinned to the resolved configuration and only the latency
+        /// surface is reported.
         engine: EngineFlags,
     },
 }
@@ -596,7 +599,11 @@ impl Command {
                     .map(|s| parse_crash(s))
                     .collect::<Result<_, _>>()?,
                 f_ack: match opts.optional("--f-ack") {
-                    Some(s) => num(&s, "--f-ack")?,
+                    Some(s) => {
+                        let f: u64 = num(&s, "--f-ack")?;
+                        need(f >= 1, "--f-ack", "F_ack must be at least 1")?;
+                        f
+                    }
                     None => 4,
                 },
                 seed: match opts.optional("--seed") {
@@ -641,7 +648,6 @@ impl Command {
                     None => 2,
                 },
                 list: opts.flag("--list"),
-                engine: EngineFlags::parse(&mut opts)?,
             },
             "load" => Command::Load {
                 scenario: opts.optional("--scenario"),
@@ -744,6 +750,15 @@ fn split_head(s: &str) -> (&str, Option<&str>) {
     match s.split_once(':') {
         Some((h, t)) => (h, Some(t)),
         None => (s, None),
+    }
+}
+
+/// `Ok` when `ok`, else an error naming the spec and the broken rule.
+fn need(ok: bool, spec: &str, rule: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("`{spec}`: {rule}"))
     }
 }
 
@@ -929,24 +944,17 @@ mod tests {
 
     #[test]
     fn command_parse_sweep() {
-        let cmd = Command::parse(&argv(
-            "sweep --smoke --seeds 3 --queue calendar --shards 2 --threads 4",
-        ))
-        .unwrap();
+        let cmd = Command::parse(&argv("sweep --smoke --seeds 3")).unwrap();
         match cmd {
             Command::Sweep {
                 smoke,
                 seeds,
                 scenario,
                 list,
-                engine,
             } => {
                 assert!(smoke && !list);
                 assert_eq!(seeds, 3);
                 assert_eq!(scenario, None);
-                assert_eq!(engine.queue, Some(QueueCoreKind::Calendar));
-                assert_eq!(engine.shards, Some(2));
-                assert_eq!(engine.threads, Some(4));
             }
             _ => panic!("expected Sweep"),
         }
@@ -956,23 +964,80 @@ mod tests {
                 smoke,
                 seeds,
                 scenario,
-                engine,
                 ..
             } => {
                 assert!(!smoke);
                 assert_eq!(seeds, 2);
                 assert_eq!(scenario.as_deref(), Some("partition-heal"));
-                assert_eq!(engine, EngineFlags::default());
             }
             _ => panic!("expected Sweep"),
         }
+    }
+
+    /// Every sweep row runs the whole engine grid, so the engine flags
+    /// have nothing to select there.
+    #[test]
+    fn sweep_refuses_engine_flags() {
+        for (flag, value) in [
+            ("--shards", "2"),
+            ("--threads", "2"),
+            ("--queue", "calendar"),
+        ] {
+            let err = Command::parse(&argv(&format!("sweep --smoke {flag} {value}"))).unwrap_err();
+            assert_eq!(err, format!("unknown or duplicate option `{flag}`"));
+        }
+    }
+
+    /// Sizes and bounds the builders and schedulers cannot realize are
+    /// parse errors, never panics.
+    #[test]
+    fn out_of_range_specs_are_errors() {
+        for topo in [
+            "random:6:1.5:7",
+            "random:6:-0.1:7",
+            "random:0:0.5:7",
+            "grid:0x3",
+            "torus:2x4",
+            "clique:0",
+            "line:0",
+            "ring:2",
+            "star:1",
+            "hypercube:0",
+            "hypercube:17",
+            "binary-tree:0",
+            "barbell:0:2",
+            "star-of-lines:2:0",
+            "caterpillar:0:1",
+            "lollipop:0:3",
+            "random-tree:0:1",
+        ] {
+            let err =
+                Command::parse(&argv(&format!("run --algo wpaxos --topo {topo}"))).expect_err(topo);
+            assert!(err.starts_with(&format!("`{topo}`: ")), "{err}");
+        }
+        for sched in [
+            "sync:0",
+            "max-delay:0",
+            "random:0:1",
+            "dual:0:4:1",
+            "dual:9:4:1",
+        ] {
+            let err = Command::parse(&argv(&format!(
+                "run --algo wpaxos --topo clique:3 --sched {sched}"
+            )))
+            .expect_err(sched);
+            assert!(err.starts_with(&format!("`{sched}`: ")), "{err}");
+        }
+        let err = Command::parse(&argv("crosscheck --algo wpaxos --topo clique:3 --f-ack 0"))
+            .unwrap_err();
+        assert!(err.contains("F_ack must be at least 1"), "{err}");
     }
 
     #[test]
     fn shards_option_rejects_zero_and_garbage() {
         let err = Command::parse(&argv("run --algo wpaxos --topo line:4 --shards 0")).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
-        let err = Command::parse(&argv("sweep --smoke --shards many")).unwrap_err();
+        let err = Command::parse(&argv("load --shards many")).unwrap_err();
         assert!(err.contains("--shards"), "{err}");
         let cmd = Command::parse(&argv("run --algo wpaxos --topo line:4 --shards 4")).unwrap();
         match cmd {
@@ -986,7 +1051,7 @@ mod tests {
         let err = Command::parse(&argv("run --algo wpaxos --topo line:4 --threads 0")).unwrap_err();
         assert!(err.contains("--threads"), "{err}");
         assert!(err.contains("at least 1"), "{err}");
-        let err = Command::parse(&argv("sweep --smoke --threads lots")).unwrap_err();
+        let err = Command::parse(&argv("load --threads lots")).unwrap_err();
         assert!(err.contains("--threads"), "{err}");
         let cmd = Command::parse(&argv(
             "crosscheck --algo wpaxos --topo line:4 --shards 2 --threads 2",
@@ -1050,7 +1115,7 @@ mod tests {
     fn load_flags_share_the_engine_parser() {
         // The same parse site serves every subcommand, so `load`
         // rejects `--shards 0` and `--queue` typos with the exact
-        // messages `run`/`sweep` produce.
+        // messages `run`/`crosscheck` produce.
         let err = Command::parse(&argv("load --shards 0")).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = Command::parse(&argv("load --queue fifo")).unwrap_err();
@@ -1081,10 +1146,8 @@ mod tests {
         assert_eq!(cfg.queue_core, QueueCoreKind::Calendar);
         assert_eq!(cfg.shards.get(), 3);
         assert_eq!(cfg.threads.get(), 2);
-        // Unset flags fall back to the documented env route's values.
-        let env = EngineConfig::from_env();
-        let cfg = EngineFlags::default().resolve();
-        assert_eq!(cfg, env);
+        // Unset flags fall back to the serial-heap default.
+        assert_eq!(EngineFlags::default().resolve(), EngineConfig::default());
     }
 
     #[test]

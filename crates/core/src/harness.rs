@@ -64,8 +64,8 @@ pub fn run_wpaxos(
 }
 
 /// Runs wPAXOS on an explicit engine queue core (the allocation
-/// tripwire measures both; everything else inherits the
-/// `AMACL_QUEUE_CORE` default via [`run_wpaxos`]).
+/// tripwire measures both; everything else runs on the default core
+/// via [`run_wpaxos`]).
 pub fn run_wpaxos_on(
     topo: Topology,
     inputs: &[Value],
@@ -73,7 +73,7 @@ pub fn run_wpaxos_on(
     core: QueueCoreKind,
 ) -> ConsensusRun {
     let cfg = WpaxosConfig::new(inputs.len());
-    run_wpaxos_inner(topo, inputs, cfg, scheduler, Some(core))
+    run_wpaxos_inner(topo, inputs, cfg, scheduler, core)
 }
 
 /// Runs wPAXOS with an explicit configuration (ablations, the flooding
@@ -84,27 +84,25 @@ pub fn run_wpaxos_with(
     cfg: WpaxosConfig,
     scheduler: impl Scheduler + 'static,
 ) -> ConsensusRun {
-    run_wpaxos_inner(topo, inputs, cfg, scheduler, None)
+    run_wpaxos_inner(topo, inputs, cfg, scheduler, QueueCoreKind::default())
 }
 
-/// The one wPAXOS run recipe every public wrapper shares; `core:
-/// None` keeps the builder's `AMACL_QUEUE_CORE` default.
+/// The one wPAXOS run recipe every public wrapper shares.
 fn run_wpaxos_inner(
     topo: Topology,
     inputs: &[Value],
     cfg: WpaxosConfig,
     scheduler: impl Scheduler + 'static,
-    core: Option<QueueCoreKind>,
+    core: QueueCoreKind,
 ) -> ConsensusRun {
     assert_eq!(topo.len(), inputs.len(), "one input per node");
     let iv = inputs.to_vec();
-    let mut builder = SimBuilder::new(topo, |s| WpaxosNode::new(iv[s.index()], cfg))
+    let report = SimBuilder::new(topo, |s| WpaxosNode::new(iv[s.index()], cfg))
         .scheduler(scheduler)
-        .message_id_budget(10);
-    if let Some(core) = core {
-        builder = builder.queue_core(core);
-    }
-    let report = builder.build().run();
+        .queue_core(core)
+        .message_id_budget(10)
+        .build()
+        .run();
     let check = check_consensus(inputs, &report, &[]);
     ConsensusRun {
         inputs: inputs.to_vec(),

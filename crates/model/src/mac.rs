@@ -771,7 +771,7 @@ impl SimBackend {
 
     /// A backend over `topo` driven by an arbitrary scheduler factory.
     /// `label` names the adversary in `Debug` output and reports.
-    /// Engine knobs start from [`EngineConfig::from_env`].
+    /// Engine knobs start from [`EngineConfig::default`].
     pub fn with_factory(
         topo: Topology,
         label: impl Into<String>,
@@ -781,7 +781,7 @@ impl SimBackend {
             topo,
             sched: factory,
             sched_label: label.into(),
-            cfg: EngineConfig::from_env(),
+            cfg: EngineConfig::default(),
             max_time: Time(10_000_000),
         }
     }

@@ -1,21 +1,10 @@
 //! The unified engine configuration: one struct holding every knob
 //! that selects *how* a simulation executes (seed, queue core, shard
 //! count, worker threads, crash plan), shared by every surface that
-//! builds an engine.
-//!
-//! Before this module existed the same five knobs were re-implemented
-//! three times — [`SimBuilder`](super::engine::SimBuilder) fields,
-//! [`SimBackend`](crate::mac::SimBackend) fields, and per-subcommand
-//! CLI flags — each with its own environment fallback wiring. Now all
-//! of them hold an [`EngineConfig`] and delegate their fluent setters
-//! to it, and [`EngineConfig::from_env`] is the **single documented
-//! path** from the `AMACL_QUEUE_CORE` / `AMACL_SHARDS` /
-//! `AMACL_THREADS` environment variables to a configuration. (Each
-//! variable still has exactly one low-level parse site —
-//! [`QueueCoreKind::from_env`], [`ShardCount::from_env`],
-//! [`ThreadCount::from_env`] — and each of those rejects malformed
-//! values with a panic naming the variable rather than silently
-//! falling back.)
+//! builds an engine. [`SimBuilder`](super::engine::SimBuilder),
+//! [`SimBackend`](crate::mac::SimBackend) and the CLI all hold an
+//! [`EngineConfig`] and delegate their fluent setters to it. It is
+//! always passed in explicitly; nothing reads it from the environment.
 //!
 //! The config deliberately covers only *execution-architecture* knobs
 //! plus the crash plan: everything in it except the crash plan is
@@ -35,10 +24,8 @@ use super::shard::{ShardCount, ThreadCount};
 /// worker-thread budget, and the crash plan.
 ///
 /// Construct with [`EngineConfig::default`] (seed 0, heap core,
-/// serial, single-threaded, no crashes) or [`EngineConfig::from_env`]
-/// (same, but queue core / shards / threads taken from the `AMACL_*`
-/// environment variables), then refine with the fluent setters. Both
-/// [`SimBuilder`](super::engine::SimBuilder) and
+/// serial, single-threaded, no crashes), then refine with the fluent
+/// setters. Both [`SimBuilder`](super::engine::SimBuilder) and
 /// [`SimBackend`](crate::mac::SimBackend) accept a whole config via
 /// their `config(...)` method and delegate their individual fluent
 /// knobs to one of these internally.
@@ -68,34 +55,6 @@ impl EngineConfig {
     /// constructor.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The default configuration with the queue core, shard count, and
-    /// thread count taken from the environment.
-    ///
-    /// This is the **one** sanctioned route from the `AMACL_*`
-    /// environment variables into an engine:
-    ///
-    /// | variable           | knob           | parse site                 |
-    /// |--------------------|----------------|----------------------------|
-    /// | `AMACL_QUEUE_CORE` | [`queue_core`] | [`QueueCoreKind::from_env`]|
-    /// | `AMACL_SHARDS`     | [`shards`]     | [`ShardCount::from_env`]   |
-    /// | `AMACL_THREADS`    | [`threads`]    | [`ThreadCount::from_env`]  |
-    ///
-    /// Unset variables fall back to the defaults (heap, 1, 1);
-    /// set but malformed values **panic** with a message naming the
-    /// variable — typos are never silently ignored.
-    ///
-    /// [`queue_core`]: EngineConfig::queue_core
-    /// [`shards`]: EngineConfig::shards
-    /// [`threads`]: EngineConfig::threads
-    pub fn from_env() -> Self {
-        Self {
-            queue_core: QueueCoreKind::from_env(),
-            shards: ShardCount::from_env(),
-            threads: ThreadCount::from_env(),
-            ..Self::default()
-        }
     }
 
     /// Sets the RNG seed.

@@ -15,7 +15,7 @@
 //! # Sharded execution
 //!
 //! The process set can be partitioned across `S` shards
-//! ([`SimBuilder::shards`], `AMACL_SHARDS`): each shard owns a
+//! ([`SimBuilder::shards`]): each shard owns a
 //! `ShardCell` — its own [`EventQueue`], payload arena, and the
 //! shard's slice of every slot-indexed hot table — and processes the
 //! events targeting its slots, while a **conservative time-window
@@ -34,7 +34,7 @@
 //!
 //! # Persistent pool and parallel stepping
 //!
-//! With [`SimBuilder::threads`] (or `AMACL_THREADS`) above 1, windows
+//! With [`SimBuilder::threads`] above 1, windows
 //! are *executed* in parallel by a **persistent worker pool**: one
 //! worker per shard group, spawned **once per `run`/`run_until` call**
 //! (thread spawns are O(1) in the window count, surfaced as
@@ -206,10 +206,8 @@ impl<P: Process> SimBuilder<P> {
     /// Defaults: ids equal to slot indices, a seeded
     /// [`RandomScheduler`] with `F_ack = 8`, a large time horizon,
     /// stop-on-all-decided, no id-budget enforcement, tracing off, and
-    /// the engine configuration from [`EngineConfig::from_env`] — seed
-    /// 0, no crashes, and the queue core / shard count / worker-thread
-    /// budget named by `AMACL_QUEUE_CORE` / `AMACL_SHARDS` /
-    /// `AMACL_THREADS` (heap / serial / single-threaded when unset).
+    /// [`EngineConfig::default`] — seed 0, no crashes, heap queue core,
+    /// serial, single-threaded.
     pub fn new(topo: Topology, mut init: impl FnMut(Slot) -> P) -> Self {
         let n = topo.len();
         let procs: Vec<P> = (0..n).map(|i| init(Slot(i))).collect();
@@ -219,7 +217,7 @@ impl<P: Process> SimBuilder<P> {
             procs,
             ids,
             scheduler: Box::new(RandomScheduler::new(8, 0)),
-            cfg: EngineConfig::from_env(),
+            cfg: EngineConfig::default(),
             max_time: Time(10_000_000),
             max_events: 200_000_000,
             stop_when_all_decided: true,
@@ -275,7 +273,7 @@ impl<P: Process> SimBuilder<P> {
     /// Runs the sharded coordinator's windows with up to `threads`
     /// worker threads — one worker per shard, so the effective
     /// parallelism is `min(threads, shards)`. `threads == 1` (the
-    /// default unless `AMACL_THREADS` says otherwise) keeps the
+    /// default) keeps the
     /// merged single-threaded window drain; with one shard the knob
     /// has no effect. Like sharding itself, threading is observably
     /// identity-preserving: traces and reports stay byte-identical to
@@ -2882,8 +2880,6 @@ mod tests {
     /// leave them zero.
     #[test]
     fn shard_counters_surface_in_metrics() {
-        // Shard counts pinned explicitly: this test's "serial" leg
-        // must stay serial even under an `AMACL_SHARDS` env default.
         let run = |shards: usize| {
             let mut sim = SimBuilder::new(Topology::ring(8), |s| Flood {
                 initiator: s.0 == 0,

@@ -172,31 +172,6 @@ impl QueueCoreKind {
         }
     }
 
-    /// The default core honoring the `AMACL_QUEUE_CORE` environment
-    /// variable (`heap` | `calendar`), falling back to
-    /// [`QueueCoreKind::Heap`] when unset. CI uses this to run the
-    /// whole test suite over either core without touching any call
-    /// site.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to an unrecognized value: a
-    /// typo must not silently re-run the heap core while claiming
-    /// calendar coverage.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("AMACL_QUEUE_CORE").ok().as_deref())
-            .unwrap_or_else(|e| panic!("AMACL_QUEUE_CORE: {e}"))
-    }
-
-    /// [`QueueCoreKind::from_env`]'s pure core: `None` (unset) means
-    /// the heap default; a set value must parse.
-    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None => Ok(QueueCoreKind::Heap),
-            Some(v) => v.parse(),
-        }
-    }
-
     /// Both cores, in a stable order — for sweeps that compare them.
     pub fn all() -> [QueueCoreKind; 2] {
         [QueueCoreKind::Heap, QueueCoreKind::Calendar]
@@ -1021,16 +996,18 @@ mod tests {
         assert_eq!(QueueCoreKind::Heap.to_string(), "heap");
     }
 
+    /// Selecting a core by name (the `--queue` flag) is exact: the
+    /// default is the heap, and a typo is an error rather than a silent
+    /// fall back to it.
     #[test]
     fn env_selection_rejects_typos_instead_of_falling_back() {
-        // (Pure helper — no env mutation, safe under parallel tests.)
-        assert_eq!(QueueCoreKind::from_env_value(None), Ok(QueueCoreKind::Heap));
+        assert_eq!(QueueCoreKind::default(), QueueCoreKind::Heap);
         assert_eq!(
-            QueueCoreKind::from_env_value(Some("calendar")),
+            "calendar".parse::<QueueCoreKind>(),
             Ok(QueueCoreKind::Calendar)
         );
         // A typo must surface, not silently void calendar coverage.
-        assert!(QueueCoreKind::from_env_value(Some("Calendar")).is_err());
-        assert!(QueueCoreKind::from_env_value(Some("calender")).is_err());
+        assert!("Calendar".parse::<QueueCoreKind>().is_err());
+        assert!("calender".parse::<QueueCoreKind>().is_err());
     }
 }

@@ -63,13 +63,10 @@
 use super::queue::EventId;
 use super::time::Time;
 
-/// Default shard count, honoring the `AMACL_SHARDS` environment
-/// variable.
+/// A validated shard count (at least 1; the default is serial, `1`).
 ///
-/// Mirrors `AMACL_QUEUE_CORE`: unset means serial (`1`), and a set
-/// value must parse as a positive integer — a typo must not silently
-/// run serial while claiming sharded coverage. CI uses the variable to
-/// run the whole test suite sharded without touching any call site.
+/// Parsing accepts only a positive integer, so a typo in a `--shards`
+/// flag is rejected rather than silently running serial.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ShardCount(usize);
 
@@ -91,28 +88,6 @@ impl ShardCount {
     pub fn get(self) -> usize {
         self.0
     }
-
-    /// The default shard count from the `AMACL_SHARDS` environment
-    /// variable (`1` when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to anything but a positive
-    /// integer: a typo must surface, not silently void sharded
-    /// coverage.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("AMACL_SHARDS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("AMACL_SHARDS: {e}"))
-    }
-
-    /// [`ShardCount::from_env`]'s pure core: `None` (unset) means
-    /// serial; a set value must parse.
-    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None => Ok(Self(1)),
-            Some(v) => v.parse(),
-        }
-    }
 }
 
 impl Default for ShardCount {
@@ -121,13 +96,11 @@ impl Default for ShardCount {
     }
 }
 
-/// Default worker-thread count for the parallel stepper, honoring the
-/// `AMACL_THREADS` environment variable.
+/// A validated worker-thread count for the parallel stepper (at least
+/// 1; the default is single-threaded stepping, `1`).
 ///
-/// Mirrors [`ShardCount`]/`AMACL_SHARDS`: unset means single-threaded
-/// stepping (`1`), and a set value must parse as a positive integer —
-/// a typo must not silently run serial while claiming threaded
-/// coverage. The engine runs at most `min(threads, shards)` workers:
+/// Like [`ShardCount`], parsing accepts only a positive integer. The
+/// engine runs at most `min(threads, shards)` workers:
 /// shards are the unit of parallelism, so extra threads never help and
 /// are not spawned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -150,28 +123,6 @@ impl ThreadCount {
     /// The raw count.
     pub fn get(self) -> usize {
         self.0
-    }
-
-    /// The default thread count from the `AMACL_THREADS` environment
-    /// variable (`1` when unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set to anything but a positive
-    /// integer: a typo must surface, not silently void threaded
-    /// coverage.
-    pub fn from_env() -> Self {
-        Self::from_env_value(std::env::var("AMACL_THREADS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("AMACL_THREADS: {e}"))
-    }
-
-    /// [`ThreadCount::from_env`]'s pure core: `None` (unset) means
-    /// single-threaded; a set value must parse.
-    fn from_env_value(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None => Ok(Self(1)),
-            Some(v) => v.parse(),
-        }
     }
 }
 
@@ -357,13 +308,15 @@ mod tests {
         assert!(ShardCount::new(0).is_err());
     }
 
+    /// Selecting a shard count by name (the `--shards` flag) is exact:
+    /// the default is 1, and a typo is an error rather than a silent
+    /// fall back to it.
     #[test]
     fn env_selection_rejects_typos_instead_of_falling_back() {
-        // (Pure helper — no env mutation, safe under parallel tests.)
-        assert_eq!(ShardCount::from_env_value(None).unwrap().get(), 1);
-        assert_eq!(ShardCount::from_env_value(Some("7")).unwrap().get(), 7);
-        assert!(ShardCount::from_env_value(Some("0")).is_err());
-        assert!(ShardCount::from_env_value(Some("two")).is_err());
+        assert_eq!(ShardCount::default().get(), 1);
+        assert_eq!("7".parse::<ShardCount>().unwrap().get(), 7);
+        assert!("0".parse::<ShardCount>().is_err());
+        assert!("two".parse::<ShardCount>().is_err());
     }
 
     #[test]
@@ -377,13 +330,15 @@ mod tests {
         assert!(ThreadCount::new(0).is_err());
     }
 
+    /// Selecting a worker count by name (the `--threads` flag) is
+    /// exact: the default is 1, and a typo is an error rather than a
+    /// silent fall back to it.
     #[test]
     fn thread_env_selection_rejects_typos_instead_of_falling_back() {
-        // (Pure helper — no env mutation, safe under parallel tests.)
-        assert_eq!(ThreadCount::from_env_value(None).unwrap().get(), 1);
-        assert_eq!(ThreadCount::from_env_value(Some("7")).unwrap().get(), 7);
-        assert!(ThreadCount::from_env_value(Some("0")).is_err());
-        assert!(ThreadCount::from_env_value(Some("two")).is_err());
+        assert_eq!(ThreadCount::default().get(), 1);
+        assert_eq!("7".parse::<ThreadCount>().unwrap().get(), 7);
+        assert!("0".parse::<ThreadCount>().is_err());
+        assert!("two".parse::<ThreadCount>().is_err());
     }
 
     #[test]
