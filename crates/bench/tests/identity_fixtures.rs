@@ -1,11 +1,17 @@
 //! Byte-identity fixtures for the memory-lean engine layout.
 //!
-//! The hashes below were recorded from the pre-arena engine over a
-//! deterministic family of random workload descriptors. Every run
+//! Two families of golden digests. The wPAXOS hashes were recorded
+//! from the pre-arena engine over a deterministic family of random
+//! workload descriptors (n <= 23, timed crashes only). The Two-Phase
+//! hashes were recorded from the per-delivery queue layout on wide
+//! cliques (fan-out 32 and 63) with no crash, a timed crash, and a
+//! broadcast cut off mid-run, so the per-broadcast delivery runs are
+//! pinned where they matter: wide fan-out and a sender crash that
+//! voids the unfired part of a run. Every run
 //! folds the rendered trace, the run report (outcome, decisions,
 //! deterministic metrics), and the
 //! decision-latency histogram into one FNV-1a digest; the tests demand
-//! that the arena-backed engine reproduces those digests bit for bit
+//! that the engine reproduces those digests bit for bit
 //! across both queue cores × shards {1, 2, 3, 7} × threads {1, 4}.
 //!
 //! Rerecording (only legitimate when a PR *intends* an observable
@@ -13,6 +19,7 @@
 //! amacl-bench --test identity_fixtures -- --nocapture` prints the
 //! replacement table.
 
+use amacl_core::two_phase::TwoPhase;
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::prelude::*;
 use amacl_model::sim::trace::TraceEvent;
@@ -97,15 +104,19 @@ fn build(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> S
         .build()
 }
 
-/// Runs one descriptor at `(core, shards, threads)` and digests
+/// Runs one descriptor at `(core, shards, threads)` and digests it.
+fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> u64 {
+    digest(&mut build(d, core, shards, threads))
+}
+
+/// Runs `sim` and digests
 /// everything the byte-identity contract covers: the rendered trace,
 /// the report, and the decision-latency histogram. Shard/thread
 /// bookkeeping counters (cross-shard deliveries, window advances,
 /// mailbox flushes, bucket overflows) legitimately vary per
 /// configuration and are excluded — exactly like the engine's own
 /// identity tests.
-fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize) -> u64 {
-    let mut sim = build(d, core, shards, threads);
+fn digest<P: Process>(sim: &mut Sim<P>) -> u64 {
     let report = sim.run();
 
     let mut h = FNV_OFFSET;
@@ -201,6 +212,122 @@ fn arena_engine_matches_prearena_fixtures() {
         panic!("capture mode: fixtures printed above, not asserted");
     }
     assert_eq!(descs.len(), FIXTURES.len());
+}
+
+/// One Two-Phase fixture: a clique, and which crash (if any) it runs
+/// under. Fan-out is `n - 1`, so every broadcast schedules 32 or 63
+/// deliveries plus its ack.
+#[derive(Clone, Copy, Debug)]
+enum TpCrash {
+    None,
+    /// Slot `n / 2` crashes at tick 5, inside its phase-1 broadcast.
+    AtTime,
+    /// Slot 1's phase-1 broadcast reaches `(n - 1) / 2` of its
+    /// neighbours; the sender crashes and the rest is voided.
+    MidBroadcast,
+}
+
+const TP_CASES: &[(usize, TpCrash)] = &[
+    (33, TpCrash::None),
+    (33, TpCrash::AtTime),
+    (33, TpCrash::MidBroadcast),
+    (64, TpCrash::None),
+    (64, TpCrash::AtTime),
+    (64, TpCrash::MidBroadcast),
+];
+
+/// Builds one traced Two-Phase fixture run at `(core, shards,
+/// threads)`: alternating inputs, `F_ack` 8.
+fn build_two_phase(
+    (n, crash): (usize, TpCrash),
+    core: QueueCoreKind,
+    shards: usize,
+    threads: usize,
+) -> Sim<TwoPhase> {
+    let specs = match crash {
+        TpCrash::None => vec![],
+        TpCrash::AtTime => vec![CrashSpec::AtTime {
+            slot: Slot(n / 2),
+            time: Time(5),
+        }],
+        TpCrash::MidBroadcast => vec![CrashSpec::MidBroadcast {
+            slot: Slot(1),
+            nth_broadcast: 0,
+            delivered: (n - 1) / 2,
+        }],
+    };
+    SimBuilder::new(Topology::clique(n), |s| {
+        TwoPhase::new((s.index() % 2) as Value)
+    })
+    .scheduler(RandomScheduler::new(8, 0x7E0 + n as u64))
+    .queue_core(core)
+    .shards(shards)
+    .threads(threads)
+    .seed(n as u64)
+    .crashes(CrashPlan::new(specs))
+    .message_id_budget(10)
+    .trace(true)
+    .build()
+}
+
+/// Golden Two-Phase digests, one per [`TP_CASES`] row, recorded from
+/// the per-delivery queue layout (one queue entry per delivery).
+const TWO_PHASE_FIXTURES: &[u64] = &[
+    0x4648E5E722B4718A,
+    0x4B83B89AF2ACDC85,
+    0x4C683FBDECFD86B7,
+    0x2139BA58F3FB5347,
+    0xE0D6EC1793E9AC63,
+    0xB9D05CACA1F3D9FA,
+];
+
+#[test]
+fn two_phase_matches_recorded_fixtures() {
+    let capture = std::env::var("AMACL_CAPTURE_FIXTURES").is_ok();
+    let mut recorded = Vec::new();
+    for (i, &case) in TP_CASES.iter().enumerate() {
+        let mut sim = build_two_phase(case, QueueCoreKind::Heap, 1, 1);
+        let reference = digest(&mut sim);
+        recorded.push(reference);
+        // Each crash plan must really fire, and the mid-broadcast one
+        // must void part of a run, or the row pins nothing.
+        let m = sim.metrics();
+        let deg = case.0 as u64 - 1;
+        match case.1 {
+            TpCrash::None => assert_eq!(m.crashes, 0),
+            TpCrash::AtTime => assert_eq!(m.crashes, 1, "case {i}"),
+            TpCrash::MidBroadcast => {
+                assert_eq!(m.crashes, 1, "case {i}");
+                assert_eq!(m.queue_cancellations, deg - deg / 2 + 1, "case {i}");
+            }
+        }
+        if !capture {
+            assert_eq!(
+                reference, TWO_PHASE_FIXTURES[i],
+                "two-phase case {i} ({case:?}) diverged from the recorded digest"
+            );
+        }
+        for core in QueueCoreKind::all() {
+            for &s in SHARD_GRID {
+                for &t in THREAD_GRID {
+                    let got = digest(&mut build_two_phase(case, core, s, t));
+                    assert_eq!(
+                        got, reference,
+                        "two-phase case {i} ({case:?}) diverged at core={core} shards={s} threads={t}"
+                    );
+                }
+            }
+        }
+    }
+    if capture {
+        println!("const TWO_PHASE_FIXTURES: &[u64] = &[");
+        for h in &recorded {
+            println!("    0x{h:016X},");
+        }
+        println!("];");
+        panic!("capture mode: fixtures printed above, not asserted");
+    }
+    assert_eq!(TP_CASES.len(), TWO_PHASE_FIXTURES.len());
 }
 
 /// Arena clones are custody-protocol facts, not noise: one per shared

@@ -127,6 +127,20 @@ fn cases() -> Vec<Case> {
         case("two-phase", Topology::clique(6), 4, vec![], |s| {
             TwoPhase::new(alt(s))
         }),
+        // Slot 2's first broadcast stops after 11 of its 23
+        // deliveries: at S = 2 and S = 4 the voided remainder is split
+        // across shards, part of it still in transit in a mailbox.
+        case(
+            "two-phase/mid-broadcast",
+            Topology::clique(24),
+            4,
+            vec![CrashSpec::MidBroadcast {
+                slot: Slot(2),
+                nth_broadcast: 0,
+                delivered: 11,
+            }],
+            |s| TwoPhase::new(alt(s)),
+        ),
         case("bitwise", Topology::clique(5), 4, vec![], |s| {
             BitwiseTwoPhase::new((s.index() * 3 % 8) as Value, 3)
         }),
