@@ -3,7 +3,7 @@
 //!
 //! One [`PayloadArena`] exists per shard; every payload a broadcast
 //! puts in flight lives in exactly one arena — the shard that will
-//! consume it. Queue entries and imported-payload tables hold
+//! consume it. Delivery runs and in-flight records hold
 //! [`PayloadHandle`]s (a slot index plus a generation stamp) instead
 //! of deep payload clones, so the per-event hot structures stay
 //! word-sized and payload copies happen only when two live consumers
@@ -33,8 +33,8 @@
 
 /// Handle to one payload stored in a [`PayloadArena`]: a slot index
 /// plus the generation stamp the slot had when the payload was
-/// inserted. Copyable and word-sized — this is what event records and
-/// imported tables carry instead of payload clones.
+/// inserted. Copyable and word-sized — this is what delivery runs and
+/// in-flight records carry instead of payload clones.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PayloadHandle {
     slot: u32,

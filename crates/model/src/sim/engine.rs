@@ -7,10 +7,29 @@
 //! receive/ack events on the queue,
 //! and lets the ledger answer the semantic questions (is this node
 //! crashed, does a planned mid-broadcast crash interrupt this
-//! broadcast). When a sender crashes, its in-flight broadcast's
-//! remaining events are *cancelled* on the queue (O(1) tombstones)
-//! rather than popped-and-skipped, which keeps the hot loop free of
-//! per-event liveness checks.
+//! broadcast).
+//!
+//! # Delivery runs
+//!
+//! The abstract MAC layer allows each node one outstanding broadcast,
+//! delivered to every neighbor within `F_ack` and then acked. The
+//! engine therefore does not queue deliveries one by one: a
+//! broadcast's deliveries into one shard form a **run**, sorted by
+//! `(time, id)`, and the queue holds only the run's head — keyed by
+//! its next delivery — beside the acks and crash timers. Popping a
+//! head yields that delivery and re-pushes the run under its next
+//! entry, so the queue holds at most one head per broadcast and shard
+//! plus one ack per node instead of one entry per delivery. Every
+//! delivery still gets its own event id, allocated in neighbor order
+//! before the ack's, so the global `(time, class, id)` pop order is
+//! exactly what one queue entry per delivery would give.
+//!
+//! When a sender crashes, its in-flight broadcast's
+//! remaining events are *cancelled* (an O(1) tombstone on the ack and
+//! on each run head) rather than popped-and-skipped, which keeps the
+//! hot loop free of per-event liveness checks;
+//! [`Metrics::queue_cancellations`] still counts every voided
+//! delivery.
 //!
 //! # Sharded execution
 //!
@@ -46,8 +65,9 @@
 //! window each worker flushes its shard's inbound mailboxes, drains
 //! its queue up to the window end, and runs its events — process
 //! callbacks included — against its cells; cross-shard effects only
-//! ever travel as typed messages (mailbox entries and per-destination
-//! imported payload clones), never as writes into another shard's
+//! ever travel as typed messages (run heads in mailboxes, and the
+//! runs and payload clones the single-threaded commit opens in the
+//! destination cell), never as writes into another shard's
 //! cell.
 //!
 //! A pool-executed window is three barrier rounds — descriptor
@@ -76,26 +96,28 @@
 //! state (no crash events, no armed mid-broadcast crash machinery, no
 //! horizon or event-limit crossing, at least one undecided node
 //! untouched); otherwise the drained events are pushed back — ids
-//! intact — and the window falls back to the merged single-threaded
+//! intact, every run the drain advanced rewound to its first drained
+//! delivery — and the window falls back to the merged single-threaded
 //! drain.
 //!
 //! Hot-path state is laid out densely: in-flight broadcasts live in a
-//! per-slot table (no hash maps anywhere in the loop), the event-id
-//! vectors they carry are pooled across broadcasts, and payloads live
+//! per-slot table and runs in a per-shard slab whose records keep
+//! their entry buffers across broadcasts (no hash maps anywhere in
+//! the loop), and payloads live
 //! in per-shard generation-indexed arenas ([`super::arena`]) that
-//! events reference by word-sized handle. The arena's refcounting
+//! runs reference by word-sized handle, one reference per pending
+//! delivery. The arena's refcounting
 //! makes copies minimal and observable ([`Metrics::payload_clones`] /
 //! [`Metrics::payload_moves`]): the final consumer of a payload moves
 //! it out, earlier shared consumers clone, and deliveries to crashed
-//! receivers never touch it. Cross-shard broadcasts import **one**
-//! clone per destination shard into that shard's arena at schedule
-//! time — shared by refcount among the shard's deliveries — so a
-//! worker never reads another shard's in-flight entries. The queue
+//! receivers never touch it. A cross-shard run holds **one**
+//! clone of the payload in its destination shard's arena, made at
+//! schedule time and shared by refcount among the run's deliveries,
+//! so a worker never reads another shard's in-flight entries. The queue
 //! core itself is selectable per [`SimBuilder::queue_core`]; see
 //! [`super::queue`] for the two implementations.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
@@ -451,11 +473,10 @@ impl<P: Process> SimBuilder<P> {
                 let r = shard_map.slots_of(shard);
                 let len = r.end - r.start;
                 ShardCell {
-                    shard,
                     base: r.start,
                     queue: queues.next().expect("one queue per shard"),
                     inbox: (0..nshards).map(|_| Mailbox::new()).collect(),
-                    imported: HashMap::new(),
+                    runs: Runs::new(n),
                     arena: PayloadArena::new(),
                     pending: Vec::new(),
                     crashed: (r.start..r.end).map(|i| ledger.is_crashed(i)).collect(),
@@ -464,7 +485,7 @@ impl<P: Process> SimBuilder<P> {
                     ts_seqs: vec![0; len],
                     rngs: rngs.by_ref().take(len).collect(),
                     outstanding: vec![None; len],
-                    inflight: (0..len).map(|_| Vec::new()).collect(),
+                    inflight: vec![None; len],
                     scratch: ShardScratch::default(),
                     out: ShardWindowOut::default(),
                 }
@@ -487,15 +508,13 @@ impl<P: Process> SimBuilder<P> {
             core: Core {
                 scheduler: self.scheduler,
                 next_event_id,
-                mailbox_cancels: 0,
-                current_shard: 0,
+                uncounted_cancels: 0,
                 ledger,
                 now: Time::ZERO,
                 started: false,
                 bcast_seq: 0,
-                events_pool: Vec::new(),
                 neighbor_scratch: Vec::new(),
-                import_scratch: vec![None; nshards],
+                delivery_scratch: Vec::new(),
                 defer_local_pushes: false,
                 engine_rng: SmallRng::seed_from_u64(seed.wrapping_add(0xA5A5_5A5A)),
                 undecided,
@@ -509,17 +528,162 @@ impl<P: Process> SimBuilder<P> {
     }
 }
 
-/// One in-flight broadcast: its id, the arena handle of the shared
-/// payload (the refcount lives with the payload in the sender shard's
-/// [`PayloadArena`]), and its events' `(id, destination shard)` pairs
-/// (for bulk cancellation when the sender crashes — the shard routes
-/// the cancel to the right queue or mailbox). The entry exists exactly
-/// as long as the arena slot is live: the step that consumes the last
-/// own-shard reference removes both.
+/// A node's outstanding broadcast, as its own shard sees it: the
+/// arena handle of the payload (holding the ack's reference plus one
+/// per own-shard delivery) and the ack's event id. Lives from the
+/// broadcast until its ack fires or a crash voids it, so the crash
+/// path finds both in O(1). Deliveries never touch it: each carries
+/// its payload handle in its [`Run`].
+#[derive(Clone, Copy)]
 struct InFlight {
-    bcast: u64,
     payload: PayloadHandle,
-    events: Vec<(EventId, u32)>,
+    ack: EventId,
+}
+
+/// One delivery of a [`Run`]: when it is due, the event id it was
+/// allocated (its place in the global `(time, class, id)` order), and
+/// its receiver.
+#[derive(Clone, Copy)]
+struct RunEntry {
+    time: Time,
+    id: u64,
+    to: u32,
+    unreliable: bool,
+}
+
+impl RunEntry {
+    /// The queue key this delivery pops under.
+    fn key(&self) -> (Time, u8, u64) {
+        (self.time, EventClass::Receive as u8, self.id)
+    }
+}
+
+/// One broadcast's deliveries into one shard, sorted by `(time, id)`
+/// — their global pop order. The event queue holds only the run's
+/// *head*, an [`EventKind::Receive`] for entry `cursor` keyed by that
+/// entry; popping it takes the delivery and re-pushes the run under
+/// its next entry. A crash voids the run by cancelling that one head.
+struct Run {
+    from: Slot,
+    bcast: BcastId,
+    /// This shard's handle on the payload: one arena reference per
+    /// pending entry (on the sender's own shard, the handle is shared
+    /// with the [`InFlight`] and the ack's reference).
+    payload: PayloadHandle,
+    /// Entries before `cursor` have been taken off the run; the head
+    /// stands for entry `cursor`.
+    cursor: usize,
+    entries: Vec<RunEntry>,
+}
+
+/// `Runs::by_sender` value for "no live run".
+const NO_RUN: u32 = u32::MAX;
+
+/// One shard's delivery runs: a slab of [`Run`] records recycled
+/// through a free list (a freed record keeps its entry buffer, so
+/// steady-state broadcasting allocates nothing), plus each sender's
+/// newest run here — how a crash finds the runs it voids.
+struct Runs {
+    slab: Vec<Run>,
+    free: Vec<u32>,
+    /// Per global sender slot: its newest live run on this shard, or
+    /// [`NO_RUN`]. A sender has at most one live run per broadcast
+    /// here, and only its outstanding broadcast's can be voided.
+    by_sender: Vec<u32>,
+}
+
+impl Runs {
+    fn new(n: usize) -> Self {
+        Self {
+            slab: Vec::new(),
+            free: Vec::new(),
+            by_sender: vec![NO_RUN; n],
+        }
+    }
+
+    /// Stores a run of `entries` (already sorted) and returns its
+    /// index.
+    fn open(
+        &mut self,
+        from: Slot,
+        bcast: BcastId,
+        payload: PayloadHandle,
+        entries: &[(u32, RunEntry)],
+    ) -> u32 {
+        let entries = entries.iter().map(|&(_, e)| e);
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                let run = &mut self.slab[idx as usize];
+                run.from = from;
+                run.bcast = bcast;
+                run.payload = payload;
+                run.cursor = 0;
+                run.entries.clear();
+                run.entries.extend(entries);
+                idx
+            }
+            None => {
+                self.slab.push(Run {
+                    from,
+                    bcast,
+                    payload,
+                    cursor: 0,
+                    entries: entries.collect(),
+                });
+                u32::try_from(self.slab.len() - 1).expect("run slab fits u32")
+            }
+        };
+        self.by_sender[from.0] = idx;
+        idx
+    }
+
+    /// Takes entry `k` — the head that just popped — off `run` and
+    /// returns the run's next head, if it has one.
+    fn advance(&mut self, run: u32, k: u32) -> Option<((Time, u8, u64), EventKind)> {
+        let r = &mut self.slab[run as usize];
+        debug_assert_eq!(r.cursor, k as usize, "run head out of step");
+        r.cursor += 1;
+        r.entries
+            .get(r.cursor)
+            .map(|e| (e.key(), EventKind::Receive { run, k: k + 1 }))
+    }
+
+    /// Puts entry `k` back at the head of `run` (a refused parallel
+    /// window). Returns `true` for the run's earliest drained entry —
+    /// the one whose head must be pushed back.
+    fn rewind(&mut self, run: u32, k: u32) -> bool {
+        let r = &mut self.slab[run as usize];
+        let first = r.cursor > k as usize;
+        if first {
+            r.cursor = k as usize;
+        }
+        first
+    }
+
+    /// The live run of `sender`'s broadcast `bcast` on this shard.
+    fn live(&self, sender: Slot, bcast: BcastId) -> Option<u32> {
+        let idx = self.by_sender[sender.0];
+        (idx != NO_RUN && self.slab[idx as usize].bcast == bcast).then_some(idx)
+    }
+
+    fn release(&mut self, run: u32) {
+        let from = self.slab[run as usize].from;
+        if self.by_sender[from.0] == run {
+            self.by_sender[from.0] = NO_RUN;
+        }
+        self.free.push(run);
+    }
+}
+
+/// One delivery taken off a run, payload custody settled.
+struct Delivery<M> {
+    to: Slot,
+    from: Slot,
+    bcast: BcastId,
+    unreliable: bool,
+    /// The message, or `None` when the receiver has crashed (the
+    /// reference was discarded without a copy).
+    msg: Option<M>,
 }
 
 /// Placeholder a parallel-window worker installs in `outstanding`
@@ -545,8 +709,14 @@ struct StepRec<M> {
 struct ShardScratch<M> {
     /// Events drained for the current window, in shard-local key
     /// order, with their full ordering keys (needed both for the
-    /// commit merge and to push them back verbatim on gate failure).
+    /// commit merge and to push them back on gate failure). A
+    /// delivery is drained as its run head; the run has already been
+    /// advanced past it.
     drained: Vec<((Time, u8, u64), EventKind)>,
+    /// Heads of runs the drain advanced whose next entry lies beyond
+    /// the window: pushed when the window commits, dropped (the runs
+    /// rewound instead) when it is refused.
+    parked: Vec<((Time, u8, u64), EventKind)>,
     /// Step records for the ordered commit (key-sorted by
     /// construction).
     records: Vec<StepRec<M>>,
@@ -563,6 +733,7 @@ impl<M> Default for ShardScratch<M> {
     fn default() -> Self {
         Self {
             drained: Vec::new(),
+            parked: Vec::new(),
             records: Vec::new(),
             trace_buf: Vec::new(),
             touched: Vec::new(),
@@ -592,13 +763,12 @@ struct ShardWindowOut {
 #[derive(Clone, Copy)]
 struct WorkerEnv<'a> {
     ids: &'a [NodeId],
-    shard_map: &'a ShardMap,
     budget: Option<usize>,
     trace_enabled: bool,
 }
 
 /// Everything one shard owns: its event queue, inbound mailbox row,
-/// payload arena, imported-payload table, deferred local pushes, and
+/// payload arena, delivery runs, deferred local pushes, and
 /// the shard's slice of every slot-indexed hot table (`slot − base`
 /// indexes the vectors). The engine is a `Vec<ShardCell>` plus the
 /// global [`Core`]; during a parallel window each cell sits behind a
@@ -606,7 +776,6 @@ struct WorkerEnv<'a> {
 /// and the lock discipline together enforce that a worker cannot
 /// reach another shard's state even by bug.
 struct ShardCell<P: Process> {
-    shard: usize,
     /// First slot of the shard's contiguous range.
     base: usize,
     queue: EventQueue<EventKind>,
@@ -614,16 +783,15 @@ struct ShardCell<P: Process> {
     /// itself stays empty — own-shard traffic goes straight to the
     /// queue or through `pending`).
     inbox: Vec<Mailbox<EventKind>>,
-    /// Imported cross-shard payloads: event id → handle into this
-    /// shard's arena. A cross-shard `Receive` takes its payload from
-    /// here instead of the sender's in-flight entry, so a worker
-    /// never reads another shard's tables; a broadcast clones its
-    /// payload **once per destination shard** (not per event) and the
-    /// shard's deliveries share the slot by refcount. Serial runs
-    /// never populate it.
-    imported: HashMap<EventId, PayloadHandle>,
+    /// The delivery runs whose receivers live on this shard, one per
+    /// broadcast that reaches it. A run carries its own payload
+    /// handle into this shard's arena, so a worker never reads
+    /// another shard's tables.
+    runs: Runs,
     /// This shard's payload arena — its own senders' in-flight
-    /// payloads plus its imported cross-shard clones. All inserts
+    /// payloads plus one clone per cross-shard run: a broadcast
+    /// clones its payload **once per destination shard** (not per
+    /// delivery) and the run's entries share it by refcount. All inserts
     /// happen on the single-threaded coordinator paths; a parallel
     /// window's worker only releases references on its own arena.
     arena: PayloadArena<P::Msg>,
@@ -640,13 +808,9 @@ struct ShardCell<P: Process> {
     ts_seqs: Vec<u64>,
     rngs: Vec<SmallRng>,
     outstanding: Vec<Option<BcastId>>,
-    /// In-flight broadcasts, densely indexed by the *sender's* local
-    /// slot. Each node has at most one outstanding broadcast, so the
-    /// inner vector holds one entry in the common case; a second
-    /// appears only while an already-acked broadcast still has
-    /// unreliable-overlay deliveries pending. Lookups are positional
-    /// scans of these tiny vectors — no hashing on the hot path.
-    inflight: Vec<Vec<InFlight>>,
+    /// Each local slot's outstanding broadcast until its ack (or the
+    /// crash that voids it); no hashing on the hot path.
+    inflight: Vec<Option<InFlight>>,
     /// Worker scratch (drained events, step records, trace spans),
     /// reused across parallel windows.
     scratch: ShardScratch<P::Msg>,
@@ -685,6 +849,17 @@ impl<P: Process> ShardCell<P> {
                 break;
             }
             let ev = queue.pop().expect("peeked");
+            if let EventKind::Receive { run, k } = ev.payload {
+                // The run's next head joins this drain when it is due
+                // inside the window; otherwise it waits for the gate.
+                if let Some((next, head)) = self.runs.advance(run, k) {
+                    if next.0 <= window_end {
+                        queue.push_at(next.0, next.1, EventId(next.2), head);
+                    } else {
+                        self.scratch.parked.push((next, head));
+                    }
+                }
+            }
             self.scratch.drained.push((key, ev.payload));
         }
         // Gate statistics. Event targets are always shard-local, so
@@ -696,11 +871,17 @@ impl<P: Process> ShardCell<P> {
         let mut crash = false;
         let mut fresh = 0u64;
         for (_, ev) in &self.scratch.drained {
-            if matches!(ev, EventKind::Crash { .. }) {
-                crash = true;
-                continue;
-            }
-            let li = ev.target().0 - self.base;
+            let target = match *ev {
+                EventKind::Crash { .. } => {
+                    crash = true;
+                    continue;
+                }
+                EventKind::Receive { run, k } => {
+                    self.runs.slab[run as usize].entries[k as usize].to as usize
+                }
+                EventKind::Ack { node, .. } => node.0,
+            };
+            let li = target - self.base;
             if self.decisions[li].is_none() && !self.crashed[li] && !self.scratch.touched[li] {
                 self.scratch.touched[li] = true;
                 self.scratch.touched_list.push(li);
@@ -723,6 +904,9 @@ impl<P: Process> ShardCell<P> {
     /// key order, accumulating step records for the ordered commit.
     fn phase2_commit(&mut self, env: &WorkerEnv<'_>) {
         let t0 = Instant::now();
+        for (key, head) in self.scratch.parked.drain(..) {
+            self.queue.push_at(key.0, key.1, EventId(key.2), head);
+        }
         let mut drained = std::mem::take(&mut self.scratch.drained);
         for (key, ev) in drained.drain(..) {
             self.run_step(key, ev, env);
@@ -733,17 +917,26 @@ impl<P: Process> ShardCell<P> {
 
     /// Phase 2, gate failed: push every drained event back, keys and
     /// ids intact, so the merged fallback replays the window in the
-    /// exact serial order.
+    /// exact serial order. Each advanced run is rewound to its
+    /// earliest drained entry and its head pushed back there, so a
+    /// crash in the fallback still voids every delivery the window
+    /// took off it.
     fn phase2_abort(&mut self) {
         let t0 = Instant::now();
+        self.scratch.parked.clear();
         for ((time, class, id), ev) in self.scratch.drained.drain(..) {
+            if let EventKind::Receive { run, k } = ev {
+                if !self.runs.rewind(run, k) {
+                    continue;
+                }
+            }
             self.queue.push_at(time, class, EventId(id), ev);
         }
         self.out.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 
     /// The shard-local half of one engine step — mirrors
-    /// `handle_receive`/`handle_ack`/`dispatch` against the shard's
+    /// `handle_delivery`/`handle_ack`/`dispatch` against the shard's
     /// tables, deferring broadcast scheduling and trace assembly to
     /// the ordered commit via a [`StepRec`].
     fn run_step(&mut self, key: (Time, u8, u64), ev: EventKind, env: &WorkerEnv<'_>) {
@@ -753,53 +946,19 @@ impl<P: Process> ShardCell<P> {
         let trace_start = self.scratch.trace_buf.len();
         let broadcast = match ev {
             EventKind::Crash { .. } => unreachable!("crash events force the merged fallback"),
-            EventKind::Receive {
-                to,
-                from,
-                bcast,
-                unreliable,
-            } => {
-                let to_crashed = self.crashed[to.0 - self.base];
-                let msg = if env.shard_map.shard_of(from.0) == self.shard {
-                    let li = from.0 - self.base;
-                    let idx = self.inflight[li]
-                        .iter()
-                        .position(|e| e.bcast == bcast.0)
-                        .expect("message for pending delivery");
-                    let h = self.inflight[li][idx].payload;
-                    let (msg, last) = if to_crashed {
-                        (None, self.arena.discard(h))
-                    } else {
-                        let (m, last) = self.arena.release(h);
-                        (Some(m), last)
-                    };
-                    if last {
-                        // Final shard-local reference: the arena slot
-                        // is free and the entry retires with it. (The
-                        // events vec is dropped, not pooled — the pool
-                        // lives with the coordinator.)
-                        self.inflight[li].swap_remove(idx);
-                    }
-                    msg
-                } else {
-                    let h = self
-                        .imported
-                        .remove(&EventId(key.2))
-                        .expect("imported payload for cross-shard delivery");
-                    if to_crashed {
-                        self.arena.discard(h);
-                        None
-                    } else {
-                        Some(self.arena.release(h).0)
-                    }
-                };
-                if to_crashed {
-                    // `note_delivery` is skipped: windows only run in
-                    // parallel when no mid-broadcast crash machinery
-                    // is armed, which makes it a guaranteed no-op.
-                    return;
-                }
-                let msg = msg.expect("payload for a live receiver");
+            EventKind::Receive { run, k } => {
+                let Delivery {
+                    to,
+                    from,
+                    unreliable,
+                    msg,
+                    ..
+                } = self.take_delivery(run, k);
+                // A crashed receiver: `note_delivery` is skipped,
+                // because windows only run in parallel when no
+                // mid-broadcast crash machinery is armed, which makes
+                // it a guaranteed no-op.
+                let Some(msg) = msg else { return };
                 if unreliable {
                     self.out.unreliable_deliveries += 1;
                 } else {
@@ -816,16 +975,7 @@ impl<P: Process> ShardCell<P> {
                 self.dispatch_step(to, time, env, |p, ctx| p.on_receive(msg, ctx))
             }
             EventKind::Ack { node, bcast } => {
-                let li = node.0 - self.base;
-                if let Some(idx) = self.inflight[li].iter().position(|e| e.bcast == bcast.0) {
-                    let h = self.inflight[li][idx].payload;
-                    if self.arena.discard(h) {
-                        self.inflight[li].swap_remove(idx);
-                    }
-                }
-                debug_assert!(!self.crashed[li], "ack for a crashed node");
-                debug_assert_eq!(self.outstanding[li], Some(bcast));
-                self.outstanding[li] = None;
+                self.retire_ack(node, bcast);
                 self.out.acks += 1;
                 if env.trace_enabled {
                     self.scratch
@@ -844,6 +994,49 @@ impl<P: Process> ShardCell<P> {
                 trace_end,
             });
         }
+    }
+
+    /// Consumes delivery `k` of `run` (already taken off the run):
+    /// releases its payload reference — the message moves out on the
+    /// last reference, is cloned otherwise, and is never copied for a
+    /// crashed receiver — and frees the run after its last entry.
+    fn take_delivery(&mut self, run: u32, k: u32) -> Delivery<P::Msg> {
+        let r = &self.runs.slab[run as usize];
+        let e = r.entries[k as usize];
+        let (from, bcast, h) = (r.from, r.bcast, r.payload);
+        let last = k as usize + 1 == r.entries.len();
+        let to = Slot(e.to as usize);
+        let msg = if self.crashed[to.0 - self.base] {
+            self.arena.discard(h);
+            None
+        } else {
+            Some(self.arena.release(h).0)
+        };
+        if last {
+            self.runs.release(run);
+        }
+        Delivery {
+            to,
+            from,
+            bcast,
+            unreliable: e.unreliable,
+            msg,
+        }
+    }
+
+    /// Settles `node`'s broadcast `bcast` at its ack: the in-flight
+    /// record retires and the ack's payload reference is dropped
+    /// (deliveries still pending on an unreliable overlay keep theirs
+    /// through their run).
+    fn retire_ack(&mut self, node: Slot, bcast: BcastId) {
+        let li = node.0 - self.base;
+        let f = self.inflight[li].take().expect("acked broadcast in flight");
+        self.arena.discard(f.payload);
+        // A crashed sender's ack event is cancelled with its
+        // broadcast, so this only fires for live nodes.
+        debug_assert!(!self.crashed[li], "ack for a crashed node");
+        debug_assert_eq!(self.outstanding[li], Some(bcast));
+        self.outstanding[li] = None;
     }
 
     /// Runs one process callback against the shard's tables; returns
@@ -1062,26 +1255,20 @@ struct Core {
     /// deterministic `(time, class, seq)` tie-break, so they must be
     /// allocated in scheduling order across all shards.
     next_event_id: u64,
-    /// Cancellations that caught their event in a mailbox (in transit
-    /// between shards); folded into `queue_cancellations`.
-    mailbox_cancels: u64,
-    /// Shard whose event is currently being processed; routes the
-    /// events that processing schedules.
-    current_shard: u32,
+    /// Voided deliveries no queue tombstone counted: the entries
+    /// behind a cancelled run head, and every entry of a run caught
+    /// in a mailbox. Folded into `queue_cancellations`, which so
+    /// counts every voided event, one per delivery plus the ack.
+    uncounted_cancels: u64,
     ledger: BcastLedger,
     now: Time,
     started: bool,
     bcast_seq: u64,
-    /// Recycled event-id vectors (the per-broadcast cancellation
-    /// lists), so steady-state broadcasting allocates nothing.
-    events_pool: Vec<Vec<(EventId, u32)>>,
     /// Recycled neighbor-list buffer for `start_broadcast`.
     neighbor_scratch: Vec<Slot>,
-    /// Per-destination-shard scratch for `commit_broadcast_events`:
-    /// the arena handle this broadcast already imported into each
-    /// shard (so later deliveries to the same shard retain instead of
-    /// re-cloning). Cleared after every broadcast.
-    import_scratch: Vec<Option<PayloadHandle>>,
+    /// Recycled buffer `commit_broadcast_events` sorts one
+    /// broadcast's deliveries in, tagged with their destination shard.
+    delivery_scratch: Vec<(u32, RunEntry)>,
     /// True only while the ordered commit of a parallel window runs:
     /// routes own-shard pushes into the cells' `pending` staging.
     defer_local_pushes: bool,
@@ -1257,11 +1444,7 @@ impl<P: Process> Sim<P> {
         if self.core.ledger.is_crashed(slot.0) {
             return false;
         }
-        let shard = self.sh.shard_map.shard_of(slot.0) as u32;
-        self.exec(|ex| {
-            ex.core.current_shard = shard;
-            ex.dispatch(slot, f);
-        });
+        self.exec(|ex| ex.dispatch(slot, f));
         true
     }
 
@@ -1301,15 +1484,16 @@ impl<P: Process> Sim<P> {
         // loop yields, so reports always carry up-to-date figures. The
         // pushes figure is the engine-global allocator (every event
         // ever scheduled, on any shard); cancellations count tombstones
-        // on every shard's queue plus events caught in transit in a
-        // mailbox — together byte-identical to the serial figures.
+        // on every shard's queue plus the voided deliveries no
+        // tombstone stands for — together one per voided event,
+        // byte-identical to the serial figures.
         self.core.metrics.queue_pushes = self.core.next_event_id;
         self.core.metrics.queue_cancellations = self
             .cells
             .iter()
             .map(|c| c.queue.cancelled_total())
             .sum::<u64>()
-            + self.core.mailbox_cancels;
+            + self.core.uncounted_cancels;
         self.core.metrics.queue_bucket_overflows =
             self.cells.iter().map(|c| c.queue.bucket_overflows()).sum();
         // Payload-custody counters live in the per-shard arenas
@@ -1377,7 +1561,6 @@ impl<P: Process> Sim<P> {
         let core = &mut self.core;
         let env = WorkerEnv {
             ids: &sh.ids,
-            shard_map: &sh.shard_map,
             budget: sh.message_id_budget,
             trace_enabled,
         };
@@ -1496,13 +1679,11 @@ impl<P: Process> Sim<P> {
 
 impl<P: Process> Exec<'_, '_, P> {
     /// Starts every non-crashed process (first `run`/`run_until` call
-    /// only). Shared by every loop flavor; routing of the broadcasts
-    /// the starts issue follows `current_shard`.
+    /// only). Shared by every loop flavor.
     fn start_procs(&mut self) {
         self.core.started = true;
         for i in 0..self.sh.topo.len() {
             if !self.core.ledger.is_crashed(i) {
-                self.core.current_shard = self.sh.shard_map.shard_of(i) as u32;
                 self.dispatch(Slot(i), |p, ctx| p.on_start(ctx));
             }
         }
@@ -1539,7 +1720,7 @@ impl<P: Process> Exec<'_, '_, P> {
             let ev = self.cells[0].queue.pop().expect("peeked");
             self.core.now = ev.time;
             self.core.metrics.events += 1;
-            self.process_event(ev.id, ev.payload);
+            self.process_event(0, ev.payload);
         }
     }
 
@@ -1692,23 +1873,26 @@ impl<P: Process> Exec<'_, '_, P> {
             self.core.now = ev.time;
             self.core.metrics.events += 1;
             self.core.metrics.per_shard_events[shard] += 1;
-            self.core.current_shard = shard as u32;
-            self.process_event(ev.id, ev.payload);
+            self.process_event(shard, ev.payload);
         }
     }
 
-    /// One engine step: dispatch a popped event to its handler. The
-    /// per-shard step function every loop flavor shares. (`id` routes
-    /// cross-shard deliveries to their imported payload clone.)
-    fn process_event(&mut self, id: EventId, ev: EventKind) {
+    /// One engine step: dispatch an event popped off `shard`'s queue
+    /// to its handler. The per-shard step function every loop flavor
+    /// shares. A run head yields its delivery and re-pushes the run
+    /// under its next entry before the delivery runs, so the run is
+    /// back in the queue for anything the callback does (a crash that
+    /// voids it included).
+    fn process_event(&mut self, shard: usize, ev: EventKind) {
         match ev {
             EventKind::Crash { node } => self.handle_crash(node),
-            EventKind::Receive {
-                to,
-                from,
-                bcast,
-                unreliable,
-            } => self.handle_receive(id, to, from, bcast, unreliable),
+            EventKind::Receive { run, k } => {
+                let cell = &mut *self.cells[shard];
+                if let Some((key, head)) = cell.runs.advance(run, k) {
+                    cell.queue.push_at(key.0, key.1, EventId(key.2), head);
+                }
+                self.handle_delivery(shard, run, k);
+            }
             EventKind::Ack { node, bcast } => self.handle_ack(node, bcast),
         }
     }
@@ -1850,7 +2034,6 @@ impl<P: Process> Exec<'_, '_, P> {
             }
             if let Some((slot, msg)) = rec.broadcast.take() {
                 self.core.now = key.0;
-                self.core.current_shard = shard as u32;
                 self.commit_deferred_broadcast(slot, msg);
             }
         }
@@ -1869,59 +2052,30 @@ impl<P: Process> Exec<'_, '_, P> {
 }
 
 impl<P: Process> Exec<'_, '_, P> {
-    /// Allocates the next event id and routes `kind` at `time`: into
-    /// the owning shard's queue directly, or into the destination's
-    /// inbound mailbox when the target slot lives on another shard.
-    /// Returns the id and the destination shard (the cancellation
-    /// route).
-    fn schedule(&mut self, time: Time, kind: EventKind) -> (EventId, u32) {
-        let id = EventId(self.core.next_event_id);
+    /// Allocates the next engine-global event id.
+    fn alloc_id(&mut self) -> u64 {
+        let id = self.core.next_event_id;
         self.core.next_event_id += 1;
-        let class = kind.class();
-        if self.cells.len() == 1 {
-            self.cells[0].queue.push_at(time, class, id, kind);
-            return (id, 0);
-        }
-        let dst = self.sh.shard_map.shard_of(kind.target().0) as u32;
-        let src = self.core.current_shard;
-        if dst == src {
-            let cell = &mut *self.cells[dst as usize];
-            if self.core.defer_local_pushes {
-                // Parallel-window commit: own-shard pushes are staged
-                // here and flushed at the next window boundary,
-                // keeping queue mutation off the serial commit path.
-                // Not a mailbox flush — never counted.
-                cell.pending.push(MailEntry {
-                    time,
-                    class,
-                    id,
-                    payload: kind,
-                });
-            } else {
-                cell.queue.push_at(time, class, id, kind);
-            }
-        } else {
-            self.core.metrics.cross_shard_deliveries += 1;
-            self.cells[dst as usize].inbox[src as usize].push(MailEntry {
-                time,
-                class,
-                id,
-                payload: kind,
-            });
-        }
-        (id, dst)
+        id
     }
 
-    /// Cancels one scheduled event wherever it lives: on the
-    /// destination shard's queue (O(1) tombstone), or — when it is
-    /// still in transit between `src` and `dst` — in the mailbox. Ids
-    /// that already fired are a no-op in both places.
-    fn cancel_event(&mut self, id: EventId, dst: u32, src: u32) {
-        if self.cells[dst as usize].queue.cancel(id) {
-            return;
-        }
-        if dst != src && self.cells[dst as usize].inbox[src as usize].cancel(id) {
-            self.core.mailbox_cancels += 1;
+    /// Pushes an event onto `shard`'s own queue — or, while the
+    /// ordered commit of a parallel window runs, stages it in the
+    /// cell's `pending` for the next window-boundary flush, keeping
+    /// queue mutation off the serial commit path (not a mailbox
+    /// flush, never counted).
+    fn push_local(&mut self, shard: usize, time: Time, id: u64, kind: EventKind) {
+        let class = kind.class();
+        let cell = &mut *self.cells[shard];
+        if self.core.defer_local_pushes {
+            cell.pending.push(MailEntry {
+                time,
+                class,
+                id: EventId(id),
+                payload: kind,
+            });
+        } else {
+            cell.queue.push_at(time, class, EventId(id), kind);
         }
     }
 
@@ -1956,63 +2110,68 @@ impl<P: Process> Exec<'_, '_, P> {
         if was_undecided {
             self.core.undecided -= 1;
         }
-        if let Some(BcastId(b)) = outstanding {
-            self.cancel_broadcast(node, b);
+        if let Some(bcast) = outstanding {
+            self.cancel_broadcast(node, bcast);
         }
     }
 
-    /// Voids a crashed sender's in-flight broadcast: every still-
-    /// pending delivery and the ack are cancelled wherever they live —
-    /// queue tombstones on their destination shards, or removal from a
-    /// mailbox for entries still in transit — so they simply never
-    /// fire.
-    fn cancel_broadcast(&mut self, sender: Slot, bcast: u64) {
-        // All of this broadcast's events were scheduled from the
-        // sender's shard; that is the mailbox row to search for
-        // in-transit entries. Every still-pending own-shard reference
-        // dies with the sender's arena slot at once.
-        let src = self.sh.shard_map.shard_of(sender.0) as u32;
-        let entry = {
-            let cell = &mut *self.cells[src as usize];
+    /// Voids a crashed sender's in-flight broadcast: its ack and, on
+    /// every shard, the unfired rest of its run are cancelled — one
+    /// queue tombstone per run head, or removal from the mailbox for
+    /// a run still in transit — so they simply never fire. Each voided
+    /// delivery still counts as one cancellation.
+    fn cancel_broadcast(&mut self, sender: Slot, bcast: BcastId) {
+        // Every run of this broadcast was opened from the sender's
+        // shard; that is the mailbox row to search for runs in
+        // transit. The sender's own arena slot — the ack's reference
+        // and its own shard's deliveries — dies at once.
+        let src = self.sh.shard_map.shard_of(sender.0);
+        {
+            let cell = &mut *self.cells[src];
             let li = sender.0 - cell.base;
-            let Some(idx) = cell.inflight[li].iter().position(|e| e.bcast == bcast) else {
-                return;
+            let f = cell.inflight[li]
+                .take()
+                .expect("outstanding broadcast in flight");
+            cell.arena.discard_all(f.payload);
+            let cancelled = cell.queue.cancel(f.ack);
+            debug_assert!(cancelled, "pending ack missing from its sender's queue");
+        }
+        for shard in 0..self.cells.len() {
+            let cell = &mut *self.cells[shard];
+            let Some(run) = cell.runs.live(sender, bcast) else {
+                continue;
             };
-            let entry = cell.inflight[li].swap_remove(idx);
-            cell.arena.discard_all(entry.payload);
-            entry
-        };
-        for &(id, dst) in &entry.events {
-            self.cancel_event(id, dst, src);
-            if dst != src {
-                // Cross-shard deliveries hold a reference on the
-                // destination shard's imported arena slot; drop it
-                // with the event (the last one frees the slot).
-                let cell = &mut *self.cells[dst as usize];
-                if let Some(h) = cell.imported.remove(&id) {
-                    cell.arena.discard(h);
-                }
+            let r = &cell.runs.slab[run as usize];
+            let head = EventId(r.entries[r.cursor].id);
+            let voided = (r.entries.len() - r.cursor) as u64;
+            if cell.queue.cancel(head) {
+                self.core.uncounted_cancels += voided - 1;
+            } else {
+                let in_transit = cell.inbox[src].cancel(head);
+                debug_assert!(in_transit, "run head neither queued nor in transit");
+                self.core.uncounted_cancels += voided;
             }
-        }
-        self.recycle(entry.events);
-    }
-
-    /// Returns an event-id vector to the pool for reuse.
-    fn recycle(&mut self, mut events: Vec<(EventId, u32)>) {
-        if self.core.events_pool.len() < self.sh.topo.len() {
-            events.clear();
-            self.core.events_pool.push(events);
+            if shard != src {
+                // A cross-shard run owns its shard's payload clone.
+                cell.arena.discard_all(r.payload);
+            }
+            cell.runs.release(run);
         }
     }
 
-    fn handle_receive(
-        &mut self,
-        id: EventId,
-        to: Slot,
-        from: Slot,
-        bcast: BcastId,
-        unreliable: bool,
-    ) {
+    /// Runs delivery `k` of `run`, just taken off `shard`'s queue.
+    fn handle_delivery(&mut self, shard: usize, run: u32, k: u32) {
+        // The run carries the payload handle into this shard's arena
+        // (the sender's own slot, or the one clone a cross-shard run
+        // imported), so this step never reads the sender's shard —
+        // the parallel stepper's ownership contract.
+        let Delivery {
+            to,
+            from,
+            bcast,
+            unreliable,
+            msg,
+        } = self.cells[shard].take_delivery(run, k);
         // The receiver may have crashed after this delivery was
         // scheduled; the message is silently lost (and never cloned).
         // The lost delivery still consumes its slot in any
@@ -2021,59 +2180,12 @@ impl<P: Process> Exec<'_, '_, P> {
         // the contract shared with the threaded ether, whose prefix
         // over all neighbors likewise burns slots on dead receivers
         // (see Admission::PartialThenCrash).
-        let to_crashed = self.core.ledger.is_crashed(to.0);
-        let from_shard = self.sh.shard_map.shard_of(from.0);
-        let to_shard = self.sh.shard_map.shard_of(to.0);
-        let (msg, retired) = if from_shard == to_shard {
-            // Own-shard delivery: the sender's in-flight entry names
-            // the arena slot holding the payload (the common case,
-            // and the only case at S=1). The arena moves the payload
-            // out on the last reference, clones otherwise, and never
-            // copies for a crashed receiver.
-            let cell = &mut *self.cells[from_shard];
-            let li = from.0 - cell.base;
-            let idx = cell.inflight[li]
-                .iter()
-                .position(|e| e.bcast == bcast.0)
-                .expect("message for pending delivery");
-            let h = cell.inflight[li][idx].payload;
-            let (msg, last) = if to_crashed {
-                (None, cell.arena.discard(h))
-            } else {
-                let (m, last) = cell.arena.release(h);
-                (Some(m), last)
-            };
-            let retired = last.then(|| cell.inflight[li].swap_remove(idx).events);
-            (msg, retired)
-        } else {
-            // Cross-shard delivery: the payload was imported into the
-            // destination shard's arena at schedule time (one clone
-            // per destination shard, shared by its deliveries), so
-            // this step never touches the sender's shard-owned
-            // in-flight entry (the parallel stepper's ownership
-            // contract).
-            let cell = &mut *self.cells[to_shard];
-            let h = cell
-                .imported
-                .remove(&id)
-                .expect("imported payload for cross-shard delivery");
-            if to_crashed {
-                cell.arena.discard(h);
-                (None, None)
-            } else {
-                (Some(cell.arena.release(h).0), None)
-            }
-        };
-        if let Some(events) = retired {
-            self.recycle(events);
-        }
-        if to_crashed {
+        let Some(msg) = msg else {
             if !unreliable && self.core.ledger.note_delivery(bcast.0) {
                 self.handle_crash(from);
             }
             return;
-        }
-        let msg = msg.expect("payload for a live receiver");
+        };
         self.core.metrics.deliveries += u64::from(!unreliable);
         self.core.metrics.unreliable_deliveries += u64::from(unreliable);
         self.core.trace.push(TraceEvent::Deliver {
@@ -2091,27 +2203,7 @@ impl<P: Process> Exec<'_, '_, P> {
     }
 
     fn handle_ack(&mut self, node: Slot, bcast: BcastId) {
-        let shard = self.sh.shard_map.shard_of(node.0);
-        let retired = {
-            let cell = &mut *self.cells[shard];
-            let li = node.0 - cell.base;
-            let mut retired = None;
-            if let Some(idx) = cell.inflight[li].iter().position(|e| e.bcast == bcast.0) {
-                let h = cell.inflight[li][idx].payload;
-                if cell.arena.discard(h) {
-                    retired = Some(cell.inflight[li].swap_remove(idx).events);
-                }
-            }
-            // A crashed sender's ack event is cancelled with its
-            // broadcast, so this only fires for live nodes.
-            debug_assert!(!cell.crashed[li], "ack for a crashed node");
-            debug_assert_eq!(cell.outstanding[li], Some(bcast));
-            cell.outstanding[li] = None;
-            retired
-        };
-        if let Some(events) = retired {
-            self.recycle(events);
-        }
+        self.cells[self.sh.shard_map.shard_of(node.0)].retire_ack(node, bcast);
         self.core.metrics.acks += 1;
         self.core.trace.push(TraceEvent::Ack {
             time: self.core.now,
@@ -2237,34 +2329,15 @@ impl<P: Process> Exec<'_, '_, P> {
         self.commit_broadcast_events(slot, msg, bcast);
     }
 
-    /// Registers one cross-shard delivery's payload with destination
-    /// shard `dst`: the broadcast's first event into `dst` clones the
-    /// payload into that shard's arena (memoized in `import_scratch`),
-    /// every later one just retains the shared slot, and each event id
-    /// maps to the handle in the destination's imported table.
-    fn import_payload(&mut self, msg: &P::Msg, id: EventId, dst: u32) {
-        let dst = dst as usize;
-        let cell = &mut *self.cells[dst];
-        let h = match self.core.import_scratch[dst] {
-            Some(h) => {
-                cell.arena.retain(h);
-                h
-            }
-            None => {
-                let h = cell.arena.insert_cloned(msg, 1);
-                self.core.import_scratch[dst] = Some(h);
-                h
-            }
-        };
-        cell.imported.insert(id, h);
-    }
-
     /// Plans and schedules one accepted broadcast's deliveries and
-    /// ack, routing payload custody per the shard-ownership split: the
-    /// sender's arena slot refcounts only own-shard events, and each
-    /// destination shard a delivery crosses into gets **one** payload
-    /// clone in its own arena, shared by refcount among that shard's
-    /// deliveries and keyed per event id in its imported table.
+    /// ack. The deliveries into each shard form one [`Run`], sorted
+    /// by `(time, id)`, with a single queue entry — its head — so the
+    /// queues hold at most one run head per broadcast and shard plus
+    /// the acks. Payload custody follows the shard-ownership split:
+    /// the sender's arena slot refcounts its own shard's deliveries
+    /// and the ack, and each other shard a run crosses into gets
+    /// **one** payload clone in its own arena, shared by refcount
+    /// among the run's entries.
     fn commit_broadcast_events(&mut self, slot: Slot, msg: P::Msg, bcast: BcastId) {
         // Reuse the scratch neighbor buffer (the scheduler borrows it
         // while `self` stays mutable for the queue pushes below).
@@ -2296,75 +2369,98 @@ impl<P: Process> Exec<'_, '_, P> {
             );
         }
 
-        let src_shard = self.sh.shard_map.shard_of(slot.0) as u32;
-        let mut refs = 0u32;
-        let mut events = self.core.events_pool.pop().unwrap_or_default();
-        events.reserve(neighbors.len() + 1);
+        // Event ids are allocated exactly as one queue entry per
+        // event would take them — the deliveries in neighbor order,
+        // then the ack, then any overlay deliveries — so the global
+        // `(time, class, id)` order is unchanged by the runs.
+        let shard_map = &self.sh.shard_map;
+        let mut deliveries = std::mem::take(&mut self.core.delivery_scratch);
+        deliveries.clear();
         for (i, &nbr) in neighbors.iter().enumerate() {
-            let kind = EventKind::Receive {
-                to: nbr,
-                from: slot,
-                bcast,
-                unreliable: false,
-            };
-            let (id, dst) = self.schedule(now + plan.receive_delays[i], kind);
-            if dst == src_shard {
-                refs += 1;
-            } else {
-                self.import_payload(&msg, id, dst);
-            }
-            events.push((id, dst));
+            let id = self.core.next_event_id + i as u64;
+            deliveries.push((
+                shard_map.shard_of(nbr.0) as u32,
+                RunEntry {
+                    time: now + plan.receive_delays[i],
+                    id,
+                    to: nbr.0 as u32,
+                    unreliable: false,
+                },
+            ));
         }
-        let ack = EventKind::Ack { node: slot, bcast };
-        let (id, dst) = self.schedule(now + plan.ack_delay, ack);
-        debug_assert_eq!(dst, src_shard, "ack routed off the sender's shard");
-        refs += 1;
-        events.push((id, dst));
-
-        // Take the overlay out while sampling so `schedule` can borrow
-        // the exec mutably (no clone on the hot path). Overlay delays
-        // are >= 1, which the build-time lookahead clamp accounts for.
+        self.core.next_event_id += neighbors.len() as u64;
+        let ack = self.alloc_id();
+        // Take the overlay out while sampling so the id allocator can
+        // borrow the exec mutably (no clone on the hot path). Overlay
+        // delays are >= 1, which the build-time lookahead clamp
+        // accounts for.
         if let Some((overlay, p)) = self.core.unreliable.take() {
             let f_ack = self.core.scheduler.f_ack().max(1);
             for nbr in overlay.neighbors(slot) {
                 if self.core.engine_rng.gen_bool(p) {
                     let delay = self.core.engine_rng.gen_range(1..=f_ack);
-                    let kind = EventKind::Receive {
-                        to: nbr,
-                        from: slot,
-                        bcast,
-                        unreliable: true,
-                    };
-                    let (id, dst) = self.schedule(now + delay, kind);
-                    if dst == src_shard {
-                        refs += 1;
-                    } else {
-                        self.import_payload(&msg, id, dst);
-                    }
-                    events.push((id, dst));
+                    let id = self.alloc_id();
+                    deliveries.push((
+                        self.sh.shard_map.shard_of(nbr.0) as u32,
+                        RunEntry {
+                            time: now + delay,
+                            id,
+                            to: nbr.0 as u32,
+                            unreliable: true,
+                        },
+                    ));
                 }
             }
             self.core.unreliable = Some((overlay, p));
         }
+        deliveries.sort_unstable_by_key(|&(shard, e)| (shard, e.time, e.id));
 
-        // The ack always lands on the sender's shard, so refs >= 1 and
-        // the sender's arena slot is live until at least the ack (or a
-        // cancellation).
-        {
-            let cell = &mut *self.cells[src_shard as usize];
-            let payload = cell.arena.insert(msg, refs);
-            let li = slot.0 - cell.base;
-            cell.inflight[li].push(InFlight {
-                bcast: bcast.0,
-                payload,
-                events,
+        // Cross-shard runs first — each clones the payload into its
+        // destination's arena, so the original can move into the
+        // sender's — then the sender's own run, its in-flight record
+        // and the ack. The ack always lands on the sender's shard, so
+        // the sender's arena slot is live until at least the ack (or
+        // a cancellation).
+        let src = self.sh.shard_map.shard_of(slot.0);
+        let mut own: &[(u32, RunEntry)] = &[];
+        for run in deliveries.chunk_by(|a, b| a.0 == b.0) {
+            let dst = run[0].0 as usize;
+            if dst == src {
+                own = run;
+                continue;
+            }
+            self.core.metrics.cross_shard_deliveries += run.len() as u64;
+            let cell = &mut *self.cells[dst];
+            let h = cell.arena.insert_cloned(&msg, run.len() as u32);
+            let idx = cell.runs.open(slot, bcast, h, run);
+            let head = run[0].1;
+            cell.inbox[src].push(MailEntry {
+                time: head.time,
+                class: EventClass::Receive as u8,
+                id: EventId(head.id),
+                payload: EventKind::Receive { run: idx, k: 0 },
             });
         }
-        // Reset the per-destination import memo for the next broadcast
-        // (O(S); S is small and this runs once per broadcast).
-        for slot_memo in &mut self.core.import_scratch {
-            *slot_memo = None;
+        let cell = &mut *self.cells[src];
+        let payload = cell.arena.insert(msg, own.len() as u32 + 1);
+        let li = slot.0 - cell.base;
+        debug_assert!(cell.inflight[li].is_none(), "double broadcast");
+        cell.inflight[li] = Some(InFlight {
+            payload,
+            ack: EventId(ack),
+        });
+        if let Some(&(_, head)) = own.first() {
+            let idx = cell.runs.open(slot, bcast, payload, own);
+            self.push_local(
+                src,
+                head.time,
+                head.id,
+                EventKind::Receive { run: idx, k: 0 },
+            );
         }
+        let ack_time = now + plan.ack_delay;
+        self.push_local(src, ack_time, ack, EventKind::Ack { node: slot, bcast });
+        self.core.delivery_scratch = deliveries;
 
         // Resolve any planned mid-broadcast crash against this
         // broadcast via the shared ledger.
@@ -3070,6 +3166,102 @@ mod tests {
         assert_eq!(report.metrics.acks, 0);
     }
 
+    /// Steps `sim` one event at a time (raising the event limit by
+    /// one per `run` call) until it stops for another reason, calling
+    /// `check` after every pop.
+    fn step_each_event<P: Process>(sim: &mut Sim<P>, mut check: impl FnMut(&Sim<P>, &RunReport)) {
+        sim.sh.max_events = 0;
+        loop {
+            sim.sh.max_events += 1;
+            let report = sim.run();
+            check(sim, &report);
+            if report.outcome != RunOutcome::EventLimit {
+                return;
+            }
+        }
+    }
+
+    /// One queue entry per in-flight broadcast: on a clique(64) flood
+    /// every node's broadcast has 63 deliveries pending at once, yet
+    /// the queue never holds more than one run head and one ack per
+    /// node, plus the crash timer.
+    #[test]
+    fn queue_holds_run_heads_not_deliveries() {
+        let n = 64;
+        let mut sim = SimBuilder::new(Topology::clique(n), |s| Flood {
+            initiator: s.0 == 0,
+            relayed: false,
+        })
+        .scheduler(RandomScheduler::new(8, 3))
+        .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
+            slot: Slot(9),
+            time: Time(40),
+        }]))
+        .stop_when_all_decided(false)
+        .build();
+        let timers = 1;
+        let (mut depth_peak, mut pending_peak) = (0, 0);
+        step_each_event(&mut sim, |sim, report| {
+            let depth = sim.cells[0].queue.len();
+            assert!(
+                depth <= 2 * n + timers,
+                "queue depth {depth} after {:?}",
+                report.metrics.events
+            );
+            let m = &report.metrics;
+            depth_peak = depth_peak.max(depth);
+            pending_peak = pending_peak.max(m.queue_pushes - m.events - m.queue_cancellations);
+        });
+        assert!(
+            pending_peak > 20 * n as u64,
+            "the flood never had many deliveries pending ({pending_peak}): vacuous"
+        );
+        assert!(
+            depth_peak > n,
+            "the heads never piled up ({depth_peak}): vacuous"
+        );
+    }
+
+    /// A mid-broadcast crash voids the rest of the run with one queue
+    /// tombstone (plus the ack's), while `queue_cancellations` still
+    /// counts every voided event — the unfired deliveries and the ack,
+    /// as one queue entry per delivery counted them.
+    #[test]
+    fn mid_broadcast_crash_tombstones_one_head_but_counts_every_delivery() {
+        let (n, delivered) = (64, 20);
+        let build = |shards: usize| {
+            SimBuilder::new(Topology::clique(n), |s| Counter {
+                received: 0,
+                emit: s.0 == 0,
+            })
+            .scheduler(RandomScheduler::new(8, 5))
+            .crashes(CrashPlan::new(vec![CrashSpec::MidBroadcast {
+                slot: Slot(0),
+                nth_broadcast: 0,
+                delivered,
+            }]))
+            .shards(shards)
+            .build()
+        };
+        let mut sim = build(1);
+        let report = sim.run();
+        assert_eq!(report.metrics.crashes, 1);
+        assert_eq!(report.metrics.deliveries, delivered as u64);
+        assert!(
+            sim.cells[0].queue.cancelled_total() <= 2,
+            "{} queue tombstones",
+            sim.cells[0].queue.cancelled_total()
+        );
+        let logical = (n - 1 - delivered) as u64 + 1;
+        assert_eq!(report.metrics.queue_cancellations, logical);
+        // Split per shard — some of the crashed sender's runs still in
+        // a mailbox — the count is the same.
+        for shards in [2, 4] {
+            let report = build(shards).run();
+            assert_eq!(report.metrics.queue_cancellations, logical, "S={shards}");
+        }
+    }
+
     /// The parallel stepper's contract: for every shard count, thread
     /// count, and queue core, trace and report stay byte-identical to
     /// serial. The time-zero crash event forces at least one merged
@@ -3332,6 +3524,10 @@ mod tests {
     /// A crash event landing in a pool-executed window fails the
     /// commit gate: the window aborts to the merged path verbatim, and
     /// the whole run — trace included — stays byte-identical to serial.
+    /// Under the random adversary each run spans several one-tick
+    /// windows, so the refused window has already taken part of the
+    /// crashing sender's run off the queue: the abort must rewind it,
+    /// or the merged fallback's crash could not void those deliveries.
     #[test]
     fn gate_failure_aborts_window_to_merged() {
         #[derive(Clone, Copy, PartialEq)]
@@ -3340,16 +3536,20 @@ mod tests {
             Inline,
             Pooled,
         }
-        let run = |mode: Mode| {
-            let mut builder = SimBuilder::new(Topology::clique(16), |_| Chatter)
-                .scheduler(SynchronousScheduler::new(1))
-                .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
-                    slot: Slot(3),
-                    time: Time(5),
-                }]))
-                .max_time(Time(12))
-                .stop_when_all_decided(false)
-                .trace(true);
+        let run = |mode: Mode, n: usize, spread: bool| {
+            let builder = SimBuilder::new(Topology::clique(n), |_| Chatter);
+            let mut builder = if spread {
+                builder.scheduler(RandomScheduler::new(8, 21))
+            } else {
+                builder.scheduler(SynchronousScheduler::new(1))
+            }
+            .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
+                slot: Slot(3),
+                time: Time(5),
+            }]))
+            .max_time(Time(12))
+            .stop_when_all_decided(false)
+            .trace(true);
             if mode != Mode::Serial {
                 builder = builder.shards(4);
             }
@@ -3360,21 +3560,27 @@ mod tests {
             let report = sim.run();
             (report.outcome, report.metrics, sim.trace().clone())
         };
-        let serial = run(Mode::Serial);
-        let inline = run(Mode::Inline);
-        let pooled = run(Mode::Pooled);
-        // The trace is the byte-identity artifact across every shard
-        // and thread count; metrics carry shard-topology counters, so
-        // they are compared against the merged run at the same S.
-        assert_eq!(serial.0, pooled.0);
-        assert_eq!(serial.2, pooled.2, "crash-window trace diverged");
-        assert_eq!(inline.0, pooled.0);
-        assert_eq!(inline.1, pooled.1, "crash-window abort diverged");
-        assert_eq!(pooled.1.crashes, 1, "the planned crash never fired");
-        assert!(
-            pooled.1.superstep_count > 0,
-            "the crash test never exercised the pool"
-        );
+        for (n, spread) in [(16, false), (64, true)] {
+            let serial = run(Mode::Serial, n, spread);
+            let inline = run(Mode::Inline, n, spread);
+            let pooled = run(Mode::Pooled, n, spread);
+            // The trace is the byte-identity artifact across every shard
+            // and thread count; metrics carry shard-topology counters, so
+            // they are compared against the merged run at the same S.
+            assert_eq!(serial.0, pooled.0);
+            assert_eq!(serial.2, pooled.2, "crash-window trace diverged (n={n})");
+            assert_eq!(
+                serial.1.queue_cancellations, pooled.1.queue_cancellations,
+                "voided deliveries miscounted (n={n})"
+            );
+            assert_eq!(inline.0, pooled.0);
+            assert_eq!(inline.1, pooled.1, "crash-window abort diverged (n={n})");
+            assert_eq!(pooled.1.crashes, 1, "the planned crash never fired");
+            assert!(
+                pooled.1.superstep_count > 0,
+                "the crash test never exercised the pool"
+            );
+        }
     }
 
     /// Every early stop condition — a `run_until` horizon and an

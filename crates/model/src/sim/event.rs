@@ -26,15 +26,11 @@ pub(crate) enum EventClass {
 
 #[derive(Clone, Debug)]
 pub(crate) enum EventKind {
-    /// Deliver broadcast `bcast` (sent by `from`) to node `to`.
-    Receive {
-        to: Slot,
-        from: Slot,
-        bcast: BcastId,
-        /// Delivery over an unreliable overlay edge: does not count
-        /// toward the ack precondition.
-        unreliable: bool,
-    },
+    /// The head of a delivery run: entry `k` of run `run` — one
+    /// broadcast's deliveries into one shard, held in that shard's
+    /// run slab — is due. A run has exactly one queue entry at a
+    /// time, keyed by its next delivery.
+    Receive { run: u32, k: u32 },
     /// Acknowledge completion of `bcast` to its sender.
     Ack { node: Slot, bcast: BcastId },
     /// Crash `node` (scheduled from a [`CrashPlan`](super::crash::CrashPlan)).
@@ -50,16 +46,6 @@ impl EventKind {
             EventKind::Ack { .. } => EventClass::Ack,
         }) as u8
     }
-
-    /// The slot that processes this event — the slot whose owning
-    /// shard the sharded engine routes it to.
-    pub(crate) fn target(&self) -> Slot {
-        match *self {
-            EventKind::Receive { to, .. } => to,
-            EventKind::Ack { node, .. } => node,
-            EventKind::Crash { node } => node,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -68,13 +54,8 @@ mod tests {
     use crate::sim::queue::EventQueue;
     use crate::sim::time::Time;
 
-    fn recv(to: usize) -> EventKind {
-        EventKind::Receive {
-            to: Slot(to),
-            from: Slot(0),
-            bcast: BcastId(0),
-            unreliable: false,
-        }
+    fn recv(run: u32) -> EventKind {
+        EventKind::Receive { run, k: 0 }
     }
 
     #[test]
@@ -108,15 +89,15 @@ mod tests {
     #[test]
     fn same_class_orders_by_insertion() {
         let mut q = EventQueue::new();
-        for to in [3usize, 1, 2] {
-            q.push(Time(1), recv(to).class(), recv(to));
+        for run in [3u32, 1, 2] {
+            q.push(Time(1), recv(run).class(), recv(run));
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop())
             .map(|e| match e.payload {
-                EventKind::Receive { to, .. } => to.0,
+                EventKind::Receive { run, .. } => run,
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(order, vec![3, 1, 2], "insertion order, not slot order");
+        assert_eq!(order, vec![3, 1, 2], "insertion order, not run order");
     }
 }

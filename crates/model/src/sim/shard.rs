@@ -4,10 +4,11 @@
 //! worker **shards**. Each shard owns its own
 //! [`EventQueue`](super::queue::EventQueue) (heap or calendar core —
 //! the [`QueueCore`](super::queue::QueueCore) seam) and processes only
-//! the events targeting its slots; events a shard schedules for
-//! another shard's slot travel through a deterministic per-edge
-//! mailbox (the crate-internal `Mailbox` type) instead of being
-//! pushed directly.
+//! the events targeting its slots. A broadcast's deliveries into one
+//! shard form one *run* (see the engine module docs) held by that
+//! shard; the run's head — its single queue entry — travels from the
+//! sender's shard through a deterministic per-edge mailbox (the
+//! crate-internal `Mailbox` type) instead of being pushed directly.
 //!
 //! # The determinism contract
 //!
@@ -33,7 +34,8 @@
 //!   the shards' queue heads in global `(time, class, seq)` order —
 //!   the exact order the serial engine's single queue would pop — with
 //!   event sequence numbers allocated from one engine-global counter
-//!   at scheduling time. Cross-shard entries keep their allocated seq
+//!   at scheduling time — one per delivery, even though a run has one
+//!   queue entry. Cross-shard run heads keep their allocated seq
 //!   through the mailbox, so draining a mailbox into the destination
 //!   queue cannot perturb the order.
 //! * **Mailbox flushes at window boundaries.** Because nothing
@@ -44,19 +46,20 @@
 //!
 //! # Cancellation across shards
 //!
-//! When a sender crashes, its in-flight broadcast's remaining events
-//! are cancelled wherever they live:
+//! When a sender crashes, its in-flight broadcast's ack and the
+//! unfired rest of each of its runs are cancelled wherever the run
+//! head lives:
 //!
 //! * already in a destination shard's queue — O(1) tombstone on that
 //!   queue, exactly like the serial engine;
 //! * still in a mailbox (scheduled this window, not yet flushed) — the
-//!   entry is removed from the mailbox by id and counted as a
-//!   cancellation, so the aggregate `queue_cancellations` metric stays
-//!   byte-identical to the serial run's.
+//!   head is removed from the mailbox by id.
 //!
-//! Cancelling an id that already fired remains a detectable no-op in
-//! both locations, so bulk cancellation lists need no liveness
-//! tracking — the same contract the [`QueueCore`] owes its callers.
+//! Either way every voided delivery counts as one cancellation, so
+//! the aggregate `queue_cancellations` metric stays byte-identical to
+//! the serial run's. Cancelling an id that is in neither place is a
+//! detectable no-op (`false`) in both — the same contract the
+//! [`QueueCore`] owes its callers.
 //!
 //! [`QueueCore`]: super::queue::QueueCore
 
@@ -220,8 +223,9 @@ impl ShardMap {
     }
 }
 
-/// One cross-shard event in transit: the payload plus the queue key it
-/// was allocated at scheduling time, so draining preserves the global
+/// One cross-shard queue entry in transit — in the engine, a delivery
+/// run's head: the payload plus the queue key it was allocated at
+/// scheduling time, so draining preserves the global
 /// `(time, class, seq)` order.
 #[derive(Clone, Debug)]
 pub(crate) struct MailEntry<E> {
@@ -231,8 +235,8 @@ pub(crate) struct MailEntry<E> {
     pub(crate) payload: E,
 }
 
-/// A deterministic per-edge mailbox: events shard `src` scheduled for
-/// shard `dst`, awaiting the next window-boundary flush.
+/// A deterministic per-edge mailbox: the run heads shard `src`
+/// scheduled for shard `dst`, awaiting the next window-boundary flush.
 ///
 /// Entries carry pre-allocated event ids, so the order they sit in the
 /// mailbox (and the order they are drained) cannot influence pop
@@ -249,7 +253,7 @@ impl<E> Mailbox<E> {
         }
     }
 
-    /// Deposits one in-transit event.
+    /// Deposits one in-transit entry.
     pub(crate) fn push(&mut self, entry: MailEntry<E>) {
         self.entries.push(entry);
     }
@@ -263,8 +267,8 @@ impl<E> Mailbox<E> {
     /// empty). The threaded stepper defers mailbox flushing to the
     /// destination shard's worker, so the coordinator computes window
     /// starts over queue heads *and* unflushed mailboxes; a linear
-    /// scan is fine — a mailbox only ever holds the entries of one
-    /// window's broadcasts.
+    /// scan is fine — a mailbox only ever holds one run head per
+    /// broadcast of one window.
     pub(crate) fn min_time(&self) -> Option<Time> {
         self.entries.iter().map(|e| e.time).min()
     }
