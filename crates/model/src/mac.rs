@@ -649,8 +649,9 @@ impl LedgerShardView {
 ///   truth, and `to`-side flags are all a delivery step ever needs
 ///   (a `Receive` event always targets the shard that owns it).
 /// * **Cross-shard effects travel as messages.** Payloads whose sender
-///   lives on another shard arrive as imported clones keyed by event
-///   id; countdowns and obligations are absent by eligibility. No
+///   lives on another shard arrive as one clone per delivery run, held
+///   by the receiving shard; countdowns and obligations are absent by
+///   eligibility. No
 ///   worker ever reads, let alone writes, a sibling's range.
 #[derive(Debug)]
 pub struct LedgerShardSlice<'a> {

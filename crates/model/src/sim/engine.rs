@@ -587,8 +587,9 @@ struct Runs {
     slab: Vec<Run>,
     free: Vec<u32>,
     /// Per global sender slot: its newest live run on this shard, or
-    /// [`NO_RUN`]. A sender has at most one live run per broadcast
-    /// here, and only its outstanding broadcast's can be voided.
+    /// [`NO_RUN`]. The newest is the only one a crash can void: an
+    /// older broadcast's run outlives its ack only with overlay
+    /// deliveries, which the ack has already put beyond cancellation.
     by_sender: Vec<u32>,
 }
 
@@ -2373,13 +2374,12 @@ impl<P: Process> Exec<'_, '_, P> {
         // event would take them — the deliveries in neighbor order,
         // then the ack, then any overlay deliveries — so the global
         // `(time, class, id)` order is unchanged by the runs.
-        let shard_map = &self.sh.shard_map;
         let mut deliveries = std::mem::take(&mut self.core.delivery_scratch);
         deliveries.clear();
         for (i, &nbr) in neighbors.iter().enumerate() {
-            let id = self.core.next_event_id + i as u64;
+            let id = self.alloc_id();
             deliveries.push((
-                shard_map.shard_of(nbr.0) as u32,
+                self.sh.shard_map.shard_of(nbr.0) as u32,
                 RunEntry {
                     time: now + plan.receive_delays[i],
                     id,
@@ -2388,7 +2388,6 @@ impl<P: Process> Exec<'_, '_, P> {
                 },
             ));
         }
-        self.core.next_event_id += neighbors.len() as u64;
         let ack = self.alloc_id();
         // Take the overlay out while sampling so the id allocator can
         // borrow the exec mutably (no clone on the hot path). Overlay

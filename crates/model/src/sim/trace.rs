@@ -265,14 +265,19 @@ pub struct Metrics {
     pub crashes: u64,
     /// Total events processed by the engine.
     pub events: u64,
-    /// Entries pushed onto the event-queue core.
+    /// Events scheduled: one per delivery, ack and timed crash (the
+    /// engine-global event-id count), however few queue entries stood
+    /// for them — a delivery run has one.
     pub queue_pushes: u64,
-    /// Entries tombstone-cancelled on the event-queue core.
+    /// Scheduled events a crash voided before they fired: one per
+    /// delivery and ack, whether a queue tombstone, a mailbox removal
+    /// or the tail of a cancelled run stood for it.
     pub queue_cancellations: u64,
     /// Queue entries that missed the core's fast path (calendar
     /// overflow-tier inserts; always 0 on the heap core).
     pub queue_bucket_overflows: u64,
-    /// Deliveries routed through a cross-shard mailbox (always 0 on a
+    /// Deliveries scheduled into another shard, riding a run whose
+    /// head crosses through a mailbox (always 0 on a
     /// serial, single-shard run). High values relative to `deliveries`
     /// mean the shard partition cuts across the traffic pattern.
     pub cross_shard_deliveries: u64,
