@@ -769,12 +769,15 @@ fn run(
             } else {
                 None
             };
-            (report, trace_text, audit_text)
+            let ran = (sim.shard_count(), sim.thread_count());
+            (report, trace_text, audit_text, ran)
         }};
     }
 
     let iv = inputs.clone();
-    let (report, trace_text, audit_text) = match algo {
+    // The shard and thread counts that ran (the engine clamps the
+    // requested ones), printed instead of the flags.
+    let (report, trace_text, audit_text, (shards, threads)) = match algo {
         AlgoSpec::TwoPhase => {
             require_clique(algo, &topo)?;
             for &v in &inputs {
@@ -853,20 +856,20 @@ fn run(
         report.metrics.payload_moves,
         report.metrics.arena_bytes_peak
     );
-    if let Some(s) = engine.shards {
+    if engine.shards.is_some() {
         let m = &report.metrics;
         let _ = writeln!(
             out,
-            "shards: {s} | cross-shard deliveries {} | windows {} | mailbox flushes {} | skew {:.2}",
+            "shards: {shards} | cross-shard deliveries {} | windows {} | mailbox flushes {} | skew {:.2}",
             m.cross_shard_deliveries,
             m.shard_window_advances,
             m.shard_mailbox_flushes,
             m.shard_skew()
         );
-        if let Some(t) = engine.threads {
+        if engine.threads.is_some() {
             let _ = writeln!(
                 out,
-                "threads: {t} | busy {:.3} ms | barrier wait {:.3} ms ({:.1}%)",
+                "threads: {threads} | busy {:.3} ms | barrier wait {:.3} ms ({:.1}%)",
                 m.shard_busy_ns.iter().sum::<u64>() as f64 / 1e6,
                 m.shard_barrier_wait_ns.iter().sum::<u64>() as f64 / 1e6,
                 m.barrier_pct()
@@ -1433,6 +1436,13 @@ mod tests {
                 .to_string()
         };
         assert_eq!(outcome(&serial), outcome(&sharded));
+    }
+
+    #[test]
+    fn run_reports_the_shard_count_that_ran() {
+        let out = cli("run --algo two-phase --topo clique:3 --shards 8 --threads 4").unwrap();
+        assert!(out.contains("shards: 3 |"), "{out}");
+        assert!(out.contains("threads: 3 |"), "{out}");
     }
 
     #[test]

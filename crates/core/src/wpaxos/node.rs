@@ -34,7 +34,7 @@ pub struct WpaxosStats {
 
 /// One wPAXOS node. Construct with [`WpaxosNode::new`] or the
 /// [`wpaxos_node`](super::wpaxos_node) helper, then run it in a
-/// [`Sim`](amacl_model::sim::engine::Sim).
+/// [`Sim`].
 #[derive(Clone, Debug)]
 pub struct WpaxosNode {
     input: Value,

@@ -351,6 +351,11 @@ impl BcastLedger {
     /// allows — the sender must crash now. Broadcasts without a
     /// countdown always return `false`.
     pub fn note_delivery(&mut self, bcast: u64) -> bool {
+        // The engine commits every delivery through here; with no
+        // countdown live there is nothing to look up.
+        if self.active_countdowns == 0 {
+            return false;
+        }
         let Some(sender) = self.sender_of(bcast) else {
             return false;
         };

@@ -48,8 +48,19 @@
 //! semantic counters — is **byte-identical** to the serial engine at
 //! every shard count. The full protocol and its
 //! cancellation-across-shards semantics are documented in
-//! [`super::shard`]. Serial (`S = 1`) takes a dedicated fast path
-//! with no window or routing overhead.
+//! [`super::shard`].
+//!
+//! Every event, at every shard and thread count, runs through **one
+//! step and one commit**. The step (`ShardCell::step`) is shard-local:
+//! it takes the delivery off its run or retires the ack, runs the
+//! process callback with the one [`Context`], checks the message-id
+//! budget, and returns a small step record. The commit
+//! (`Exec::commit`) is global and ordered: the Deliver/Ack trace
+//! record, the undecided count, the broadcast (counters, broadcast id,
+//! scheduling, admission crash), the Decide record, and a
+//! mid-broadcast crash the delivery completes. Serial (`S = 1`) drains
+//! one unbounded window through the same inline loop the coordinator
+//! uses for its windows, with no routing and no shard accounting.
 //!
 //! # Persistent pool and parallel stepping
 //!
@@ -84,13 +95,12 @@
 //! gate is pure wake-policy: the window sequence and every
 //! deterministic counter are unchanged.
 //!
-//! Byte-identity with the serial engine is preserved by splitting
-//! each step into a shard-local half and a deferred half. Workers
-//! perform the shard-local half and record, per step, what the
-//! global half needs (trace span, requested broadcast); after the
-//! window's last barrier, the single-threaded commit replays those
-//! records in global `(time, class, seq)` order, allocating
-//! broadcast/event ids and consuming engine RNG exactly as the serial
+//! Byte-identity with the serial engine follows from the step/commit
+//! split. Workers run the step and keep the records the commit has
+//! work for — a step that broadcast or decided, and every step when
+//! tracing; after the window's last barrier, the coordinator commits
+//! those records in global `(time, class, seq)` order, allocating
+//! broadcast/event ids and consuming engine RNG exactly as the inline
 //! loop would have. A window only runs in parallel when a commit gate
 //! proves no step inside it can stop the run or mutate cross-shard
 //! state (no crash events, no armed mid-broadcast crash machinery, no
@@ -487,7 +497,7 @@ impl<P: Process> SimBuilder<P> {
                     outstanding: vec![None; len],
                     inflight: vec![None; len],
                     scratch: ShardScratch::default(),
-                    out: ShardWindowOut::default(),
+                    out: ShardCounters::default(),
                 }
             })
             .collect();
@@ -676,33 +686,43 @@ impl Runs {
     }
 }
 
-/// One delivery taken off a run, payload custody settled.
-struct Delivery<M> {
-    to: Slot,
-    from: Slot,
-    bcast: BcastId,
-    unreliable: bool,
-    /// The message, or `None` when the receiver has crashed (the
-    /// reference was discarded without a copy).
-    msg: Option<M>,
-}
-
-/// Placeholder a parallel-window worker installs in `outstanding`
-/// when a callback broadcasts: it keeps the node reading busy for
-/// later same-window callbacks, and the ordered commit replaces it
-/// with the real (serially allocated) [`BcastId`].
+/// Placeholder the step parks in `outstanding` when a callback
+/// broadcasts: it keeps the node reading busy until the ordered commit
+/// replaces it with the real, serially allocated [`BcastId`] — at once
+/// on the inline path, after the window's last barrier in a pool
+/// worker, where later same-window callbacks on the node still read
+/// busy.
 const DEFERRED_BCAST: BcastId = BcastId(u64::MAX);
 
-/// What one parallel-window step defers to the ordered commit: its
-/// global ordering key, the broadcast the callback requested (if
-/// any), and the step's span in the shard's trace buffer. Steps with
-/// neither are never recorded — the commit has nothing to do for
-/// them.
-struct StepRec<M> {
-    key: (Time, u8, u64),
-    broadcast: Option<(Slot, M)>,
-    trace_start: usize,
-    trace_end: usize,
+/// What ran a [`Step`]'s callback.
+#[derive(Clone, Copy)]
+enum Cause {
+    /// `on_start` or an injected callback: nothing of its own to trace.
+    Callback,
+    /// A delivery of `from`'s broadcast `bcast`. `lost` when the
+    /// receiver crashed after it was scheduled: no callback ran and the
+    /// message was never copied.
+    Deliver {
+        from: Slot,
+        bcast: BcastId,
+        unreliable: bool,
+        lost: bool,
+    },
+    /// The node's broadcast was acked.
+    Ack,
+}
+
+/// The shard-local half of one engine step, handed to the ordered
+/// commit ([`Exec::commit`]) by value: which callback ran at which node
+/// and time, the broadcast it requested (message and id count), and
+/// the decision it made. Every trace record of the step is built from
+/// it.
+struct Step<M> {
+    time: Time,
+    slot: Slot,
+    cause: Cause,
+    broadcast: Option<(M, usize)>,
+    decision: Option<Decision>,
 }
 
 /// Per-shard scratch buffers for parallel windows, reused across
@@ -718,11 +738,9 @@ struct ShardScratch<M> {
     /// the window: pushed when the window commits, dropped (the runs
     /// rewound instead) when it is refused.
     parked: Vec<((Time, u8, u64), EventKind)>,
-    /// Step records for the ordered commit (key-sorted by
-    /// construction).
-    records: Vec<StepRec<M>>,
-    /// Flat per-shard trace events; records index spans into it.
-    trace_buf: Vec<TraceEvent>,
+    /// Steps the ordered commit has work for, with their ordering
+    /// keys (key-sorted by construction).
+    records: Vec<((Time, u8, u64), Step<M>)>,
     /// Shard-local dedup flags for the distinct-undecided-targets
     /// gate statistic (indexed by slot − base).
     touched: Vec<bool>,
@@ -736,36 +754,30 @@ impl<M> Default for ShardScratch<M> {
             drained: Vec::new(),
             parked: Vec::new(),
             records: Vec::new(),
-            trace_buf: Vec::new(),
             touched: Vec::new(),
             touched_list: Vec::new(),
         }
     }
 }
 
-/// Order-independent counters one shard's worker accumulates over a
-/// window; folded into [`Metrics`] after the window's last barrier
-/// (sums and maxes commute, so no ordering is needed).
+/// Order-independent counters one shard accumulates (sums commute,
+/// so no ordering is needed). Every step counts its delivery or ack
+/// and its busy discards here, folded into [`Metrics`] whenever the
+/// engine yields; the rest is the pool's, folded after each parallel
+/// window's last barrier.
 #[derive(Default)]
-struct ShardWindowOut {
-    events: u64,
+struct ShardCounters {
     deliveries: u64,
     unreliable_deliveries: u64,
     acks: u64,
     busy_discards: u64,
-    decided: u64,
-    /// Time of the last (= latest) event this shard processed.
+    /// Events a pool worker stepped in the current window.
+    events: u64,
+    /// Time of the last (= latest) event a pool worker stepped.
     last_time: Option<Time>,
-    /// Wall-clock ns spent flushing, draining, and stepping.
+    /// Wall-clock ns a pool worker spent flushing, draining, and
+    /// stepping.
     busy_ns: u64,
-}
-
-/// Immutable context shared by every parallel-window worker.
-#[derive(Clone, Copy)]
-struct WorkerEnv<'a> {
-    ids: &'a [NodeId],
-    budget: Option<usize>,
-    trace_enabled: bool,
 }
 
 /// Everything one shard owns: its event queue, inbound mailbox row,
@@ -812,11 +824,11 @@ struct ShardCell<P: Process> {
     /// Each local slot's outstanding broadcast until its ack (or the
     /// crash that voids it); no hashing on the hot path.
     inflight: Vec<Option<InFlight>>,
-    /// Worker scratch (drained events, step records, trace spans),
+    /// Worker scratch (drained events, parked heads, step records),
     /// reused across parallel windows.
     scratch: ShardScratch<P::Msg>,
-    /// The current window's order-independent counters.
-    out: ShardWindowOut,
+    /// Order-independent counters not yet folded into [`Metrics`].
+    out: ShardCounters,
 }
 
 impl<P: Process> ShardCell<P> {
@@ -901,16 +913,24 @@ impl<P: Process> ShardCell<P> {
         self.out.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// Phase 2, gate passed: run every drained event in shard-local
-    /// key order, accumulating step records for the ordered commit.
-    fn phase2_commit(&mut self, env: &WorkerEnv<'_>) {
+    /// Phase 2, gate passed: step every drained event in shard-local
+    /// key order, keeping the steps the ordered commit has work for:
+    /// those that broadcast or decided, and every step when tracing.
+    fn phase2_commit(&mut self, sh: &Shared, trace: bool) {
         let t0 = Instant::now();
         for (key, head) in self.scratch.parked.drain(..) {
             self.queue.push_at(key.0, key.1, EventId(key.2), head);
         }
         let mut drained = std::mem::take(&mut self.scratch.drained);
+        self.out.events += drained.len() as u64;
+        if let Some(&(key, _)) = drained.last() {
+            self.out.last_time = Some(key.0);
+        }
         for (key, ev) in drained.drain(..) {
-            self.run_step(key, ev, env);
+            let step = self.step(key.0, ev, sh);
+            if trace || step.broadcast.is_some() || step.decision.is_some() {
+                self.scratch.records.push((key, step));
+            }
         }
         self.scratch.drained = drained;
         self.out.busy_ns += t0.elapsed().as_nanos() as u64;
@@ -936,72 +956,54 @@ impl<P: Process> ShardCell<P> {
         self.out.busy_ns += t0.elapsed().as_nanos() as u64;
     }
 
-    /// The shard-local half of one engine step — mirrors
-    /// `handle_delivery`/`handle_ack`/`dispatch` against the shard's
-    /// tables, deferring broadcast scheduling and trace assembly to
-    /// the ordered commit via a [`StepRec`].
-    fn run_step(&mut self, key: (Time, u8, u64), ev: EventKind, env: &WorkerEnv<'_>) {
-        let time = key.0;
-        self.out.events += 1;
-        self.out.last_time = Some(time);
-        let trace_start = self.scratch.trace_buf.len();
-        let broadcast = match ev {
-            EventKind::Crash { .. } => unreachable!("crash events force the merged fallback"),
+    /// The engine step, shard-local half — the one step body every
+    /// loop runs. Takes delivery `k` of `run` off the run (the drain
+    /// has already advanced the run's head past it) or retires the
+    /// ack, runs the callback, and returns the [`Step`] for the
+    /// ordered commit. Crash events are the coordinator's
+    /// ([`Exec::handle_crash`]) and never reach a step.
+    // Forced inline, like `Exec::commit`: left to the cost model, the
+    // step and the commit stay out-of-line calls that copy the step
+    // record through memory, measured ~5 % slower on a 2-core host
+    // for `openloop-clique4`-style runs (small messages, cheap
+    // handlers).
+    #[inline(always)]
+    fn step(&mut self, time: Time, ev: EventKind, sh: &Shared) -> Step<P::Msg> {
+        match ev {
             EventKind::Receive { run, k } => {
-                let Delivery {
-                    to,
-                    from,
-                    unreliable,
-                    msg,
-                    ..
-                } = self.take_delivery(run, k);
-                // A crashed receiver: `note_delivery` is skipped,
-                // because windows only run in parallel when no
-                // mid-broadcast crash machinery is armed, which makes
-                // it a guaranteed no-op.
-                let Some(msg) = msg else { return };
-                if unreliable {
-                    self.out.unreliable_deliveries += 1;
-                } else {
-                    self.out.deliveries += 1;
-                }
-                if env.trace_enabled {
-                    self.scratch.trace_buf.push(TraceEvent::Deliver {
+                let (to, cause, msg) = self.take_delivery(run, k);
+                let Some(msg) = msg else {
+                    return Step {
                         time,
-                        from,
-                        to,
-                        unreliable,
-                    });
+                        slot: to,
+                        cause,
+                        broadcast: None,
+                        decision: None,
+                    };
+                };
+                if let Cause::Deliver { unreliable, .. } = cause {
+                    self.out.deliveries += u64::from(!unreliable);
+                    self.out.unreliable_deliveries += u64::from(unreliable);
                 }
-                self.dispatch_step(to, time, env, |p, ctx| p.on_receive(msg, ctx))
+                self.callback(to, time, cause, sh, |p, ctx| p.on_receive(msg, ctx))
             }
             EventKind::Ack { node, bcast } => {
                 self.retire_ack(node, bcast);
                 self.out.acks += 1;
-                if env.trace_enabled {
-                    self.scratch
-                        .trace_buf
-                        .push(TraceEvent::Ack { time, slot: node });
-                }
-                self.dispatch_step(node, time, env, |p, ctx| p.on_ack(ctx))
+                self.callback(node, time, Cause::Ack, sh, |p, ctx| p.on_ack(ctx))
             }
-        };
-        let trace_end = self.scratch.trace_buf.len();
-        if broadcast.is_some() || trace_end > trace_start {
-            self.scratch.records.push(StepRec {
-                key,
-                broadcast,
-                trace_start,
-                trace_end,
-            });
+            EventKind::Crash { .. } => unreachable!("crash events are stepped by the coordinator"),
         }
     }
 
     /// Consumes delivery `k` of `run` (already taken off the run):
     /// releases its payload reference — the message moves out on the
     /// last reference, is cloned otherwise, and is never copied for a
-    /// crashed receiver — and frees the run after its last entry.
-    fn take_delivery(&mut self, run: u32, k: u32) -> Delivery<P::Msg> {
+    /// crashed receiver (`None`) — and frees the run after its last
+    /// entry. The run carries the payload handle into this shard's
+    /// arena, so a step never reads the sender's shard — the parallel
+    /// stepper's ownership contract.
+    fn take_delivery(&mut self, run: u32, k: u32) -> (Slot, Cause, Option<P::Msg>) {
         let r = &self.runs.slab[run as usize];
         let e = r.entries[k as usize];
         let (from, bcast, h) = (r.from, r.bcast, r.payload);
@@ -1016,13 +1018,13 @@ impl<P: Process> ShardCell<P> {
         if last {
             self.runs.release(run);
         }
-        Delivery {
-            to,
+        let cause = Cause::Deliver {
             from,
             bcast,
             unreliable: e.unreliable,
-            msg,
-        }
+            lost: msg.is_none(),
+        };
+        (to, cause, msg)
     }
 
     /// Settles `node`'s broadcast `bcast` at its ack: the in-flight
@@ -1040,24 +1042,28 @@ impl<P: Process> ShardCell<P> {
         self.outstanding[li] = None;
     }
 
-    /// Runs one process callback against the shard's tables; returns
-    /// the broadcast it requested (if any) for the ordered commit.
-    fn dispatch_step<F>(
+    /// Runs one process callback at live node `slot` with the engine's
+    /// one [`Context`]. A requested broadcast is checked against the
+    /// id budget here — inside the pool worker that ran it — and
+    /// [`DEFERRED_BCAST`] is parked for it until the commit.
+    fn callback<F>(
         &mut self,
         slot: Slot,
         time: Time,
-        env: &WorkerEnv<'_>,
+        cause: Cause,
+        sh: &Shared,
         f: F,
-    ) -> Option<(Slot, <P as Process>::Msg)>
+    ) -> Step<P::Msg>
     where
-        F: FnOnce(&mut P, &mut Context<'_, <P as Process>::Msg>),
+        F: FnOnce(&mut P, &mut Context<'_, P::Msg>),
     {
         let li = slot.0 - self.base;
         let had_decision = self.decisions[li].is_some();
-        let mut outbox: Option<<P as Process>::Msg> = None;
-        {
-            let mut ctx = Context {
-                id: env.ids[slot.0],
+        let mut outbox: Option<P::Msg> = None;
+        f(
+            &mut self.procs[li],
+            &mut Context {
+                id: sh.ids[slot.0],
                 now: time,
                 busy: self.outstanding[li].is_some(),
                 outbox: &mut outbox,
@@ -1065,42 +1071,27 @@ impl<P: Process> ShardCell<P> {
                 ts_seq: &mut self.ts_seqs[li],
                 busy_discards: &mut self.out.busy_discards,
                 rng: &mut self.rngs[li],
-            };
-            f(&mut self.procs[li], &mut ctx);
-        }
+            },
+        );
         let broadcast = outbox.map(|m| {
             let ids = m.id_count();
-            if let Some(budget) = env.budget {
+            if let Some(budget) = sh.message_id_budget {
                 assert!(
                     ids <= budget,
                     "message from {} carries {ids} ids, exceeding the O(1) budget of {budget}: {m:?}",
-                    env.ids[slot.0],
+                    sh.ids[slot.0],
                 );
             }
-            // Mirror the serial trace order (Broadcast precedes
-            // Decide) and leave the busy placeholder so later
-            // same-window callbacks on this node still read busy.
-            if env.trace_enabled {
-                self.scratch
-                    .trace_buf
-                    .push(TraceEvent::Broadcast { time, slot, ids });
-            }
             self.outstanding[li] = Some(DEFERRED_BCAST);
-            (slot, m)
+            (m, ids)
         });
-        if !had_decision {
-            if let Some(d) = self.decisions[li] {
-                if env.trace_enabled {
-                    self.scratch.trace_buf.push(TraceEvent::Decide {
-                        time: d.time,
-                        slot,
-                        value: d.value,
-                    });
-                }
-                self.out.decided += 1;
-            }
+        Step {
+            time,
+            slot,
+            cause,
+            broadcast,
+            decision: self.decisions[li].filter(|_| !had_decision),
         }
-        broadcast
     }
 }
 
@@ -1181,8 +1172,8 @@ impl PoolCtl {
 fn pool_worker<P: Process>(
     ctl: &PoolCtl,
     cells: &[Mutex<&mut ShardCell<P>>],
-    env: WorkerEnv<'_>,
-    max_events: u64,
+    sh: &Shared,
+    trace: bool,
     stop_all: bool,
 ) {
     loop {
@@ -1206,12 +1197,12 @@ fn pool_worker<P: Process>(
             plock(&ctl.panic).get_or_insert(p);
         }
         ctl.barrier.wait(); // W1: gate statistics complete
-        let commit_ok = ctl.gate_passes(max_events, stop_all);
+        let commit_ok = ctl.gate_passes(sh.max_events, stop_all);
         let r = catch_unwind(AssertUnwindSafe(|| {
             for cell in cells {
                 let mut cell = plock(cell);
                 if commit_ok {
-                    cell.phase2_commit(&env);
+                    cell.phase2_commit(sh, trace);
                 } else {
                     cell.phase2_abort();
                 }
@@ -1265,7 +1256,7 @@ struct Core {
     now: Time,
     started: bool,
     bcast_seq: u64,
-    /// Recycled neighbor-list buffer for `start_broadcast`.
+    /// Recycled neighbor-list buffer for `commit_broadcast_events`.
     neighbor_scratch: Vec<Slot>,
     /// Recycled buffer `commit_broadcast_events` sorts one
     /// broadcast's deliveries in, tagged with their destination shard.
@@ -1282,9 +1273,11 @@ struct Core {
 }
 
 /// A running (or runnable) simulation: the immutable `Shared`
-/// tables, the global `Core`, and one `ShardCell` per shard
-/// (`cells.len() == 1` is the serial fast path — no routing, no
-/// windows).
+/// tables, the global `Core`, and one `ShardCell` per shard. Every
+/// event runs through one step — the shard-local `ShardCell::step` —
+/// and one ordered commit, `Exec::commit`, at every shard and thread
+/// count; a single shard (`cells.len() == 1`) drains one unbounded
+/// window, with no routing and no shard accounting.
 pub struct Sim<P: Process> {
     sh: Shared,
     core: Core,
@@ -1446,6 +1439,7 @@ impl<P: Process> Sim<P> {
             return false;
         }
         self.exec(|ex| ex.dispatch(slot, f));
+        self.fold_counters();
         true
     }
 
@@ -1474,42 +1468,62 @@ impl<P: Process> Sim<P> {
         } else {
             1
         };
+        if !self.core.started {
+            self.exec(|ex| ex.start_procs());
+        }
         let outcome = if s == 1 {
-            self.exec(|ex| ex.run_loop_serial(until))
+            self.exec(|ex| {
+                ex.drain_window_merged(Time(u64::MAX), until)
+                    .unwrap_or_else(|| ex.idle_outcome())
+            })
         } else if nworkers > 1 {
             self.run_pooled(until, nworkers)
         } else {
-            self.exec(|ex| ex.run_loop_sharded(until))
+            self.exec(|ex| loop {
+                if let Plan::Stop(outcome) = ex.plan_window(until, None) {
+                    break outcome;
+                }
+            })
         };
-        // Queue-core counters are folded into the metrics whenever the
-        // loop yields, so reports always carry up-to-date figures. The
-        // pushes figure is the engine-global allocator (every event
-        // ever scheduled, on any shard); cancellations count tombstones
-        // on every shard's queue plus the voided deliveries no
-        // tombstone stands for — together one per voided event,
-        // byte-identical to the serial figures.
-        self.core.metrics.queue_pushes = self.core.next_event_id;
-        self.core.metrics.queue_cancellations = self
+        self.fold_counters();
+        outcome
+    }
+
+    /// Folds the counters the shards and their queue cores keep into
+    /// the metrics whenever the engine yields, so reports always carry
+    /// up-to-date figures. The pushes figure is the engine-global
+    /// allocator (every event ever scheduled, on any shard);
+    /// cancellations count tombstones on every shard's queue plus the
+    /// voided deliveries no tombstone stands for — together one per
+    /// voided event, byte-identical at every shard count. The
+    /// payload-custody counters are assigned, not accumulated, because
+    /// the arenas count cumulatively.
+    fn fold_counters(&mut self) {
+        let m = &mut self.core.metrics;
+        for c in &mut self.cells {
+            let out = &mut c.out;
+            m.deliveries += std::mem::take(&mut out.deliveries);
+            m.unreliable_deliveries += std::mem::take(&mut out.unreliable_deliveries);
+            m.acks += std::mem::take(&mut out.acks);
+            m.busy_discards += std::mem::take(&mut out.busy_discards);
+        }
+        m.queue_pushes = self.core.next_event_id;
+        m.queue_cancellations = self
             .cells
             .iter()
             .map(|c| c.queue.cancelled_total())
             .sum::<u64>()
             + self.core.uncounted_cancels;
-        self.core.metrics.queue_bucket_overflows =
-            self.cells.iter().map(|c| c.queue.bucket_overflows()).sum();
-        // Payload-custody counters live in the per-shard arenas
-        // (workers own theirs during parallel windows); assigned, not
-        // accumulated, because the arenas count cumulatively.
-        self.core.metrics.payload_clones = self.cells.iter().map(|c| c.arena.clones()).sum();
-        self.core.metrics.payload_moves = self.cells.iter().map(|c| c.arena.moves()).sum();
-        self.core.metrics.arena_bytes_peak = self.cells.iter().map(|c| c.arena.bytes_peak()).sum();
-        outcome
+        m.queue_bucket_overflows = self.cells.iter().map(|c| c.queue.bucket_overflows()).sum();
+        m.payload_clones = self.cells.iter().map(|c| c.arena.clones()).sum();
+        m.payload_moves = self.cells.iter().map(|c| c.arena.moves()).sum();
+        m.arena_bytes_peak = self.cells.iter().map(|c| c.arena.bytes_peak()).sum();
     }
 }
 
-/// How one parallel-coordinator planning pass (run under all cell
-/// locks) resolved: stop the run, a window already drained inline,
-/// or a window to hand to the pool.
+/// How one pass of the window coordinator resolved: stop the run, a
+/// window already drained inline, or (only when a pool runs) a window
+/// to hand to the pool.
 enum Plan {
     Stop(RunOutcome),
     Continue,
@@ -1541,9 +1555,6 @@ impl<P: Process> Sim<P> {
     /// [`CMD_SHUTDOWN`] round releases them before the scope joins and
     /// the engine never deadlocks.
     fn run_pooled(&mut self, until: Option<Time>, nworkers: usize) -> RunOutcome {
-        if !self.core.started {
-            self.exec(|ex| ex.start_procs());
-        }
         let s = self.cells.len();
         if self.core.metrics.shard_busy_ns.len() != s {
             self.core.metrics.shard_busy_ns = vec![0; s];
@@ -1557,14 +1568,9 @@ impl<P: Process> Sim<P> {
         self.core.metrics.worker_spawns += groups as u64;
         let stop_all = self.core.stop_when_all_decided;
         let max_events = self.sh.max_events;
-        let trace_enabled = self.core.trace.is_enabled();
+        let trace = self.core.trace.is_enabled();
         let sh = &self.sh;
         let core = &mut self.core;
-        let env = WorkerEnv {
-            ids: &sh.ids,
-            budget: sh.message_id_budget,
-            trace_enabled,
-        };
         let locks: Vec<Mutex<&mut ShardCell<P>>> = self.cells.iter_mut().map(Mutex::new).collect();
         let ctl = PoolCtl {
             barrier: Barrier::new(groups + 1),
@@ -1583,7 +1589,7 @@ impl<P: Process> Sim<P> {
             for lo in (0..s).step_by(chunk) {
                 let hi = (lo + chunk).min(s);
                 let group = &locks[lo..hi];
-                sc.spawn(move |_| pool_worker(ctl, group, env, max_events, stop_all));
+                sc.spawn(move |_| pool_worker(ctl, group, sh, trace, stop_all));
             }
             let r = catch_unwind(AssertUnwindSafe(|| {
                 // The serial gate keys off the previous window's
@@ -1603,7 +1609,7 @@ impl<P: Process> Sim<P> {
                             core,
                             cells: &mut refs,
                         };
-                        ex.plan_window(until, &mut last_window_events)
+                        ex.plan_window(until, Some(&mut last_window_events))
                     };
                     let (window_end, events_before, undecided_before) = match plan {
                         Plan::Stop(outcome) => return outcome,
@@ -1679,8 +1685,8 @@ impl<P: Process> Sim<P> {
 }
 
 impl<P: Process> Exec<'_, '_, P> {
-    /// Starts every non-crashed process (first `run`/`run_until` call
-    /// only). Shared by every loop flavor.
+    /// Starts every non-crashed process (first `run*` or `inject`
+    /// call only).
     fn start_procs(&mut self) {
         self.core.started = true;
         for i in 0..self.sh.topo.len() {
@@ -1690,125 +1696,61 @@ impl<P: Process> Exec<'_, '_, P> {
         }
     }
 
-    /// The serial (`S = 1`) hot loop: one queue, no routing, no
-    /// windows — the exact pre-sharding fast path.
-    fn run_loop_serial(&mut self, until: Option<Time>) -> RunOutcome {
-        if !self.core.started {
-            self.start_procs();
-        }
-        loop {
-            if self.core.stop_when_all_decided && self.core.undecided == 0 {
-                return RunOutcome::AllDecided;
-            }
-            let Some(next_time) = self.cells[0].queue.peek_time() else {
-                return if self.core.undecided == 0 {
-                    RunOutcome::AllDecided
-                } else {
-                    RunOutcome::Quiescent
-                };
-            };
-            if let Some(limit) = until {
-                if next_time > limit {
-                    return RunOutcome::MaxTime;
-                }
-            }
-            if next_time > self.sh.max_time {
-                return RunOutcome::MaxTime;
-            }
-            if self.core.metrics.events >= self.sh.max_events {
-                return RunOutcome::EventLimit;
-            }
-            let ev = self.cells[0].queue.pop().expect("peeked");
-            self.core.now = ev.time;
-            self.core.metrics.events += 1;
-            self.process_event(0, ev.payload);
+    /// Runs one callback outside any event — `on_start` or an
+    /// injection — at live node `slot` and the current time, through
+    /// the same callback and commit as every step.
+    fn dispatch<F>(&mut self, slot: Slot, f: F)
+    where
+        F: FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    {
+        let shard = self.sh.shard_map.shard_of(slot.0);
+        let step = self.cells[shard].callback(slot, self.core.now, Cause::Callback, self.sh, f);
+        self.commit(step);
+    }
+
+    /// How a run with nothing left to step ends.
+    fn idle_outcome(&self) -> RunOutcome {
+        if self.core.undecided == 0 {
+            RunOutcome::AllDecided
+        } else {
+            RunOutcome::Quiescent
         }
     }
 
-    /// The conservative time-window coordinator (`S > 1`, merged
-    /// stepping).
+    /// One pass of the conservative time-window coordinator (`S > 1`):
+    /// decides whether the run stops, drains a window inline, or hands
+    /// it to the pool. The window `[W, W + lookahead)` opens at the
+    /// earliest pending time over queues, mailboxes, and deferred
+    /// pushes, computed *before* flushing — the workers (or the merged
+    /// drain) flush as their first act, and an unflushed entry has the
+    /// same time either way. The lookahead guarantees nothing processed
+    /// inside the window schedules into it, so mailboxes stay untouched
+    /// until the next boundary (see [`super::shard`]).
     ///
-    /// Protocol per iteration: flush every cross-shard mailbox into
-    /// its destination queue (and any local pushes a previous pooled
-    /// run deferred), open a window `[W, W + lookahead)` at the
-    /// global minimum head time, and drain all shard heads due in
-    /// the window in global `(time, class, seq)` order. The lookahead
-    /// guarantees nothing processed inside the window schedules into
-    /// it, so mailboxes stay untouched until the next boundary, and
-    /// the merged order — hence the trace, decisions, and counters —
-    /// is byte-identical to the serial loop's. See [`super::shard`].
-    fn run_loop_sharded(&mut self, until: Option<Time>) -> RunOutcome {
-        debug_assert!(self.sh.lookahead >= 1, "checked at build time");
-        if !self.core.started {
-            self.start_procs();
-        }
-        loop {
-            if self.core.stop_when_all_decided && self.core.undecided == 0 {
-                return RunOutcome::AllDecided;
-            }
-            self.flush_mailboxes();
-            self.flush_local_pending();
-            let Some(window_start) = self.min_head_time() else {
-                return if self.core.undecided == 0 {
-                    RunOutcome::AllDecided
-                } else {
-                    RunOutcome::Quiescent
-                };
-            };
-            if let Some(limit) = until {
-                if window_start > limit {
-                    return RunOutcome::MaxTime;
-                }
-            }
-            if window_start > self.sh.max_time {
-                return RunOutcome::MaxTime;
-            }
-            let window_end = Time(window_start.ticks().saturating_add(self.sh.lookahead - 1));
-            self.core.metrics.shard_window_advances += 1;
-            if let Some(outcome) = self.drain_window_merged(window_end, until) {
-                return outcome;
-            }
-        }
-    }
-
-    /// One planning pass of the pooled coordinator, run under all
-    /// cell locks: decides whether the run stops, steps a window
-    /// inline (commit-gate ineligible, or skipped by the adaptive
-    /// serial gate), or hands a window descriptor to the pool.
-    /// `last_window_events` carries the serial gate's estimate across
-    /// calls (updated by inline windows here and by parallel windows
-    /// in the caller).
-    fn plan_window(&mut self, until: Option<Time>, last_window_events: &mut u64) -> Plan {
+    /// `serial_gate` is `None` when no pool runs: every window drains
+    /// inline. With a pool it carries the adaptive serial gate's
+    /// estimate — the previous window's event count — across calls
+    /// (updated by inline windows here and by parallel windows in the
+    /// caller).
+    fn plan_window(&mut self, until: Option<Time>, serial_gate: Option<&mut u64>) -> Plan {
         if self.core.stop_when_all_decided && self.core.undecided == 0 {
             return Plan::Stop(RunOutcome::AllDecided);
         }
-        // The window start is computed over queues, mailboxes, and
-        // deferred pushes *before* flushing: the workers (or the
-        // merged fallback) flush as their first act, and an unflushed
-        // entry has the same time either way.
-        let window_start = self.min_pending_time();
-        let horizon_stop = match window_start {
-            None => Some(if self.core.undecided == 0 {
-                RunOutcome::AllDecided
-            } else {
-                RunOutcome::Quiescent
-            }),
-            Some(t) if until.is_some_and(|limit| t > limit) || t > self.sh.max_time => {
-                Some(RunOutcome::MaxTime)
+        let window_start = match self.min_pending_time() {
+            Some(t) if until.is_none_or(|limit| t <= limit) && t <= self.sh.max_time => t,
+            pending => {
+                let outcome = match pending {
+                    Some(_) => RunOutcome::MaxTime,
+                    None => self.idle_outcome(),
+                };
+                // The stop pass flushes too, like every pass: flush
+                // counts are deterministic metrics, and a later `run*`
+                // call resumes from flushed queues.
+                self.flush_mailboxes();
+                self.flush_local_pending();
+                return Plan::Stop(outcome);
             }
-            Some(_) => None,
         };
-        if let Some(outcome) = horizon_stop {
-            // The merged loop flushes at the top of every round —
-            // including the final one that discovers the stop. Mirror
-            // it, so flush accounting and post-run queue state stay
-            // byte-identical (and a later `run*` call resumes from
-            // the same place either way).
-            self.flush_mailboxes();
-            self.flush_local_pending();
-            return Plan::Stop(outcome);
-        }
-        let window_start = window_start.expect("stop paths handled above");
         let window_end = Time(window_start.ticks().saturating_add(self.sh.lookahead - 1));
         self.core.metrics.shard_window_advances += 1;
         // A window may run in parallel only when (a) no mid-broadcast
@@ -1816,85 +1758,73 @@ impl<P: Process> Exec<'_, '_, P> {
         // `note_delivery` a no-op — and (b) it cannot cross the time
         // horizon, so no step inside it can be the one that stops the
         // run on time.
-        let bounded =
-            window_end <= self.sh.max_time && until.is_none_or(|limit| window_end <= limit);
-        let eligible = bounded && self.core.ledger.parallel_step_safe();
-        if !eligible || *last_window_events < SERIAL_WINDOW_MIN_EVENTS {
-            if eligible {
-                // Eligible but skipped purely as wake-policy: the
-                // merged drain below is byte-identical to what the
-                // pool would have produced.
-                self.core.metrics.serial_window_shortcuts += 1;
-            }
-            self.flush_mailboxes();
-            self.flush_local_pending();
-            let before = self.core.metrics.events;
-            return match self.drain_window_merged(window_end, until) {
-                Some(outcome) => Plan::Stop(outcome),
-                None => {
-                    *last_window_events = self.core.metrics.events - before;
-                    Plan::Continue
-                }
+        let eligible = serial_gate.is_some()
+            && self.core.ledger.parallel_step_safe()
+            && window_end <= self.sh.max_time
+            && until.is_none_or(|limit| window_end <= limit);
+        let last_window_events = serial_gate.as_deref().copied();
+        if eligible && last_window_events >= Some(SERIAL_WINDOW_MIN_EVENTS) {
+            return Plan::Parallel {
+                window_end,
+                events_before: self.core.metrics.events,
+                undecided_before: self.core.undecided as u64,
             };
         }
-        Plan::Parallel {
-            window_end,
-            events_before: self.core.metrics.events,
-            undecided_before: self.core.undecided as u64,
+        // Eligible but skipped purely as wake-policy: the merged drain
+        // below is byte-identical to what the pool would have produced.
+        self.core.metrics.serial_window_shortcuts += u64::from(eligible);
+        self.flush_mailboxes();
+        self.flush_local_pending();
+        let before = self.core.metrics.events;
+        let stop = self.drain_window_merged(window_end, until);
+        if let Some(last_window_events) = serial_gate {
+            *last_window_events = self.core.metrics.events - before;
         }
+        stop.map_or(Plan::Continue, Plan::Stop)
     }
 
     /// Drains one open window in global `(time, class, seq)` order on
-    /// the coordinator thread — the sharded engine's inner loop, also
-    /// the fallback the pooled coordinator uses for windows the
-    /// commit gate cannot prove stop-free. Mailboxes (and any
-    /// deferred local pushes) must already be flushed. Returns
-    /// `Some(outcome)` when the run stops mid-window, `None` when the
-    /// window drains and the next one may open.
+    /// the coordinator thread — the engine's one inline loop: a single
+    /// shard drains one unbounded window through it, and the
+    /// coordinator every window it does not hand to the pool.
+    /// Mailboxes (and any deferred local pushes) must already be
+    /// flushed. A run head yields its delivery and is re-pushed under
+    /// the run's next entry before the step, so the run is back in the
+    /// queue for anything the callback does (a crash that voids it
+    /// included). Returns `Some(outcome)` when the run stops
+    /// mid-window, `None` when the window drains.
     fn drain_window_merged(&mut self, window_end: Time, until: Option<Time>) -> Option<RunOutcome> {
+        let sharded = self.cells.len() > 1;
         loop {
             if self.core.stop_when_all_decided && self.core.undecided == 0 {
                 return Some(RunOutcome::AllDecided);
             }
-            let Some((shard, next_time)) = self.min_head_in_window(window_end) else {
-                return None; // window drained; open the next one
-            };
-            if let Some(limit) = until {
-                if next_time > limit {
-                    return Some(RunOutcome::MaxTime);
-                }
-            }
-            if next_time > self.sh.max_time {
+            let (shard, next_time) = self.min_head_in_window(window_end)?;
+            if until.is_some_and(|limit| next_time > limit) || next_time > self.sh.max_time {
                 return Some(RunOutcome::MaxTime);
             }
             if self.core.metrics.events >= self.sh.max_events {
                 return Some(RunOutcome::EventLimit);
             }
-            let ev = self.cells[shard].queue.pop().expect("peeked");
+            let cell = &mut *self.cells[shard];
+            let ev = cell.queue.pop().expect("peeked");
             self.core.now = ev.time;
             self.core.metrics.events += 1;
-            self.core.metrics.per_shard_events[shard] += 1;
-            self.process_event(shard, ev.payload);
-        }
-    }
-
-    /// One engine step: dispatch an event popped off `shard`'s queue
-    /// to its handler. The per-shard step function every loop flavor
-    /// shares. A run head yields its delivery and re-pushes the run
-    /// under its next entry before the delivery runs, so the run is
-    /// back in the queue for anything the callback does (a crash that
-    /// voids it included).
-    fn process_event(&mut self, shard: usize, ev: EventKind) {
-        match ev {
-            EventKind::Crash { node } => self.handle_crash(node),
-            EventKind::Receive { run, k } => {
-                let cell = &mut *self.cells[shard];
-                if let Some((key, head)) = cell.runs.advance(run, k) {
-                    cell.queue.push_at(key.0, key.1, EventId(key.2), head);
-                }
-                self.handle_delivery(shard, run, k);
+            if sharded {
+                self.core.metrics.per_shard_events[shard] += 1;
             }
-            EventKind::Ack { node, bcast } => self.handle_ack(node, bcast),
+            match ev.payload {
+                EventKind::Crash { node } => self.handle_crash(node),
+                kind => {
+                    if let EventKind::Receive { run, k } = kind {
+                        if let Some((key, head)) = cell.runs.advance(run, k) {
+                            cell.queue.push_at(key.0, key.1, EventId(key.2), head);
+                        }
+                    }
+                    let step = cell.step(ev.time, kind, self.sh);
+                    self.commit(step);
+                }
+            }
         }
     }
 
@@ -1918,18 +1848,10 @@ impl<P: Process> Exec<'_, '_, P> {
         }
     }
 
-    /// The earliest head time across all shard queues.
-    fn min_head_time(&mut self) -> Option<Time> {
-        self.cells
-            .iter_mut()
-            .filter_map(|c| c.queue.peek_time())
-            .min()
-    }
-
     /// The earliest pending time anywhere — queue heads, in-transit
-    /// mailbox entries, and deferred local pushes. Equals what
-    /// [`Exec::min_head_time`] would report after a flush, without
-    /// flushing (the pooled coordinator flushes inside the workers).
+    /// mailbox entries, and deferred local pushes: the earliest queue
+    /// head a flush would leave, without flushing (the pooled
+    /// coordinator flushes inside the workers).
     fn min_pending_time(&mut self) -> Option<Time> {
         self.cells
             .iter_mut()
@@ -1972,87 +1894,159 @@ impl<P: Process> Exec<'_, '_, P> {
     }
 
     /// Absorbs one pool-executed window after its last barrier:
-    /// wall-clock and flush accounting either way, and — when the
-    /// gate committed — the order-independent counter sums plus the
-    /// ordered commit, which replays step records in global key order
-    /// (cursor merge over the per-shard key-sorted lists),
-    /// re-creating the serial trace and broadcast/event-id/RNG
-    /// sequences exactly. Own-shard pushes are deferred into the
-    /// cells' `pending` staging for the next window-boundary flush.
+    /// wall-clock and flush accounting either way, the event counts
+    /// (zero in a refused window), and — when the gate committed —
+    /// the ordered commit: [`Exec::commit`] once per recorded step, in
+    /// global key order (a cursor merge over the per-shard key-sorted
+    /// lists), so the trace and the broadcast/event-id/RNG sequences
+    /// come out exactly as the inline loop's. Own-shard pushes are
+    /// deferred into the cells' `pending` staging for the next
+    /// window-boundary flush.
     fn absorb_parallel_window(&mut self, committed: bool, elapsed: u64, flush_edges: u64) {
         let s = self.cells.len();
-        // Mailbox-flush accounting and wall-clock timing apply
-        // whether or not the window committed: the flushes happened,
-        // and the workers did the work.
         self.core.metrics.shard_mailbox_flushes += flush_edges;
-        let mut decided_total = 0u64;
         let mut end_time: Option<Time> = None;
-        let mut recs: Vec<Vec<StepRec<P::Msg>>> = Vec::with_capacity(s);
-        let mut traces: Vec<Vec<TraceEvent>> = Vec::with_capacity(s);
+        let mut recs = Vec::with_capacity(s);
         for shard in 0..s {
             let cell = &mut *self.cells[shard];
-            let out = std::mem::take(&mut cell.out);
-            self.core.metrics.shard_busy_ns[shard] += out.busy_ns;
-            self.core.metrics.shard_barrier_wait_ns[shard] += elapsed.saturating_sub(out.busy_ns);
-            if !committed {
-                continue;
-            }
-            // Order-independent commits: plain sums.
-            self.core.metrics.events += out.events;
-            self.core.metrics.per_shard_events[shard] += out.events;
-            self.core.metrics.deliveries += out.deliveries;
-            self.core.metrics.unreliable_deliveries += out.unreliable_deliveries;
-            self.core.metrics.acks += out.acks;
-            self.core.metrics.busy_discards += out.busy_discards;
-            decided_total += out.decided;
-            end_time = end_time.max(out.last_time);
+            let out = &mut cell.out;
+            let m = &mut self.core.metrics;
+            m.shard_busy_ns[shard] += out.busy_ns;
+            m.shard_barrier_wait_ns[shard] += elapsed.saturating_sub(out.busy_ns);
+            m.events += out.events;
+            m.per_shard_events[shard] += out.events;
+            end_time = end_time.max(out.last_time.take());
+            (out.busy_ns, out.events) = (0, 0);
             recs.push(std::mem::take(&mut cell.scratch.records));
-            traces.push(std::mem::take(&mut cell.scratch.trace_buf));
         }
         if !committed {
             return;
         }
-        // The gate guarantees a worker-dispatched node is alive, so
-        // every new decision decrements `undecided` — and strictly
-        // fewer than `undecided_before` can have decided.
-        self.core.undecided -= decided_total as usize;
         self.core.defer_local_pushes = true;
         let mut cursors = vec![0usize; s];
         loop {
             let mut best: Option<((Time, u8, u64), usize)> = None;
             for (shard, rl) in recs.iter().enumerate() {
-                if let Some(rec) = rl.get(cursors[shard]) {
-                    if best.is_none_or(|(k, _)| rec.key < k) {
-                        best = Some((rec.key, shard));
+                if let Some(&(key, _)) = rl.get(cursors[shard]) {
+                    if best.is_none_or(|(k, _)| key < k) {
+                        best = Some((key, shard));
                     }
                 }
             }
             let Some((key, shard)) = best else { break };
-            let rec = &mut recs[shard][cursors[shard]];
+            let rec = &mut recs[shard][cursors[shard]].1;
             cursors[shard] += 1;
-            for ev in &traces[shard][rec.trace_start..rec.trace_end] {
-                self.core.trace.push(*ev);
-            }
-            if let Some((slot, msg)) = rec.broadcast.take() {
-                self.core.now = key.0;
-                self.commit_deferred_broadcast(slot, msg);
-            }
+            let step = Step {
+                broadcast: rec.broadcast.take(),
+                ..*rec
+            };
+            self.core.now = key.0;
+            self.commit(step);
         }
         self.core.defer_local_pushes = false;
         if let Some(t) = end_time {
             self.core.now = t;
         }
-        for (shard, (mut r, mut t)) in recs.into_iter().zip(traces).enumerate() {
+        for (shard, mut r) in recs.into_iter().enumerate() {
             r.clear();
-            t.clear();
-            let cell = &mut *self.cells[shard];
-            cell.scratch.records = r;
-            cell.scratch.trace_buf = t;
+            self.cells[shard].scratch.records = r;
         }
     }
 }
 
 impl<P: Process> Exec<'_, '_, P> {
+    /// The engine step, global half — the one ordered commit. Applies
+    /// `step` in the serial order: its Deliver/Ack record, the
+    /// `undecided` count, the broadcast (counters, [`BcastId`],
+    /// scheduling, admission crash), the Decide record, then a
+    /// mid-broadcast crash the delivery completes. The inline loop
+    /// calls it once per event; after a pool window it runs once per
+    /// recorded step in global key order.
+    #[inline(always)]
+    fn commit(&mut self, step: Step<P::Msg>) {
+        let Step {
+            time,
+            slot,
+            cause,
+            broadcast,
+            decision,
+        } = step;
+        match cause {
+            Cause::Deliver {
+                from,
+                unreliable,
+                lost: false,
+                ..
+            } => self.core.trace.push(TraceEvent::Deliver {
+                time,
+                from,
+                to: slot,
+                unreliable,
+            }),
+            Cause::Ack => self.core.trace.push(TraceEvent::Ack { time, slot }),
+            _ => {}
+        }
+        // Callbacks only run on live nodes, so the decision counts now:
+        // the broadcast below may crash this very node (a mid-broadcast
+        // crash armed with zero deliveries), and `handle_crash` only
+        // subtracts nodes that have *not* decided.
+        if decision.is_some() {
+            self.core.undecided -= 1;
+        }
+        if let Some((msg, ids)) = broadcast {
+            debug_assert!(
+                !self.core.ledger.is_crashed(slot.0),
+                "crashed node broadcast"
+            );
+            let m = &mut self.core.metrics;
+            m.broadcasts += 1;
+            m.per_slot_broadcasts[slot.0] += 1;
+            m.max_message_ids = m.max_message_ids.max(ids);
+            m.total_message_ids += ids as u64;
+            self.core
+                .trace
+                .push(TraceEvent::Broadcast { time, slot, ids });
+            let bcast = BcastId(self.core.bcast_seq);
+            self.core.bcast_seq += 1;
+            let cell = &mut *self.cells[self.sh.shard_map.shard_of(slot.0)];
+            let parked = cell.outstanding[slot.0 - cell.base].replace(bcast);
+            debug_assert_eq!(
+                parked,
+                Some(DEFERRED_BCAST),
+                "broadcast without its placeholder"
+            );
+            self.commit_broadcast_events(slot, msg, bcast);
+        }
+        // The trace keeps Broadcast (and any Crash it triggers) ahead
+        // of Decide.
+        if let Some(d) = decision {
+            self.core.trace.push(TraceEvent::Decide {
+                time: d.time,
+                slot,
+                value: d.value,
+            });
+        }
+        // Mid-broadcast crash: the sender dies immediately after this
+        // delivery, and the rest of the broadcast never happens. A
+        // lost delivery still consumes its slot in the countdown, so
+        // the sender's planned crash fires even when watched
+        // deliveries target dead receivers — the contract shared with
+        // the threaded ether, whose prefix over all neighbors likewise
+        // burns slots on dead receivers (see
+        // `Admission::PartialThenCrash`).
+        if let Cause::Deliver {
+            from,
+            bcast,
+            unreliable: false,
+            ..
+        } = cause
+        {
+            if self.core.ledger.note_delivery(bcast.0) {
+                self.handle_crash(from);
+            }
+        }
+    }
+
     /// Allocates the next engine-global event id.
     fn alloc_id(&mut self) -> u64 {
         let id = self.core.next_event_id;
@@ -2158,176 +2152,6 @@ impl<P: Process> Exec<'_, '_, P> {
             }
             cell.runs.release(run);
         }
-    }
-
-    /// Runs delivery `k` of `run`, just taken off `shard`'s queue.
-    fn handle_delivery(&mut self, shard: usize, run: u32, k: u32) {
-        // The run carries the payload handle into this shard's arena
-        // (the sender's own slot, or the one clone a cross-shard run
-        // imported), so this step never reads the sender's shard —
-        // the parallel stepper's ownership contract.
-        let Delivery {
-            to,
-            from,
-            bcast,
-            unreliable,
-            msg,
-        } = self.cells[shard].take_delivery(run, k);
-        // The receiver may have crashed after this delivery was
-        // scheduled; the message is silently lost (and never cloned).
-        // The lost delivery still consumes its slot in any
-        // mid-broadcast crash countdown, so the sender's planned crash
-        // fires even when watched deliveries target dead receivers —
-        // the contract shared with the threaded ether, whose prefix
-        // over all neighbors likewise burns slots on dead receivers
-        // (see Admission::PartialThenCrash).
-        let Some(msg) = msg else {
-            if !unreliable && self.core.ledger.note_delivery(bcast.0) {
-                self.handle_crash(from);
-            }
-            return;
-        };
-        self.core.metrics.deliveries += u64::from(!unreliable);
-        self.core.metrics.unreliable_deliveries += u64::from(unreliable);
-        self.core.trace.push(TraceEvent::Deliver {
-            time: self.core.now,
-            from,
-            to,
-            unreliable,
-        });
-        self.dispatch(to, |p, ctx| p.on_receive(msg, ctx));
-        // Mid-broadcast crash: the sender dies immediately after this
-        // delivery; the rest of the broadcast never happens.
-        if !unreliable && self.core.ledger.note_delivery(bcast.0) {
-            self.handle_crash(from);
-        }
-    }
-
-    fn handle_ack(&mut self, node: Slot, bcast: BcastId) {
-        self.cells[self.sh.shard_map.shard_of(node.0)].retire_ack(node, bcast);
-        self.core.metrics.acks += 1;
-        self.core.trace.push(TraceEvent::Ack {
-            time: self.core.now,
-            slot: node,
-        });
-        self.dispatch(node, |p, ctx| p.on_ack(ctx));
-    }
-
-    /// Runs one process callback with a fresh context, then services
-    /// any broadcast it requested and records any new decision.
-    fn dispatch<F>(&mut self, slot: Slot, f: F)
-    where
-        F: FnOnce(&mut P, &mut Context<'_, P::Msg>),
-    {
-        let shard = self.sh.shard_map.shard_of(slot.0);
-        let mut outbox: Option<P::Msg> = None;
-        let new_decision = {
-            let cell = &mut *self.cells[shard];
-            let li = slot.0 - cell.base;
-            let had_decision = cell.decisions[li].is_some();
-            let mut ctx = Context {
-                id: self.sh.ids[slot.0],
-                now: self.core.now,
-                busy: cell.outstanding[li].is_some(),
-                outbox: &mut outbox,
-                decision: &mut cell.decisions[li],
-                ts_seq: &mut cell.ts_seqs[li],
-                busy_discards: &mut self.core.metrics.busy_discards,
-                rng: &mut cell.rngs[li],
-            };
-            f(&mut cell.procs[li], &mut ctx);
-            cell.decisions[li].filter(|_| !had_decision)
-        };
-        // Callbacks only run on live nodes, so the decision counts now:
-        // the broadcast below may crash this very node (a mid-broadcast
-        // crash armed with zero deliveries), and `handle_crash` only
-        // subtracts nodes that have *not* decided.
-        if new_decision.is_some() {
-            self.core.undecided -= 1;
-        }
-        if let Some(m) = outbox {
-            self.start_broadcast(slot, m);
-        }
-        // The trace keeps Broadcast (and any Crash it triggers) ahead
-        // of Decide.
-        if let Some(d) = new_decision {
-            self.core.trace.push(TraceEvent::Decide {
-                time: d.time,
-                slot,
-                value: d.value,
-            });
-        }
-    }
-
-    /// Broadcast accounting shared by the immediate and deferred entry
-    /// points: the O(1) message-size budget assertion plus the
-    /// broadcast counters. Returns the message's id count.
-    fn note_broadcast_metrics(&mut self, slot: Slot, msg: &P::Msg) -> usize {
-        let ids = msg.id_count();
-        if let Some(budget) = self.sh.message_id_budget {
-            assert!(
-                ids <= budget,
-                "message from {} carries {ids} ids, exceeding the O(1) budget of {budget}: {msg:?}",
-                self.sh.ids[slot.0],
-            );
-        }
-        self.core.metrics.broadcasts += 1;
-        self.core.metrics.per_slot_broadcasts[slot.0] += 1;
-        self.core.metrics.max_message_ids = self.core.metrics.max_message_ids.max(ids);
-        self.core.metrics.total_message_ids += ids as u64;
-        ids
-    }
-
-    /// Accepts a broadcast requested during serial or merged event
-    /// processing: records it, assigns the next broadcast id, and
-    /// schedules its deliveries and ack.
-    fn start_broadcast(&mut self, slot: Slot, msg: P::Msg) {
-        debug_assert!(
-            !self.core.ledger.is_crashed(slot.0),
-            "crashed node broadcast"
-        );
-        let ids = self.note_broadcast_metrics(slot, &msg);
-        self.core.trace.push(TraceEvent::Broadcast {
-            time: self.core.now,
-            slot,
-            ids,
-        });
-        let bcast = BcastId(self.core.bcast_seq);
-        self.core.bcast_seq += 1;
-        {
-            let cell = &mut *self.cells[self.sh.shard_map.shard_of(slot.0)];
-            let li = slot.0 - cell.base;
-            debug_assert!(cell.outstanding[li].is_none(), "double broadcast");
-            cell.outstanding[li] = Some(bcast);
-        }
-        self.commit_broadcast_events(slot, msg, bcast);
-    }
-
-    /// Second half of a broadcast a parallel-window worker already
-    /// dispatched: the worker ran the process callback, recorded the
-    /// [`TraceEvent::Broadcast`], and parked [`DEFERRED_BCAST`] as the
-    /// node's outstanding id; the coordinator replays the deferred
-    /// halves in global step order, so the broadcast/event-id/RNG
-    /// sequences come out exactly as a serial run's.
-    fn commit_deferred_broadcast(&mut self, slot: Slot, msg: P::Msg) {
-        debug_assert!(
-            !self.core.ledger.is_crashed(slot.0),
-            "crashed node broadcast"
-        );
-        self.note_broadcast_metrics(slot, &msg);
-        let bcast = BcastId(self.core.bcast_seq);
-        self.core.bcast_seq += 1;
-        {
-            let cell = &mut *self.cells[self.sh.shard_map.shard_of(slot.0)];
-            let li = slot.0 - cell.base;
-            debug_assert_eq!(
-                cell.outstanding[li],
-                Some(DEFERRED_BCAST),
-                "deferred broadcast without its worker-side placeholder"
-            );
-            cell.outstanding[li] = Some(bcast);
-        }
-        self.commit_broadcast_events(slot, msg, bcast);
     }
 
     /// Plans and schedules one accepted broadcast's deliveries and
@@ -2972,7 +2796,9 @@ mod tests {
     }
 
     /// Sharded runs populate the coordinator counters; serial runs
-    /// leave them zero.
+    /// leave them — and the per-shard, shortcut and pool counters —
+    /// zero, although their one shard drains through the coordinator's
+    /// window loop.
     #[test]
     fn shard_counters_surface_in_metrics() {
         let run = |shards: usize| {
@@ -2989,6 +2815,10 @@ mod tests {
         assert_eq!(serial.cross_shard_deliveries, 0);
         assert_eq!(serial.shard_window_advances, 0);
         assert_eq!(serial.shard_mailbox_flushes, 0);
+        assert_eq!(serial.per_shard_events.iter().sum::<u64>(), 0);
+        assert_eq!(serial.serial_window_shortcuts, 0);
+        assert_eq!(serial.superstep_count, 0);
+        assert_eq!(serial.worker_spawns, 0);
         let sharded = run(4);
         assert!(sharded.cross_shard_deliveries > 0, "{sharded:?}");
         assert!(sharded.shard_window_advances > 0, "{sharded:?}");
@@ -3265,41 +3095,52 @@ mod tests {
     /// count, and queue core, trace and report stay byte-identical to
     /// serial. The time-zero crash event forces at least one merged
     /// fallback window, so both paths are exercised in one run.
+    ///
+    /// With tracing off a pool worker records only the steps that
+    /// broadcast or decided, so the comparison there is outcome, end
+    /// time, decisions and the semantic counters (the traces are both
+    /// empty). The clique of listeners — nodes that decide on the
+    /// first token without relaying it — puts decision-only steps
+    /// into the pool's first window.
     #[test]
     fn threaded_runs_are_byte_identical_to_serial() {
-        for core in QueueCoreKind::all() {
-            for topo in [
-                Topology::line(9),
-                Topology::clique(6),
-                Topology::random_connected(14, 0.2, 3),
-            ] {
-                let run = |shards: usize, threads: usize| {
-                    let mut sim = SimBuilder::new(topo.clone(), |s| Flood {
-                        initiator: s.0 == 0,
-                        relayed: false,
-                    })
-                    .scheduler(RandomScheduler::new(5, 11))
-                    .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
-                        slot: Slot(topo.len() - 1),
-                        time: Time(2),
-                    }]))
-                    .queue_core(core)
-                    .shards(shards)
-                    .threads(threads)
-                    .trace(true)
-                    .build();
-                    let report = sim.run();
-                    (observables(&report, &sim), sim.thread_count())
-                };
-                let (serial, _) = run(1, 1);
-                for shards in [2usize, 3, 7] {
-                    for threads in [2usize, 4] {
-                        let (threaded, actual) = run(shards, threads);
-                        assert_eq!(
-                            serial, threaded,
-                            "{core} core, {shards} shards x {threads} threads \
-                             ({actual} effective) diverged from serial"
-                        );
+        for trace in [true, false] {
+            for core in QueueCoreKind::all() {
+                for (topo, listeners) in [
+                    (Topology::line(9), false),
+                    (Topology::clique(6), false),
+                    (Topology::clique(6), true),
+                    (Topology::random_connected(14, 0.2, 3), false),
+                ] {
+                    let run = |shards: usize, threads: usize| {
+                        let mut sim = SimBuilder::new(topo.clone(), |s| Flood {
+                            initiator: s.0 == 0,
+                            relayed: listeners && s.0 != 0,
+                        })
+                        .scheduler(RandomScheduler::new(5, 11))
+                        .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
+                            slot: Slot(topo.len() - 1),
+                            time: Time(2),
+                        }]))
+                        .queue_core(core)
+                        .shards(shards)
+                        .threads(threads)
+                        .trace(trace)
+                        .build();
+                        let report = sim.run();
+                        (observables(&report, &sim), sim.thread_count())
+                    };
+                    let (serial, _) = run(1, 1);
+                    for shards in [2usize, 3, 7] {
+                        for threads in [2usize, 4] {
+                            let (threaded, actual) = run(shards, threads);
+                            assert_eq!(
+                                serial, threaded,
+                                "trace {trace}, {core} core, listeners {listeners}, \
+                                 {shards} shards x {threads} threads ({actual} effective) \
+                                 diverged from serial"
+                            );
+                        }
                     }
                 }
             }

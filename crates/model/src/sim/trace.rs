@@ -290,8 +290,8 @@ pub struct Metrics {
     pub shard_mailbox_flushes: u64,
     /// Events processed per shard (length = shard count). Populated
     /// by the sharded coordinator only — a serial run reports `[0]`
-    /// (its fast path skips the per-shard accounting, and `events`
-    /// already carries the total). The spread is the load-imbalance
+    /// (its single shard drains one unbounded window without per-shard
+    /// accounting, and `events` already carries the total). The spread is the load-imbalance
     /// signal the sweep reports surface.
     pub per_shard_events: Vec<u64>,
     /// Wall-clock nanoseconds each shard's worker spent doing real
