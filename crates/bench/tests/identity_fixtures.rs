@@ -113,7 +113,7 @@ fn run_digest(d: Descriptor, core: QueueCoreKind, shards: usize, threads: usize)
 /// everything the byte-identity contract covers: the rendered trace,
 /// the report, and the decision-latency histogram. Shard/thread
 /// bookkeeping counters (cross-shard deliveries, window advances,
-/// mailbox flushes, bucket overflows) legitimately vary per
+/// bucket overflows) legitimately vary per
 /// configuration and are excluded — exactly like the engine's own
 /// identity tests.
 fn digest<P: Process>(sim: &mut Sim<P>) -> u64 {

@@ -35,8 +35,8 @@
 //! [engine grid](crate::grid::engine_grid) — both queue cores, the
 //! sharded engine, and the thread-per-shard parallel stepper — and
 //! fails the row unless every [`MacReport`] matches field-for-field.
-//! The row surfaces the coordinator's cross-shard counters (mailbox
-//! deliveries, window advances, flushes, load skew) and the
+//! The row surfaces the coordinator's cross-shard counters
+//! (cross-shard deliveries, window advances, load skew) and the
 //! barrier-wait share (`barrier%`) as aligned report columns, so
 //! partition imbalance is visible at a glance.
 //!
@@ -917,12 +917,10 @@ impl Scenario {
 /// `amacl sweep` output.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SweepShardStats {
-    /// Deliveries routed through cross-shard mailboxes.
+    /// Deliveries scheduled into another shard.
     pub cross_shard_deliveries: u64,
     /// Conservative windows the coordinator opened.
     pub window_advances: u64,
-    /// Non-empty per-edge mailboxes drained at window boundaries.
-    pub mailbox_flushes: u64,
     /// Busiest shard's event share over the mean, in percent
     /// (`100` = perfectly balanced).
     pub skew_pct: u64,
@@ -943,8 +941,8 @@ pub struct SweepShardStats {
 
 impl SweepShardStats {
     /// Folds in one grid run's counters: the first sharded, serially
-    /// stepped run fills the mailbox and window columns (a sharded run
-    /// always opens a window), the parallel-stepped run fills
+    /// stepped run fills the cross-shard and window columns (a sharded
+    /// run always opens a window), the parallel-stepped run fills
     /// `barrier%` and `passes`.
     fn record(&mut self, cfg: &EngineConfig, m: &Metrics) {
         if cfg.threads.get() > 1 {
@@ -953,7 +951,6 @@ impl SweepShardStats {
         } else if cfg.shards.get() > 1 && self.window_advances == 0 {
             self.cross_shard_deliveries = m.cross_shard_deliveries;
             self.window_advances = m.shard_window_advances;
-            self.mailbox_flushes = m.shard_mailbox_flushes;
             self.skew_pct = (m.shard_skew() * 100.0).round() as u64;
             self.payload_clones = m.payload_clones;
         }
@@ -1110,10 +1107,9 @@ impl SweepOutcome {
                 .unwrap_or(0)
                 .max(head.len())
         };
-        let (w_xd, w_win, w_fl, w_skew, w_bar, w_wk, w_pc) = (
+        let (w_xd, w_win, w_skew, w_bar, w_wk, w_pc) = (
             col("xdeliv", |s| s.cross_shard_deliveries),
             col("windows", |s| s.window_advances),
-            col("flushes", |s| s.mailbox_flushes),
             col("skew%", |s| s.skew_pct),
             col("barrier%", |s| s.barrier_pct),
             col("passes", |s| s.worker_wakeups),
@@ -1121,14 +1117,13 @@ impl SweepOutcome {
         );
         let _ = writeln!(
             out,
-            "{:<width$} {:>6} {:>6} {:>w_xd$} {:>w_win$} {:>w_fl$} {:>w_skew$} {:>w_bar$} \
-             {:>w_wk$} {:>w_pc$}  summary",
+            "{:<width$} {:>6} {:>6} {:>w_xd$} {:>w_win$} {:>w_skew$} {:>w_bar$} {:>w_wk$} \
+             {:>w_pc$}  summary",
             "scenario",
             "seed",
             "status",
             "xdeliv",
             "windows",
-            "flushes",
             "skew%",
             "barrier%",
             "passes",
@@ -1138,14 +1133,13 @@ impl SweepOutcome {
             let s = &row.shard_stats;
             let _ = writeln!(
                 out,
-                "{:<width$} {:>6} {:>6} {:>w_xd$} {:>w_win$} {:>w_fl$} {:>w_skew$} {:>w_bar$} \
-                 {:>w_wk$} {:>w_pc$}  {}",
+                "{:<width$} {:>6} {:>6} {:>w_xd$} {:>w_win$} {:>w_skew$} {:>w_bar$} {:>w_wk$} \
+                 {:>w_pc$}  {}",
                 row.scenario,
                 row.seed,
                 if row.ok { "ok" } else { "FAIL" },
                 s.cross_shard_deliveries,
                 s.window_advances,
-                s.mailbox_flushes,
                 s.skew_pct,
                 s.barrier_pct,
                 s.worker_wakeups,

@@ -129,7 +129,7 @@ fn cases() -> Vec<Case> {
         }),
         // Slot 2's first broadcast stops after 11 of its 23
         // deliveries: at S = 2 and S = 4 the voided remainder is split
-        // across shards, part of it still in transit in a mailbox.
+        // across shards, one queued run head on each.
         case(
             "two-phase/mid-broadcast",
             Topology::clique(24),

@@ -860,10 +860,9 @@ fn run(
         let m = &report.metrics;
         let _ = writeln!(
             out,
-            "shards: {shards} | cross-shard deliveries {} | windows {} | mailbox flushes {} | skew {:.2}",
+            "shards: {shards} | cross-shard deliveries {} | windows {} | skew {:.2}",
             m.cross_shard_deliveries,
             m.shard_window_advances,
-            m.shard_mailbox_flushes,
             m.shard_skew()
         );
         if engine.threads.is_some() {
@@ -1414,7 +1413,7 @@ mod tests {
         assert!(out.contains("engine grid identical"), "{out}");
         assert!(out.contains("heap S=2 T=1"), "{out}");
         // The counter columns are present and aligned under headers.
-        for col in ["xdeliv", "windows", "flushes", "skew%", "pclones"] {
+        for col in ["xdeliv", "windows", "skew%", "pclones"] {
             assert!(out.contains(col), "missing column {col}: {out}");
         }
     }

@@ -129,7 +129,7 @@ configuration of the ENGINE GRID (both queue cores, the sharded
 engine, the parallel stepper) and fails unless every report is
 byte-identical to the serial-heap reference; the row ends in `engine
 grid identical` or `DIVERGED at <config>`, and the cross-shard
-counters (mailbox deliveries, window advances, flushes, load skew) are
+counters (cross-shard deliveries, window advances, load skew) are
 printed as aligned columns. `--smoke` is the bounded subset CI runs on
 every PR; `--list` prints the catalogue.
 

@@ -385,8 +385,10 @@ impl BcastLedger {
     /// from the **receiver's** step); when both are empty,
     /// `note_delivery` is a pure no-op for every broadcast in flight,
     /// and each worker can step its shard against nothing but its own
-    /// [`LedgerShardSlice`]. A crashed sender's stale watch keeps a
-    /// run serial forever — conservative, and correct.
+    /// cells: the engine mirrors the crash flags per shard, and every
+    /// cross-shard effect is the single-threaded commit's. A crashed
+    /// sender's stale watch keeps a run serial forever — conservative,
+    /// and correct.
     pub fn parallel_step_safe(&self) -> bool {
         self.armed_watches == 0 && self.active_countdowns == 0
     }
@@ -529,71 +531,6 @@ impl BcastLedger {
         h.finish()
     }
 
-    /// A read-only per-shard view over the ledger's per-slot tables:
-    /// the slot range `[lo, hi)` a shard owns, condensed to the counts
-    /// a coordinator or report needs (how many of the shard's slots
-    /// are crashed, how many crash watches are still armed, how many
-    /// partial-delivery countdowns and ack obligations are live).
-    ///
-    /// The tables themselves stay whole — a delivery on one shard may
-    /// legitimately tick a countdown owned by a *sender* on another
-    /// (see [`BcastLedger::note_delivery`]) — so the view is the
-    /// shard-local *summary*, not a partition of mutable state. It is
-    /// what the sharded engine exposes per shard for imbalance
-    /// reporting, and what a future thread-parallel stepper would
-    /// promote into true per-shard ownership.
-    pub fn shard_view(&self, lo: usize, hi: usize) -> LedgerShardView {
-        assert!(lo <= hi && hi <= self.crashed.len(), "slot range in bounds");
-        LedgerShardView {
-            slots: hi - lo,
-            crashed: self.crashed[lo..hi].iter().filter(|&&c| c).count(),
-            armed_watches: self.watches[lo..hi].iter().flatten().count(),
-            active_countdowns: self.active[lo..hi].iter().flatten().count(),
-            pending_obligations: self.awaiting[lo..hi].iter().flatten().count(),
-        }
-    }
-
-    /// Splits the ledger's per-slot hot tables into disjoint `&mut`
-    /// slices, one per shard — the **ownership half** of the
-    /// thread-per-shard stepper's contract (the summary half is
-    /// [`BcastLedger::shard_view`]).
-    ///
-    /// `bounds` must be the shard map's contiguous `(lo, hi)` slot
-    /// ranges, in order, exactly covering `[0, n)`. Each returned
-    /// [`LedgerShardSlice`] carries exclusive references into the
-    /// crash-flag table for its range, so the borrow checker itself
-    /// enforces the stepping invariant: **a worker may consult only
-    /// its own shard's slice**. Everything cross-shard — payload
-    /// refcounts for messages whose sender lives elsewhere,
-    /// mid-broadcast countdowns, ack obligations — reaches a shard as
-    /// a typed message through the engine's per-edge mailboxes (or is
-    /// proven absent for the window by
-    /// [`BcastLedger::parallel_step_safe`]), never by reaching into
-    /// another shard's tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bounds` is not a contiguous, in-order, exact cover
-    /// of the slot range.
-    pub fn shard_slices(&mut self, bounds: &[(usize, usize)]) -> Vec<LedgerShardSlice<'_>> {
-        let n = self.crashed.len();
-        let mut out = Vec::with_capacity(bounds.len());
-        let mut rest: &mut [bool] = &mut self.crashed;
-        let mut consumed = 0usize;
-        for &(lo, hi) in bounds {
-            assert!(lo == consumed && hi >= lo, "bounds must tile [0, n)");
-            let (head, tail) = rest.split_at_mut(hi - lo);
-            out.push(LedgerShardSlice {
-                base: lo,
-                crashed: head,
-            });
-            rest = tail;
-            consumed = hi;
-        }
-        assert_eq!(consumed, n, "bounds must cover every slot");
-        out
-    }
-
     /// Releases every obligation awaiting the dead node `dead` (acks
     /// never wait on crashed neighbors). Returns the `(broadcast,
     /// sender)` pairs whose acks this completes, in deterministic
@@ -612,87 +549,6 @@ impl BcastLedger {
         completed.sort_unstable();
         completed.retain(|&(_, sender)| !self.crashed[sender]);
         completed
-    }
-}
-
-/// Shard-local summary of the [`BcastLedger`]'s per-slot tables; see
-/// [`BcastLedger::shard_view`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LedgerShardView {
-    /// Slots the shard owns.
-    pub slots: usize,
-    /// Crashed slots among them.
-    pub crashed: usize,
-    /// Mid-broadcast crash watches still armed.
-    pub armed_watches: usize,
-    /// Partial-delivery countdowns currently live.
-    pub active_countdowns: usize,
-    /// Ack obligations still awaiting confirmations.
-    pub pending_obligations: usize,
-}
-
-impl LedgerShardView {
-    /// Slots still alive in the shard.
-    pub fn alive(&self) -> usize {
-        self.slots - self.crashed
-    }
-}
-
-/// Exclusive per-shard ownership of the [`BcastLedger`]'s hot tables
-/// for one shard's contiguous slot range; see
-/// [`BcastLedger::shard_slices`].
-///
-/// A slice is handed to exactly one worker thread for the duration of
-/// one conservative time window. The invariants that make this sound:
-///
-/// * **Only the owning worker touches the slice.** The split is by
-///   `&mut` borrow, so this is compiler-enforced, not convention.
-/// * **Crash flags cannot change inside a parallel window.** Windows
-///   containing crash events fall back to the merged serial path, and
-///   [`BcastLedger::parallel_step_safe`] guarantees no mid-broadcast
-///   countdown can fire — so reading the local flags is reading frozen
-///   truth, and `to`-side flags are all a delivery step ever needs
-///   (a `Receive` event always targets the shard that owns it).
-/// * **Cross-shard effects travel as messages.** Payloads whose sender
-///   lives on another shard arrive as one clone per delivery run, held
-///   by the receiving shard; countdowns and obligations are absent by
-///   eligibility. No
-///   worker ever reads, let alone writes, a sibling's range.
-#[derive(Debug)]
-pub struct LedgerShardSlice<'a> {
-    /// First global slot of the owned range.
-    base: usize,
-    /// Crash flags for the owned range (`crashed[slot - base]`).
-    crashed: &'a mut [bool],
-}
-
-impl LedgerShardSlice<'_> {
-    /// Whether the (globally indexed, shard-owned) `slot` has crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is outside the owned range — a cross-shard
-    /// lookup is a stepping-contract violation, never a query.
-    #[inline]
-    pub fn is_crashed(&self, slot: usize) -> bool {
-        self.crashed[slot - self.base]
-    }
-
-    /// First global slot of the owned range.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of slots owned.
-    pub fn len(&self) -> usize {
-        self.crashed.len()
-    }
-
-    /// `true` when the shard owns no slots (never produced by a valid
-    /// shard map, but `len` without `is_empty` trips clippy and
-    /// callers alike).
-    pub fn is_empty(&self) -> bool {
-        self.crashed.is_empty()
     }
 }
 
@@ -818,11 +674,6 @@ impl SimBackend {
     pub fn queue_core(mut self, kind: QueueCoreKind) -> Self {
         self.cfg = self.cfg.queue_core(kind);
         self
-    }
-
-    /// The queue core this backend builds engines on.
-    pub fn queue_kind(&self) -> QueueCoreKind {
-        self.cfg.queue_core
     }
 
     /// Shards every execution across `shards` workers via the

@@ -40,9 +40,10 @@
 //! events targeting its slots, while a **conservative time-window
 //! coordinator** ([`Sim::run`] → the windowed loop) advances all
 //! shards through `lookahead`-sized windows derived from the
-//! scheduler's minimum delay bound ([`Scheduler::min_delay`]). Events
-//! one shard schedules for another travel through deterministic
-//! per-edge mailboxes that are flushed at window boundaries; within a
+//! scheduler's minimum delay bound ([`Scheduler::min_delay`]). Every
+//! event has one home: the commit that schedules it pushes it straight
+//! into the queue of the shard that will run it, and the lookahead
+//! keeps a push into another shard beyond the open window. Within a
 //! window the coordinator drains shard heads in global
 //! `(time, class, seq)` order, so the execution — trace, decisions,
 //! semantic counters — is **byte-identical** to the serial engine at
@@ -73,13 +74,12 @@
 //! exactly its own cells during a window's two phases, and the
 //! coordinator locks all of them between windows — the lock is never
 //! contended, it only *transfers* ownership at the barriers. Within a
-//! window each worker flushes its shard's inbound mailboxes, drains
-//! its queue up to the window end, and runs its events — process
-//! callbacks included — against its cells; cross-shard effects only
-//! ever travel as typed messages (run heads in mailboxes, and the
-//! runs and payload clones the single-threaded commit opens in the
-//! destination cell), never as writes into another shard's
-//! cell.
+//! window each worker flushes its shard's staging (the pushes the
+//! previous window's commit deferred), drains its queue up to the
+//! window end, and runs its events — process callbacks included —
+//! against its cells. A worker never writes another shard's cell:
+//! every cross-shard effect (a run, its payload clone, its head) is
+//! made by the single-threaded commit, in the destination cell.
 //!
 //! A pool-executed window is three barrier rounds — descriptor
 //! published, gate statistics complete, phases done
@@ -137,7 +137,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ids::{NodeId, Slot};
-use crate::mac::{Admission, BcastLedger, LedgerShardView};
+use crate::mac::{Admission, BcastLedger};
 use crate::msg::Payload;
 use crate::proc::{Context, Decision, Process, Value};
 use crate::topo::unreliable::UnreliableOverlay;
@@ -150,7 +150,7 @@ use super::event::{BcastId, EventClass, EventKind};
 use super::queue::{EventId, EventQueue, QueueCoreKind};
 use super::sched::random::RandomScheduler;
 use super::sched::Scheduler;
-use super::shard::{MailEntry, Mailbox, ShardMap};
+use super::shard::ShardMap;
 use super::time::Time;
 use super::trace::{Metrics, Trace, TraceEvent};
 
@@ -485,7 +485,6 @@ impl<P: Process> SimBuilder<P> {
                 ShardCell {
                     base: r.start,
                     queue: queues.next().expect("one queue per shard"),
-                    inbox: (0..nshards).map(|_| Mailbox::new()).collect(),
                     runs: Runs::new(n),
                     arena: PayloadArena::new(),
                     pending: Vec::new(),
@@ -775,13 +774,14 @@ struct ShardCounters {
     events: u64,
     /// Time of the last (= latest) event a pool worker stepped.
     last_time: Option<Time>,
-    /// Wall-clock ns a pool worker spent flushing, draining, and
-    /// stepping.
+    /// Wall-clock ns a pool worker spent flushing its staging,
+    /// draining, and stepping.
     busy_ns: u64,
 }
 
-/// Everything one shard owns: its event queue, inbound mailbox row,
-/// payload arena, delivery runs, deferred local pushes, and
+/// Everything one shard owns: its event queue — the one home of every
+/// event due at its slots — payload arena, delivery runs, the staging
+/// a pool window's commit pushes into, and
 /// the shard's slice of every slot-indexed hot table (`slot − base`
 /// indexes the vectors). The engine is a `Vec<ShardCell>` plus the
 /// global [`Core`]; during a parallel window each cell sits behind a
@@ -792,10 +792,6 @@ struct ShardCell<P: Process> {
     /// First slot of the shard's contiguous range.
     base: usize,
     queue: EventQueue<EventKind>,
-    /// Inbound mailbox row, indexed by *source* shard (entry `shard`
-    /// itself stays empty — own-shard traffic goes straight to the
-    /// queue or through `pending`).
-    inbox: Vec<Mailbox<EventKind>>,
     /// The delivery runs whose receivers live on this shard, one per
     /// broadcast that reaches it. A run carries its own payload
     /// handle into this shard's arena, so a worker never reads
@@ -808,10 +804,11 @@ struct ShardCell<P: Process> {
     /// happen on the single-threaded coordinator paths; a parallel
     /// window's worker only releases references on its own arena.
     arena: PayloadArena<P::Msg>,
-    /// Own-shard queue pushes deferred by a parallel window's ordered
-    /// commit; absorbed at the next window boundary (worker phase-1
-    /// or the coordinator's pre-merged flush).
-    pending: Vec<MailEntry<EventKind>>,
+    /// Queue pushes for this shard deferred by a parallel window's
+    /// ordered commit, with their full keys — run heads and acks from
+    /// any sender; absorbed at the next window boundary (worker phase
+    /// 1 or the coordinator's pre-merged flush).
+    pending: Vec<((Time, u8, u64), EventKind)>,
     /// Engine-owned mirror of the ledger crash flags for this shard's
     /// slots (windows only run in parallel when the flags are frozen,
     /// so workers read the mirror instead of the shared ledger).
@@ -832,31 +829,19 @@ struct ShardCell<P: Process> {
 }
 
 impl<P: Process> ShardCell<P> {
-    /// Phase 1: flush inbound mail and deferred local pushes into the
-    /// shard queue, drain everything due in the window, and publish
-    /// the statistics the commit gate needs.
+    /// Phase 1: flush the deferred pushes into the shard queue, drain
+    /// everything due in the window, and publish the statistics the
+    /// commit gate needs.
     fn phase1(
         &mut self,
         window_end: Time,
-        flush_edges: &AtomicU64,
         total_drained: &AtomicU64,
         any_crash: &AtomicBool,
         undecided_touched: &AtomicU64,
     ) {
         let t0 = Instant::now();
+        self.flush_pending();
         let queue = &mut self.queue;
-        for mb in &mut self.inbox {
-            if mb.is_empty() {
-                continue;
-            }
-            flush_edges.fetch_add(1, Ordering::Relaxed);
-            mb.drain_into(|e: MailEntry<EventKind>| {
-                queue.push_at(e.time, e.class, e.id, e.payload);
-            });
-        }
-        for e in self.pending.drain(..) {
-            queue.push_at(e.time, e.class, e.id, e.payload);
-        }
         while let Some(key) = queue.peek_key() {
             if key.0 > window_end {
                 break;
@@ -911,6 +896,13 @@ impl<P: Process> ShardCell<P> {
         total_drained.fetch_add(self.scratch.drained.len() as u64, Ordering::Relaxed);
         undecided_touched.fetch_add(fresh, Ordering::Relaxed);
         self.out.busy_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Pushes every deferred entry into the shard queue, ids intact.
+    fn flush_pending(&mut self) {
+        for ((time, class, id), ev) in self.pending.drain(..) {
+            self.queue.push_at(time, class, EventId(id), ev);
+        }
     }
 
     /// Phase 2, gate passed: step every drained event in shard-local
@@ -1141,7 +1133,6 @@ struct PoolCtl {
     /// Gate statistics accumulated by workers during phase 1.
     total_drained: AtomicU64,
     undecided_touched: AtomicU64,
-    flush_edges: AtomicU64,
     any_crash: AtomicBool,
     /// First panic payload caught worker-side this window.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
@@ -1186,7 +1177,6 @@ fn pool_worker<P: Process>(
             for cell in cells {
                 plock(cell).phase1(
                     window_end,
-                    &ctl.flush_edges,
                     &ctl.total_drained,
                     &ctl.any_crash,
                     &ctl.undecided_touched,
@@ -1248,9 +1238,9 @@ struct Core {
     /// allocated in scheduling order across all shards.
     next_event_id: u64,
     /// Voided deliveries no queue tombstone counted: the entries
-    /// behind a cancelled run head, and every entry of a run caught
-    /// in a mailbox. Folded into `queue_cancellations`, which so
-    /// counts every voided event, one per delivery plus the ack.
+    /// behind a cancelled run head. Folded into `queue_cancellations`,
+    /// which so counts every voided event, one per delivery plus the
+    /// ack.
     uncounted_cancels: u64,
     ledger: BcastLedger,
     now: Time,
@@ -1262,7 +1252,8 @@ struct Core {
     /// broadcast's deliveries in, tagged with their destination shard.
     delivery_scratch: Vec<(u32, RunEntry)>,
     /// True only while the ordered commit of a parallel window runs:
-    /// routes own-shard pushes into the cells' `pending` staging.
+    /// routes every push into its destination cell's `pending`
+    /// staging instead of its queue.
     defer_local_pushes: bool,
     engine_rng: SmallRng,
     undecided: usize,
@@ -1372,18 +1363,6 @@ impl<P: Process> Sim<P> {
         self.sh.lookahead
     }
 
-    /// The slot range shard `shard` owns.
-    pub fn shard_slots(&self, shard: usize) -> std::ops::Range<usize> {
-        self.sh.shard_map.slots_of(shard)
-    }
-
-    /// The ledger's shard-local summary for `shard` (crash/watch/
-    /// obligation counts over its slot range) — the imbalance view.
-    pub fn shard_ledger_view(&self, shard: usize) -> LedgerShardView {
-        let range = self.sh.shard_map.slots_of(shard);
-        self.core.ledger.shard_view(range.start, range.end)
-    }
-
     /// `true` when every non-crashed node has decided.
     pub fn all_alive_decided(&self) -> bool {
         self.core.undecided == 0
@@ -1420,9 +1399,10 @@ impl<P: Process> Sim<P> {
     /// virtual time with a full [`Context`] (it may broadcast, decide,
     /// draw randomness), and any broadcast it requests is scheduled
     /// through the normal path — event ids from the engine-global
-    /// counter, deliveries routed to shard queues or cross-shard
-    /// mailboxes — so a fixed injection schedule stays byte-identical
-    /// across queue cores, shard counts, and thread counts.
+    /// counter, every event pushed straight into its destination
+    /// shard's queue — so a fixed injection schedule stays
+    /// byte-identical across queue cores, shard counts, and thread
+    /// counts.
     ///
     /// On the first call (or the first `run*` call, whichever comes
     /// first) all processes are started. Injections into crashed nodes
@@ -1580,7 +1560,6 @@ impl<P: Process> Sim<P> {
             undecided_before: AtomicU64::new(0),
             total_drained: AtomicU64::new(0),
             undecided_touched: AtomicU64::new(0),
-            flush_edges: AtomicU64::new(0),
             any_crash: AtomicBool::new(false),
             panic: Mutex::new(None),
         };
@@ -1630,7 +1609,6 @@ impl<P: Process> Sim<P> {
                         .store(undecided_before, Ordering::Relaxed);
                     ctl.total_drained.store(0, Ordering::Relaxed);
                     ctl.undecided_touched.store(0, Ordering::Relaxed);
-                    ctl.flush_edges.store(0, Ordering::Relaxed);
                     ctl.any_crash.store(false, Ordering::Relaxed);
                     let t0 = Instant::now();
                     ctl.barrier.wait(); // W0: descriptor out
@@ -1651,13 +1629,9 @@ impl<P: Process> Sim<P> {
                         core,
                         cells: &mut refs,
                     };
-                    ex.absorb_parallel_window(
-                        committed,
-                        elapsed,
-                        ctl.flush_edges.load(Ordering::Relaxed),
-                    );
+                    ex.absorb_parallel_window(committed, elapsed);
                     // A refused window: the workers flushed their
-                    // inboxes and pushed the drained events back
+                    // staging and pushed the drained events back
                     // (keys and ids intact), so the merged drain — no
                     // re-flush — replays it in the exact serial order.
                     if !committed {
@@ -1720,12 +1694,13 @@ impl<P: Process> Exec<'_, '_, P> {
     /// One pass of the conservative time-window coordinator (`S > 1`):
     /// decides whether the run stops, drains a window inline, or hands
     /// it to the pool. The window `[W, W + lookahead)` opens at the
-    /// earliest pending time over queues, mailboxes, and deferred
-    /// pushes, computed *before* flushing — the workers (or the merged
-    /// drain) flush as their first act, and an unflushed entry has the
-    /// same time either way. The lookahead guarantees nothing processed
-    /// inside the window schedules into it, so mailboxes stay untouched
-    /// until the next boundary (see [`super::shard`]).
+    /// earliest pending time over the queues and the staging a pool
+    /// window's commit left, computed *before* flushing — the workers
+    /// (or the merged drain) flush as their first act, and a staged
+    /// entry has the same time either way. The lookahead guarantees
+    /// nothing processed inside the window schedules into it, so an
+    /// event pushed straight into another shard's queue waits there
+    /// for a later window (see [`super::shard`]).
     ///
     /// `serial_gate` is `None` when no pool runs: every window drains
     /// inline. With a pool it carries the adaptive serial gate's
@@ -1743,10 +1718,8 @@ impl<P: Process> Exec<'_, '_, P> {
                     Some(_) => RunOutcome::MaxTime,
                     None => self.idle_outcome(),
                 };
-                // The stop pass flushes too, like every pass: flush
-                // counts are deterministic metrics, and a later `run*`
-                // call resumes from flushed queues.
-                self.flush_mailboxes();
+                // The stop pass flushes too: a later `inject` may
+                // crash a node, and a crash needs empty staging.
                 self.flush_local_pending();
                 return Plan::Stop(outcome);
             }
@@ -1773,7 +1746,6 @@ impl<P: Process> Exec<'_, '_, P> {
         // Eligible but skipped purely as wake-policy: the merged drain
         // below is byte-identical to what the pool would have produced.
         self.core.metrics.serial_window_shortcuts += u64::from(eligible);
-        self.flush_mailboxes();
         self.flush_local_pending();
         let before = self.core.metrics.events;
         let stop = self.drain_window_merged(window_end, until);
@@ -1787,11 +1759,10 @@ impl<P: Process> Exec<'_, '_, P> {
     /// the coordinator thread — the engine's one inline loop: a single
     /// shard drains one unbounded window through it, and the
     /// coordinator every window it does not hand to the pool.
-    /// Mailboxes (and any deferred local pushes) must already be
-    /// flushed. A run head yields its delivery and is re-pushed under
-    /// the run's next entry before the step, so the run is back in the
-    /// queue for anything the callback does (a crash that voids it
-    /// included). Returns `Some(outcome)` when the run stops
+    /// Any staged pushes must already be flushed. A run head yields
+    /// its delivery and is re-pushed under the run's next entry before
+    /// the step, so the run is back in the queue for anything the
+    /// callback does (a crash that voids it included). Returns `Some(outcome)` when the run stops
     /// mid-window, `None` when the window drains.
     fn drain_window_merged(&mut self, window_end: Time, until: Option<Time>) -> Option<RunOutcome> {
         let sharded = self.cells.len() > 1;
@@ -1828,54 +1799,27 @@ impl<P: Process> Exec<'_, '_, P> {
         }
     }
 
-    /// Drains every cross-shard mailbox into its destination queue
-    /// (entries keep their scheduling-time ids, so pop order is
-    /// unaffected by drain order). Counts one flush per non-empty
-    /// edge.
-    fn flush_mailboxes(&mut self) {
-        for i in 0..self.cells.len() {
-            let cell = &mut *self.cells[i];
-            let (inbox, queue) = (&mut cell.inbox, &mut cell.queue);
-            for mb in inbox.iter_mut() {
-                if mb.is_empty() {
-                    continue;
-                }
-                self.core.metrics.shard_mailbox_flushes += 1;
-                mb.drain_into(|e: MailEntry<EventKind>| {
-                    queue.push_at(e.time, e.class, e.id, e.payload);
-                });
-            }
-        }
-    }
-
-    /// The earliest pending time anywhere — queue heads, in-transit
-    /// mailbox entries, and deferred local pushes: the earliest queue
-    /// head a flush would leave, without flushing (the pooled
-    /// coordinator flushes inside the workers).
+    /// The earliest pending time anywhere — queue heads and staged
+    /// pushes: the earliest queue head a flush would leave, without
+    /// flushing (the pooled coordinator flushes inside the workers).
     fn min_pending_time(&mut self) -> Option<Time> {
         self.cells
             .iter_mut()
             .flat_map(|c| {
-                let head = c.queue.peek_time();
-                let mailed = c.inbox.iter().filter_map(|mb| mb.min_time()).min();
-                let pending = c.pending.iter().map(|e| e.time).min();
-                [head, mailed, pending]
+                [
+                    c.queue.peek_time(),
+                    c.pending.iter().map(|&((t, ..), _)| t).min(),
+                ]
             })
             .flatten()
             .min()
     }
 
-    /// Pushes every deferred own-shard entry into its queue (the
-    /// merged-path counterpart of the workers' phase-1 flush).
-    /// Unlike mailbox flushes these are not counted — the serial
-    /// engine pushed them directly at schedule time.
+    /// Pushes every staged entry into its queue (the merged-path
+    /// counterpart of the workers' phase-1 flush).
     fn flush_local_pending(&mut self) {
         for cell in self.cells.iter_mut() {
-            let cell = &mut **cell;
-            let (pending, queue) = (&mut cell.pending, &mut cell.queue);
-            for e in pending.drain(..) {
-                queue.push_at(e.time, e.class, e.id, e.payload);
-            }
+            cell.flush_pending();
         }
     }
 
@@ -1894,17 +1838,16 @@ impl<P: Process> Exec<'_, '_, P> {
     }
 
     /// Absorbs one pool-executed window after its last barrier:
-    /// wall-clock and flush accounting either way, the event counts
-    /// (zero in a refused window), and — when the gate committed —
-    /// the ordered commit: [`Exec::commit`] once per recorded step, in
-    /// global key order (a cursor merge over the per-shard key-sorted
-    /// lists), so the trace and the broadcast/event-id/RNG sequences
-    /// come out exactly as the inline loop's. Own-shard pushes are
-    /// deferred into the cells' `pending` staging for the next
-    /// window-boundary flush.
-    fn absorb_parallel_window(&mut self, committed: bool, elapsed: u64, flush_edges: u64) {
+    /// wall-clock accounting either way, the event counts (zero in a
+    /// refused window), and — when the gate committed — the ordered
+    /// commit: [`Exec::commit`] once per recorded step, in global key
+    /// order (a cursor merge over the per-shard key-sorted lists), so
+    /// the trace and the broadcast/event-id/RNG sequences come out
+    /// exactly as the inline loop's. Every push it makes is staged in
+    /// its destination cell's `pending` for the next window-boundary
+    /// flush.
+    fn absorb_parallel_window(&mut self, committed: bool, elapsed: u64) {
         let s = self.cells.len();
-        self.core.metrics.shard_mailbox_flushes += flush_edges;
         let mut end_time: Option<Time> = None;
         let mut recs = Vec::with_capacity(s);
         for shard in 0..s {
@@ -2054,21 +1997,16 @@ impl<P: Process> Exec<'_, '_, P> {
         id
     }
 
-    /// Pushes an event onto `shard`'s own queue — or, while the
-    /// ordered commit of a parallel window runs, stages it in the
-    /// cell's `pending` for the next window-boundary flush, keeping
-    /// queue mutation off the serial commit path (not a mailbox
-    /// flush, never counted).
+    /// Pushes an event straight onto the queue of `shard`, the shard
+    /// that will run it — or, while the ordered commit of a parallel
+    /// window runs, stages it in that cell's `pending` for the next
+    /// window-boundary flush, keeping queue mutation off the serial
+    /// commit path.
     fn push_local(&mut self, shard: usize, time: Time, id: u64, kind: EventKind) {
         let class = kind.class();
         let cell = &mut *self.cells[shard];
         if self.core.defer_local_pushes {
-            cell.pending.push(MailEntry {
-                time,
-                class,
-                id: EventId(id),
-                payload: kind,
-            });
+            cell.pending.push(((time, class, id), kind));
         } else {
             cell.queue.push_at(time, class, EventId(id), kind);
         }
@@ -2076,10 +2014,10 @@ impl<P: Process> Exec<'_, '_, P> {
 
     fn handle_crash(&mut self, node: Slot) {
         // Crashes can cancel queued events, but cancellation never
-        // searches the deferred own-shard staging: the coordinator
-        // only defers pushes inside a window the gate proved
-        // crash-free, and flushes the staging before any merged
-        // fallback runs.
+        // searches the staging: the coordinator only defers pushes
+        // inside a window the gate proved crash-free, and flushes the
+        // staging before any merged fallback runs. So every event a
+        // crash voids is in a queue.
         debug_assert!(
             self.cells.iter().all(|c| c.pending.is_empty()),
             "crash processed with deferred local pushes outstanding"
@@ -2112,14 +2050,16 @@ impl<P: Process> Exec<'_, '_, P> {
 
     /// Voids a crashed sender's in-flight broadcast: its ack and, on
     /// every shard, the unfired rest of its run are cancelled — one
-    /// queue tombstone per run head, or removal from the mailbox for
-    /// a run still in transit — so they simply never fire. Each voided
+    /// queue tombstone each — so they simply never fire. Each voided
     /// delivery still counts as one cancellation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ack or a live run's head is not in its queue: a
+    /// missed cancellation would let a voided event fire.
     fn cancel_broadcast(&mut self, sender: Slot, bcast: BcastId) {
-        // Every run of this broadcast was opened from the sender's
-        // shard; that is the mailbox row to search for runs in
-        // transit. The sender's own arena slot — the ack's reference
-        // and its own shard's deliveries — dies at once.
+        // The sender's own arena slot — the ack's reference and its
+        // own shard's deliveries — dies at once.
         let src = self.sh.shard_map.shard_of(sender.0);
         {
             let cell = &mut *self.cells[src];
@@ -2128,8 +2068,10 @@ impl<P: Process> Exec<'_, '_, P> {
                 .take()
                 .expect("outstanding broadcast in flight");
             cell.arena.discard_all(f.payload);
-            let cancelled = cell.queue.cancel(f.ack);
-            debug_assert!(cancelled, "pending ack missing from its sender's queue");
+            assert!(
+                cell.queue.cancel(f.ack),
+                "pending ack missing from its sender's queue"
+            );
         }
         for shard in 0..self.cells.len() {
             let cell = &mut *self.cells[shard];
@@ -2139,13 +2081,8 @@ impl<P: Process> Exec<'_, '_, P> {
             let r = &cell.runs.slab[run as usize];
             let head = EventId(r.entries[r.cursor].id);
             let voided = (r.entries.len() - r.cursor) as u64;
-            if cell.queue.cancel(head) {
-                self.core.uncounted_cancels += voided - 1;
-            } else {
-                let in_transit = cell.inbox[src].cancel(head);
-                debug_assert!(in_transit, "run head neither queued nor in transit");
-                self.core.uncounted_cancels += voided;
-            }
+            assert!(cell.queue.cancel(head), "run head missing from its queue");
+            self.core.uncounted_cancels += voided - 1;
             if shard != src {
                 // A cross-shard run owns its shard's payload clone.
                 cell.arena.discard_all(r.payload);
@@ -2156,13 +2093,13 @@ impl<P: Process> Exec<'_, '_, P> {
 
     /// Plans and schedules one accepted broadcast's deliveries and
     /// ack. The deliveries into each shard form one [`Run`], sorted
-    /// by `(time, id)`, with a single queue entry — its head — so the
-    /// queues hold at most one run head per broadcast and shard plus
-    /// the acks. Payload custody follows the shard-ownership split:
-    /// the sender's arena slot refcounts its own shard's deliveries
-    /// and the ack, and each other shard a run crosses into gets
-    /// **one** payload clone in its own arena, shared by refcount
-    /// among the run's entries.
+    /// by `(time, id)`, with a single queue entry — its head, pushed
+    /// straight into that shard's queue — so the queues hold at most
+    /// one run head per broadcast and shard plus the acks. Payload
+    /// custody follows the shard-ownership split: the sender's arena
+    /// slot refcounts its own shard's deliveries and the ack, and each
+    /// other shard a run crosses into gets **one** payload clone in
+    /// its own arena, shared by refcount among the run's entries.
     fn commit_broadcast_events(&mut self, slot: Slot, msg: P::Msg, bcast: BcastId) {
         // Reuse the scratch neighbor buffer (the scheduler borrows it
         // while `self` stays mutable for the queue pushes below).
@@ -2257,12 +2194,12 @@ impl<P: Process> Exec<'_, '_, P> {
             let h = cell.arena.insert_cloned(&msg, run.len() as u32);
             let idx = cell.runs.open(slot, bcast, h, run);
             let head = run[0].1;
-            cell.inbox[src].push(MailEntry {
-                time: head.time,
-                class: EventClass::Receive as u8,
-                id: EventId(head.id),
-                payload: EventKind::Receive { run: idx, k: 0 },
-            });
+            self.push_local(
+                dst,
+                head.time,
+                head.id,
+                EventKind::Receive { run: idx, k: 0 },
+            );
         }
         let cell = &mut *self.cells[src];
         let payload = cell.arena.insert(msg, own.len() as u32 + 1);
@@ -2735,8 +2672,8 @@ mod tests {
 
     /// Mid-broadcast crashes reach across shards: the countdown fires
     /// on a delivery processed by one shard, crashes the sender on
-    /// another, and the remaining events — including any still in a
-    /// mailbox — are cancelled. Counters must match serial exactly.
+    /// another, and the remaining events — queued on every shard — are
+    /// cancelled. Counters must match serial exactly.
     #[test]
     fn sharded_mid_broadcast_crash_matches_serial() {
         let run = |shards: usize| {
@@ -2770,7 +2707,7 @@ mod tests {
     }
 
     /// `run_until` pause/resume crosses window boundaries without
-    /// losing mailbox contents or disturbing the merged order.
+    /// losing a queued event or disturbing the merged order.
     #[test]
     fn sharded_run_until_matches_serial() {
         let run = |shards: usize| {
@@ -2814,7 +2751,6 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial.cross_shard_deliveries, 0);
         assert_eq!(serial.shard_window_advances, 0);
-        assert_eq!(serial.shard_mailbox_flushes, 0);
         assert_eq!(serial.per_shard_events.iter().sum::<u64>(), 0);
         assert_eq!(serial.serial_window_shortcuts, 0);
         assert_eq!(serial.superstep_count, 0);
@@ -2822,7 +2758,6 @@ mod tests {
         let sharded = run(4);
         assert!(sharded.cross_shard_deliveries > 0, "{sharded:?}");
         assert!(sharded.shard_window_advances > 0, "{sharded:?}");
-        assert!(sharded.shard_mailbox_flushes > 0, "{sharded:?}");
         assert_eq!(sharded.per_shard_events.len(), 4);
         assert_eq!(sharded.per_shard_events.iter().sum::<u64>(), sharded.events);
         assert!(sharded.shard_skew() >= 1.0);
@@ -2946,29 +2881,6 @@ mod tests {
         );
     }
 
-    /// The ledger's shard view summarizes per-shard crash state.
-    #[test]
-    fn shard_ledger_view_reports_crashes() {
-        let mut sim = SimBuilder::new(Topology::clique(6), |s| Flood {
-            initiator: s.0 == 0,
-            relayed: false,
-        })
-        .scheduler(SynchronousScheduler::new(1))
-        .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
-            slot: Slot(5),
-            time: Time::ZERO,
-        }]))
-        .shards(2)
-        .build();
-        sim.run();
-        let first = sim.shard_ledger_view(0);
-        let last = sim.shard_ledger_view(1);
-        assert_eq!(first.crashed, 0);
-        assert_eq!(last.crashed, 1, "slot 5 lives in the last shard");
-        assert_eq!(first.slots + last.slots, 6);
-        assert_eq!(last.alive(), last.slots - 1);
-    }
-
     #[test]
     fn sender_crash_cancels_pending_events() {
         // Node 0 broadcasts at t=0 (deliveries at t=1 under the
@@ -3051,6 +2963,79 @@ mod tests {
         );
     }
 
+    /// Every scheduled event has one home: whenever the engine yields,
+    /// each live run's head, each in-flight ack and each unfired crash
+    /// timer sits in its shard's queue, and nothing is left staged —
+    /// at every shard count, and with the pool stepping windows. The
+    /// engine yields after every event, and again after every tick: a
+    /// `run_until` that stops right after a pooled window is the stop
+    /// that must flush that window's staged pushes.
+    #[test]
+    fn every_scheduled_event_is_queued_when_the_engine_yields() {
+        fn assert_one_home(sim: &Sim<Flood>, at: &str) {
+            assert!(
+                sim.cells.iter().all(|c| c.pending.is_empty()),
+                "{at}: staged"
+            );
+            let queued: usize = sim.cells.iter().map(|c| c.queue.len()).sum();
+            let runs: usize = sim
+                .cells
+                .iter()
+                .map(|c| c.runs.slab.len() - c.runs.free.len())
+                .sum();
+            let acks: usize = sim
+                .cells
+                .iter()
+                .map(|c| c.inflight.iter().flatten().count())
+                .sum();
+            let timers = usize::from(!sim.is_crashed(Slot(9)));
+            assert_eq!(queued, runs + acks + timers, "{at}");
+        }
+        let n = 64;
+        for (shards, pool) in [(1, None), (2, None), (4, None), (4, Some(2))] {
+            let build = || {
+                let builder = SimBuilder::new(Topology::clique(n), |s| Flood {
+                    initiator: s.0 == 0,
+                    relayed: false,
+                })
+                .scheduler(RandomScheduler::new(8, 3))
+                .crashes(CrashPlan::new(vec![CrashSpec::AtTime {
+                    slot: Slot(9),
+                    time: Time(40),
+                }]))
+                .stop_when_all_decided(false)
+                .shards(shards);
+                match pool {
+                    Some(workers) => builder.threads(4).debug_force_pool_workers(workers),
+                    None => builder,
+                }
+                .build()
+            };
+            let label = match pool {
+                Some(workers) => format!("S={shards} pool={workers}"),
+                None => format!("S={shards}"),
+            };
+            let mut sim = build();
+            step_each_event(&mut sim, |sim, report| {
+                assert_one_home(
+                    sim,
+                    &format!("{label} after {} events", report.metrics.events),
+                );
+            });
+            let mut sim = build();
+            for t in 1..=48 {
+                sim.run_until(Time(t));
+                assert_one_home(&sim, &format!("{label} at t={t}"));
+            }
+            if pool.is_some() {
+                assert!(
+                    sim.metrics().superstep_count > 0,
+                    "{label}: the pool never ran"
+                );
+            }
+        }
+    }
+
     /// A mid-broadcast crash voids the rest of the run with one queue
     /// tombstone (plus the ack's), while `queue_cancellations` still
     /// counts every voided event — the unfired deliveries and the ack,
@@ -3083,8 +3068,8 @@ mod tests {
         );
         let logical = (n - 1 - delivered) as u64 + 1;
         assert_eq!(report.metrics.queue_cancellations, logical);
-        // Split per shard — some of the crashed sender's runs still in
-        // a mailbox — the count is the same.
+        // Split per shard — one run head tombstoned on each shard the
+        // broadcast reaches — the count is the same.
         for shards in [2, 4] {
             let report = build(shards).run();
             assert_eq!(report.metrics.queue_cancellations, logical, "S={shards}");

@@ -99,10 +99,11 @@ pub trait QueueCore<E> {
     ///
     /// This is the sharded engine's seam (see [`super::shard`]): event
     /// ids are allocated from one engine-global counter at scheduling
-    /// time, carried through cross-shard mailboxes, and inserted here
-    /// with their original id — so the `(time, class, id)` pop order of
-    /// a set of events is independent of which queue each one landed
-    /// in, and of the order mailboxes were drained.
+    /// time and inserted here with their original id — straight into
+    /// the destination shard's queue, or later from a pool window's
+    /// staging — so the `(time, class, id)` pop order of a set of
+    /// events is independent of which queue each one landed in, and of
+    /// the order they were pushed.
     ///
     /// The caller owes the queue unique ids (never reused across
     /// `push`/`push_at` on the same queue); the id participates in
@@ -945,7 +946,8 @@ mod tests {
 
     /// `push_at` entries interleave with `push`-allocated ones purely
     /// by `(time, class, id)`, regardless of insertion order — the
-    /// property the sharded engine's mailbox drains rely on.
+    /// property the sharded engine's direct cross-shard pushes and
+    /// staging flushes rely on.
     #[test]
     fn push_at_orders_by_id_independent_of_insertion_order() {
         for kind in QueueCoreKind::all() {

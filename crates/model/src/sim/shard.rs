@@ -6,9 +6,9 @@
 //! the [`QueueCore`](super::queue::QueueCore) seam) and processes only
 //! the events targeting its slots. A broadcast's deliveries into one
 //! shard form one *run* (see the engine module docs) held by that
-//! shard; the run's head — its single queue entry — travels from the
-//! sender's shard through a deterministic per-edge mailbox (the
-//! crate-internal `Mailbox` type) instead of being pushed directly.
+//! shard; the run's head — its single queue entry — goes straight into
+//! that shard's queue when the broadcast is scheduled, wherever the
+//! sender lives.
 //!
 //! # The determinism contract
 //!
@@ -35,36 +35,29 @@
 //!   the exact order the serial engine's single queue would pop — with
 //!   event sequence numbers allocated from one engine-global counter
 //!   at scheduling time — one per delivery, even though a run has one
-//!   queue entry. Cross-shard run heads keep their allocated seq
-//!   through the mailbox, so draining a mailbox into the destination
-//!   queue cannot perturb the order.
-//! * **Mailbox flushes at window boundaries.** Because nothing
-//!   scheduled inside a window is due inside it, mailboxes only need
-//!   draining when a window opens. Each drained non-empty mailbox
-//!   counts one `mailbox_flush` in
-//!   [`Metrics`](super::trace::Metrics).
+//!   queue entry. A key is fixed when its event is scheduled, so which
+//!   queue an event sits in, and when it was pushed there, cannot
+//!   perturb the order.
+//! * **One home per event.** The single-threaded commit that
+//!   schedules an event pushes it straight into the queue of the
+//!   shard that will run it. The lookahead keeps such a push beyond
+//!   the open window, so the destination's drain cannot pop it early.
+//!   Only while a pool window's ordered commit runs are pushes staged
+//!   in the destination shard's `pending` instead, flushed into its
+//!   queue when the next window opens (or when the run stops).
 //!
 //! # Cancellation across shards
 //!
 //! When a sender crashes, its in-flight broadcast's ack and the
-//! unfired rest of each of its runs are cancelled wherever the run
-//! head lives:
-//!
-//! * already in a destination shard's queue — O(1) tombstone on that
-//!   queue, exactly like the serial engine;
-//! * still in a mailbox (scheduled this window, not yet flushed) — the
-//!   head is removed from the mailbox by id.
-//!
-//! Either way every voided delivery counts as one cancellation, so
-//! the aggregate `queue_cancellations` metric stays byte-identical to
-//! the serial run's. Cancelling an id that is in neither place is a
-//! detectable no-op (`false`) in both — the same contract the
-//! [`QueueCore`] owes its callers.
-//!
-//! [`QueueCore`]: super::queue::QueueCore
-
-use super::queue::EventId;
-use super::time::Time;
+//! unfired rest of each of its runs are cancelled with one O(1)
+//! tombstone per run head, on whichever shard's queue the head sits —
+//! exactly like the serial engine. A crash is only ever processed
+//! while the staging is empty (windows holding a crash never run on
+//! the pool), so every head it voids is in a queue; a head found
+//! nowhere is a bug, and the engine panics on it. Every voided
+//! delivery counts as one cancellation, so the aggregate
+//! `queue_cancellations` metric stays byte-identical to the serial
+//! run's.
 
 /// A validated shard count (at least 1; the default is serial, `1`).
 ///
@@ -178,7 +171,7 @@ impl std::fmt::Display for ShardCount {
 /// Shard `i` owns the contiguous slot range `[i*n/S, (i+1)*n/S)`
 /// (sizes differ by at most one). Contiguous blocks keep neighbor
 /// locality on the structured topologies (lines, grids, tori), which
-/// is what minimizes cross-shard mailbox traffic. The requested shard
+/// is what minimizes cross-shard runs. The requested shard
 /// count is clamped to `n`, so empty shards never exist.
 #[derive(Clone, Debug)]
 pub struct ShardMap {
@@ -220,80 +213,6 @@ impl ShardMap {
     pub fn slots_of(&self, shard: usize) -> std::ops::Range<usize> {
         let (lo, hi) = self.ranges[shard];
         lo..hi
-    }
-}
-
-/// One cross-shard queue entry in transit — in the engine, a delivery
-/// run's head: the payload plus the queue key it was allocated at
-/// scheduling time, so draining preserves the global
-/// `(time, class, seq)` order.
-#[derive(Clone, Debug)]
-pub(crate) struct MailEntry<E> {
-    pub(crate) time: Time,
-    pub(crate) class: u8,
-    pub(crate) id: EventId,
-    pub(crate) payload: E,
-}
-
-/// A deterministic per-edge mailbox: the run heads shard `src`
-/// scheduled for shard `dst`, awaiting the next window-boundary flush.
-///
-/// Entries carry pre-allocated event ids, so the order they sit in the
-/// mailbox (and the order they are drained) cannot influence pop
-/// order — the destination queue orders by `(time, class, id)`.
-#[derive(Debug, Default)]
-pub(crate) struct Mailbox<E> {
-    entries: Vec<MailEntry<E>>,
-}
-
-impl<E> Mailbox<E> {
-    pub(crate) fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Deposits one in-transit entry.
-    pub(crate) fn push(&mut self, entry: MailEntry<E>) {
-        self.entries.push(entry);
-    }
-
-    /// `true` when nothing is in transit.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The earliest due time among in-transit entries (`None` when
-    /// empty). The threaded stepper defers mailbox flushing to the
-    /// destination shard's worker, so the coordinator computes window
-    /// starts over queue heads *and* unflushed mailboxes; a linear
-    /// scan is fine — a mailbox only ever holds one run head per
-    /// broadcast of one window.
-    pub(crate) fn min_time(&self) -> Option<Time> {
-        self.entries.iter().map(|e| e.time).min()
-    }
-
-    /// Removes the in-transit entry with the given id, if present.
-    /// Returns `true` on removal — the cancellation-in-flight path of
-    /// the [module contract](self).
-    pub(crate) fn cancel(&mut self, id: EventId) -> bool {
-        match self.entries.iter().position(|e| e.id == id) {
-            Some(idx) => {
-                // swap_remove is safe: mailbox order is never
-                // observable (ids order the destination queue).
-                self.entries.swap_remove(idx);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drains every in-transit entry, handing each to `sink` (the
-    /// destination queue's id-preserving insert).
-    pub(crate) fn drain_into(&mut self, mut sink: impl FnMut(MailEntry<E>)) {
-        for entry in self.entries.drain(..) {
-            sink(entry);
-        }
     }
 }
 
@@ -346,23 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn mailbox_min_time_tracks_earliest_entry() {
-        let mut mb: Mailbox<u8> = Mailbox::new();
-        assert_eq!(mb.min_time(), None);
-        for (i, t) in [5u64, 2, 9].iter().enumerate() {
-            mb.push(MailEntry {
-                time: Time(*t),
-                class: 1,
-                id: EventId(i as u64),
-                payload: 0,
-            });
-        }
-        assert_eq!(mb.min_time(), Some(Time(2)));
-        assert!(mb.cancel(EventId(1)));
-        assert_eq!(mb.min_time(), Some(Time(5)));
-    }
-
-    #[test]
     fn shard_map_partitions_contiguously_and_covers() {
         for n in [1usize, 2, 5, 7, 16, 33] {
             for s in [1usize, 2, 3, 4, 7, 40] {
@@ -384,26 +286,5 @@ mod tests {
                 assert!(max - min <= 1, "n={n} s={s}: unbalanced {sizes:?}");
             }
         }
-    }
-
-    #[test]
-    fn mailbox_cancel_removes_only_the_named_entry() {
-        let mut mb: Mailbox<&'static str> = Mailbox::new();
-        for (i, p) in ["a", "b", "c"].iter().enumerate() {
-            mb.push(MailEntry {
-                time: Time(1),
-                class: 1,
-                id: EventId(i as u64),
-                payload: p,
-            });
-        }
-        assert!(mb.cancel(EventId(1)));
-        assert!(!mb.cancel(EventId(1)), "double cancel is a no-op");
-        assert!(!mb.cancel(EventId(9)), "unknown id is a no-op");
-        let mut drained = Vec::new();
-        mb.drain_into(|e| drained.push(e.id.raw()));
-        drained.sort_unstable();
-        assert_eq!(drained, vec![0, 2]);
-        assert!(mb.is_empty());
     }
 }

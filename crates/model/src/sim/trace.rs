@@ -270,14 +270,14 @@ pub struct Metrics {
     /// for them — a delivery run has one.
     pub queue_pushes: u64,
     /// Scheduled events a crash voided before they fired: one per
-    /// delivery and ack, whether a queue tombstone, a mailbox removal
-    /// or the tail of a cancelled run stood for it.
+    /// delivery and ack, whether a queue tombstone or the tail of a
+    /// cancelled run stood for it.
     pub queue_cancellations: u64,
     /// Queue entries that missed the core's fast path (calendar
     /// overflow-tier inserts; always 0 on the heap core).
     pub queue_bucket_overflows: u64,
     /// Deliveries scheduled into another shard, riding a run whose
-    /// head crosses through a mailbox (always 0 on a
+    /// head goes straight into that shard's queue (always 0 on a
     /// serial, single-shard run). High values relative to `deliveries`
     /// mean the shard partition cuts across the traffic pattern.
     pub cross_shard_deliveries: u64,
@@ -285,8 +285,10 @@ pub struct Metrics {
     /// (always 0 serial). `events / shard_window_advances` is the mean
     /// batch the lookahead buys per window.
     pub shard_window_advances: u64,
-    /// Non-empty per-edge mailboxes drained at window boundaries
-    /// (always 0 serial).
+    /// Always 0, kept so code that reads every field still compiles:
+    /// every event goes straight to its destination shard's queue, so
+    /// there are no cross-shard mailboxes to flush. Excluded from
+    /// equality.
     pub shard_mailbox_flushes: u64,
     /// Events processed per shard (length = shard count). Populated
     /// by the sharded coordinator only — a serial run reports `[0]`
@@ -295,8 +297,8 @@ pub struct Metrics {
     /// signal the sweep reports surface.
     pub per_shard_events: Vec<u64>,
     /// Wall-clock nanoseconds each shard's worker spent doing real
-    /// work — flushing its inbox, draining its queue, and stepping its
-    /// events — summed over all parallel windows (length = shard
+    /// work — flushing its staging, draining its queue, and stepping
+    /// its events — summed over all parallel windows (length = shard
     /// count; empty unless the thread-per-shard stepper ran). Wall
     /// clock, so **excluded from equality**: see the type docs.
     pub shard_busy_ns: Vec<u64>,
@@ -358,8 +360,8 @@ impl PartialEq for Metrics {
     /// layout-dependent `payload_clones`/`payload_moves`/
     /// `arena_bytes_peak` counters, and the wake-policy
     /// `worker_wakeups`/`superstep_count`/`serial_window_shortcuts`/
-    /// `worker_spawns` counters are intentionally skipped (see the
-    /// type docs).
+    /// `worker_spawns` counters, and the retired, always-zero flush
+    /// counter, are intentionally skipped (see the type docs).
     fn eq(&self, other: &Self) -> bool {
         self.broadcasts == other.broadcasts
             && self.busy_discards == other.busy_discards
@@ -373,7 +375,6 @@ impl PartialEq for Metrics {
             && self.queue_bucket_overflows == other.queue_bucket_overflows
             && self.cross_shard_deliveries == other.cross_shard_deliveries
             && self.shard_window_advances == other.shard_window_advances
-            && self.shard_mailbox_flushes == other.shard_mailbox_flushes
             && self.per_shard_events == other.per_shard_events
             && self.max_message_ids == other.max_message_ids
             && self.total_message_ids == other.total_message_ids
