@@ -1,6 +1,5 @@
 //! The core undirected graph type.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::ids::Slot;
@@ -8,16 +7,18 @@ use crate::ids::Slot;
 /// An immutable undirected topology graph.
 ///
 /// Vertices are dense [`Slot`]s in `0..n`. Self-loops are rejected;
-/// duplicate edges are idempotent. Adjacency lists are kept sorted so
-/// that all iteration over neighbors is deterministic.
+/// duplicate edges are idempotent. Adjacency lists are kept sorted and
+/// deduplicated, so all iteration over neighbors is deterministic and
+/// each edge is stored once per endpoint and nowhere else.
 ///
 /// Construct one with [`Topology::from_edges`], a named builder such as
 /// [`Topology::clique`], or incrementally via [`TopologyBuilder`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
+    /// Number of undirected edges: half the adjacency entries.
+    m: usize,
     adj: Vec<Vec<Slot>>,
-    edges: BTreeSet<(usize, usize)>,
 }
 
 impl Topology {
@@ -51,7 +52,7 @@ impl Topology {
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.m
     }
 
     /// Sorted neighbors of `slot`.
@@ -72,8 +73,7 @@ impl Topology {
 
     /// `true` iff `u` and `v` are adjacent.
     pub fn has_edge(&self, u: Slot, v: Slot) -> bool {
-        let key = if u.0 <= v.0 { (u.0, v.0) } else { (v.0, u.0) };
-        self.edges.contains(&key)
+        self.adj[u.0].binary_search(&v).is_ok()
     }
 
     /// Iterator over all vertices.
@@ -81,18 +81,22 @@ impl Topology {
         (0..self.n).map(Slot)
     }
 
-    /// Iterator over all undirected edges as `(smaller, larger)` slots.
+    /// Iterator over all undirected edges as `(smaller, larger)` slots,
+    /// in lexicographic order.
     pub fn edges(&self) -> impl Iterator<Item = (Slot, Slot)> + '_ {
-        self.edges.iter().map(|&(u, v)| (Slot(u), Slot(v)))
+        self.adj.iter().enumerate().flat_map(|(u, adj)| {
+            let upper = adj.partition_point(|v| v.0 <= u);
+            adj[upper..].iter().map(move |&v| (Slot(u), v))
+        })
     }
 
     /// Returns a new topology with the same vertices plus the given
     /// extra edges.
     pub fn with_extra_edges(&self, extra: &[(usize, usize)]) -> Self {
-        let mut b = TopologyBuilder::new(self.n);
-        for &(u, v) in &self.edges {
-            b.edge(u, v);
-        }
+        let mut b = TopologyBuilder {
+            n: self.n,
+            adj: self.adj.clone(),
+        };
         for &(u, v) in extra {
             b.edge(u, v);
         }
@@ -102,7 +106,7 @@ impl Topology {
 
 impl fmt::Debug for Topology {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Topology(n={}, m={})", self.n, self.edges.len())
+        write!(f, "Topology(n={}, m={})", self.n, self.m)
     }
 }
 
@@ -110,7 +114,9 @@ impl fmt::Debug for Topology {
 #[derive(Clone, Debug)]
 pub struct TopologyBuilder {
     n: usize,
-    edges: BTreeSet<(usize, usize)>,
+    /// Both directions of every added edge, duplicates included;
+    /// [`TopologyBuilder::build`] sorts and deduplicates each list.
+    adj: Vec<Vec<Slot>>,
 }
 
 impl TopologyBuilder {
@@ -118,7 +124,7 @@ impl TopologyBuilder {
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            edges: BTreeSet::new(),
+            adj: vec![Vec::new(); n],
         }
     }
 
@@ -134,7 +140,8 @@ impl TopologyBuilder {
             self.n
         );
         assert_ne!(u, v, "self-loop at {u}");
-        self.edges.insert(if u <= v { (u, v) } else { (v, u) });
+        self.adj[u].push(Slot(v));
+        self.adj[v].push(Slot(u));
         self
     }
 
@@ -157,20 +164,14 @@ impl TopologyBuilder {
     }
 
     /// Finalizes the topology.
-    pub fn build(&self) -> Topology {
-        let mut adj = vec![Vec::new(); self.n];
-        for &(u, v) in &self.edges {
-            adj[u].push(Slot(v));
-            adj[v].push(Slot(u));
-        }
+    pub fn build(self) -> Topology {
+        let mut adj = self.adj;
         for a in &mut adj {
             a.sort_unstable();
+            a.dedup();
         }
-        Topology {
-            n: self.n,
-            adj,
-            edges: self.edges.clone(),
-        }
+        let m = adj.iter().map(Vec::len).sum::<usize>() / 2;
+        Topology { n: self.n, m, adj }
     }
 }
 
