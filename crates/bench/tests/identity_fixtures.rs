@@ -330,21 +330,26 @@ fn two_phase_matches_recorded_fixtures() {
     assert_eq!(TP_CASES.len(), TWO_PHASE_FIXTURES.len());
 }
 
-/// Arena clones are custody-protocol facts, not noise: one per shared
-/// own-shard delivery that is not the payload's last reference, plus
-/// one per destination shard a broadcast crosses into. The count is a
-/// function of (descriptor, shards) alone — pinned here exactly for
-/// descriptor 0, and equal at every thread count.
+/// Payload copies are custody-protocol facts, not noise. Each run
+/// owns one copy of its broadcast's payload: every delivery to a live
+/// receiver clones it except the run's last entry, which moves it, and
+/// a broadcast clones it once more per other shard it crosses into. So
+/// `payload_clones` is one per live delivery that is not its run's
+/// last entry plus one per cross-shard run, and `payload_moves` one
+/// per run whose last receiver is live. Both are functions of
+/// (descriptor, shards) alone — pinned here exactly for descriptor 0,
+/// and equal at every thread count.
 #[test]
 fn payload_clones_are_pinned_per_shard_count() {
     let d = descriptors()[0];
-    for (shards, want) in [(1usize, 1915u64), (4, 1998)] {
+    for (shards, clones, moves) in [(1usize, 1615u64, 300u64), (4, 1776, 1052)] {
         for &threads in THREAD_GRID {
-            let got = build(d, QueueCoreKind::Heap, shards, threads)
-                .run()
-                .metrics
-                .payload_clones;
-            assert_eq!(got, want, "descriptor 0 at S={shards} T={threads}");
+            let m = build(d, QueueCoreKind::Heap, shards, threads).run().metrics;
+            assert_eq!(
+                (m.payload_clones, m.payload_moves),
+                (clones, moves),
+                "descriptor 0 at S={shards} T={threads}"
+            );
         }
     }
 }

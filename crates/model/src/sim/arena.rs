@@ -1,40 +1,30 @@
-//! Generation-indexed, refcounted payload arena for the engine's
-//! in-flight broadcast payloads.
+//! Generation-indexed, refcounted payload store.
 //!
-//! One [`PayloadArena`] exists per shard; every payload a broadcast
-//! puts in flight lives in exactly one arena — the shard that will
-//! consume it. Delivery runs and in-flight records hold
-//! [`PayloadHandle`]s (a slot index plus a generation stamp) instead
-//! of deep payload clones, so the per-event hot structures stay
-//! word-sized and payload copies happen only when two live consumers
-//! genuinely need the same message at once.
+//! The engine no longer uses it: a delivery run owns its payload
+//! outright (see `sim/engine.rs`). The module stays because the
+//! repository benchmark's replay times [`PayloadArena::insert`],
+//! [`PayloadArena::release`] and [`PayloadArena::discard`] as a
+//! per-layer cost; it goes once that replay is retired.
 //!
 //! # Refcount contract
 //!
-//! * [`PayloadArena::insert`] / [`PayloadArena::insert_cloned`] store
-//!   a payload with an initial reference count (one per event that
-//!   will consume it). [`PayloadArena::retain`] adds a reference.
+//! * [`PayloadArena::insert`] stores a payload with an initial
+//!   reference count (one per event that will consume it).
 //! * [`PayloadArena::release`] consumes one reference and returns the
-//!   payload: by **move** when it was the last reference (the common
-//!   case — counted in [`PayloadArena::moves`]), by clone otherwise
-//!   (counted in [`PayloadArena::clones`]).
+//!   payload: by **move** when it was the last reference, by clone
+//!   otherwise.
 //! * [`PayloadArena::discard`] consumes one reference without
-//!   materializing the payload (deliveries to crashed receivers,
-//!   acks); [`PayloadArena::discard_all`] drops every remaining
-//!   reference at once (a crashed sender's cancelled broadcast).
+//!   materializing the payload.
 //! * Freeing a slot bumps its **generation**, so any stale handle —
-//!   a double release, a use after `discard_all` — is detected and
-//!   panics instead of silently reading a recycled slot.
+//!   a double release, a use after the last reference — is detected
+//!   and panics instead of silently reading a recycled slot.
 //!
-//! Slots are recycled through a free list, so steady-state
-//! broadcasting allocates nothing; [`PayloadArena::bytes_peak`]
-//! reports the high-water payload footprint for
-//! [`Metrics::arena_bytes_peak`](super::trace::Metrics::arena_bytes_peak).
+//! Slots are recycled through a free list, so steady-state use
+//! allocates nothing.
 
 /// Handle to one payload stored in a [`PayloadArena`]: a slot index
 /// plus the generation stamp the slot had when the payload was
-/// inserted. Copyable and word-sized — this is what delivery runs and
-/// in-flight records carry instead of payload clones.
+/// inserted. Copyable and word-sized.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PayloadHandle {
     slot: u32,
@@ -52,10 +42,6 @@ struct ArenaSlot<M> {
 pub struct PayloadArena<M> {
     slots: Vec<ArenaSlot<M>>,
     free: Vec<u32>,
-    live: usize,
-    live_peak: usize,
-    clones: u64,
-    moves: u64,
 }
 
 impl<M> Default for PayloadArena<M> {
@@ -70,18 +56,12 @@ impl<M> PayloadArena<M> {
         Self {
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
-            live_peak: 0,
-            clones: 0,
-            moves: 0,
         }
     }
 
     /// Stores `payload` with `refs` initial references.
     pub fn insert(&mut self, payload: M, refs: u32) -> PayloadHandle {
         debug_assert!(refs > 0, "inserting a payload nobody will consume");
-        self.live += 1;
-        self.live_peak = self.live_peak.max(self.live);
         match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
@@ -108,17 +88,6 @@ impl<M> PayloadArena<M> {
         }
     }
 
-    /// Stores a clone of `payload` (counted in [`Self::clones`]) with
-    /// `refs` initial references — the cross-shard import path: one
-    /// clone per destination shard, however many events consume it.
-    pub fn insert_cloned(&mut self, payload: &M, refs: u32) -> PayloadHandle
-    where
-        M: Clone,
-    {
-        self.clones += 1;
-        self.insert(payload.clone(), refs)
-    }
-
     fn slot_mut(&mut self, h: PayloadHandle) -> &mut ArenaSlot<M> {
         let s = &mut self.slots[h.slot as usize];
         assert_eq!(
@@ -127,11 +96,6 @@ impl<M> PayloadArena<M> {
         );
         debug_assert!(s.refs > 0 && s.payload.is_some());
         s
-    }
-
-    /// Adds one reference to the payload behind `h`.
-    pub fn retain(&mut self, h: PayloadHandle) {
-        self.slot_mut(h).refs += 1;
     }
 
     /// Consumes one reference and returns the payload — moved out on
@@ -143,7 +107,6 @@ impl<M> PayloadArena<M> {
     {
         let s = self.slot_mut(h);
         if s.refs == 1 {
-            self.moves += 1;
             (self.free_slot(h.slot), true)
         } else {
             s.refs -= 1;
@@ -152,7 +115,6 @@ impl<M> PayloadArena<M> {
                 .as_ref()
                 .expect("live slot holds a payload")
                 .clone();
-            self.clones += 1;
             (payload, false)
         }
     }
@@ -171,14 +133,6 @@ impl<M> PayloadArena<M> {
         }
     }
 
-    /// Drops every remaining reference behind `h` at once — the
-    /// crashed-sender cancellation path, where all of a broadcast's
-    /// still-pending events die together.
-    pub fn discard_all(&mut self, h: PayloadHandle) {
-        self.slot_mut(h).refs = 1;
-        drop(self.free_slot(h.slot));
-    }
-
     /// Frees a slot whose refcount has reached its final reference:
     /// takes the payload, bumps the generation (staling every
     /// outstanding handle), and recycles the slot index.
@@ -188,25 +142,7 @@ impl<M> PayloadArena<M> {
         s.generation = s.generation.wrapping_add(1);
         let payload = s.payload.take().expect("live slot holds a payload");
         self.free.push(slot);
-        self.live -= 1;
         payload
-    }
-
-    /// Payloads extracted by last-reference move so far.
-    pub fn moves(&self) -> u64 {
-        self.moves
-    }
-
-    /// Payload clones so far (shared-reference releases plus
-    /// cross-shard imports).
-    pub fn clones(&self) -> u64 {
-        self.clones
-    }
-
-    /// High-water payload footprint: the peak number of live payloads
-    /// times the payload size.
-    pub fn bytes_peak(&self) -> u64 {
-        self.live_peak as u64 * std::mem::size_of::<M>() as u64
     }
 }
 
@@ -220,10 +156,8 @@ mod tests {
         let h = a.insert("payload".to_string(), 3);
         assert_eq!(a.release(h), ("payload".to_string(), false));
         assert_eq!(a.release(h), ("payload".to_string(), false));
-        assert_eq!((a.clones(), a.moves()), (2, 0));
         // Last reference: moved out, handle reported dead.
         assert_eq!(a.release(h), ("payload".to_string(), true));
-        assert_eq!((a.clones(), a.moves()), (2, 1));
     }
 
     #[test]
@@ -250,36 +184,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "stale payload handle")]
     fn use_after_cancellation_panics() {
-        // The crash-mid-broadcast shape: a cancelled broadcast drops
-        // all remaining references at once; any event that would still
-        // consume the payload afterwards is a bug, not a clone.
+        // The crash-mid-broadcast shape: a cancelled broadcast discards
+        // every remaining reference; any event that would still consume
+        // the payload afterwards is a bug, not a clone.
         let mut a: PayloadArena<u64> = PayloadArena::new();
-        let h = a.insert(9, 4);
+        let h = a.insert(9, 3);
         assert_eq!(a.release(h), (9, false)); // one delivery happened
-        a.discard_all(h); // sender crashed: rest of the broadcast dies
+        assert!(!a.discard(h));
+        assert!(a.discard(h)); // sender crashed: the rest dies
         let _ = a.release(h);
     }
 
     #[test]
-    fn discard_tracks_last_reference_and_retain_extends() {
+    fn discard_tracks_last_reference() {
         let mut a: PayloadArena<u64> = PayloadArena::new();
-        let h = a.insert(5, 2);
-        a.retain(h);
+        let h = a.insert(5, 3);
         assert!(!a.discard(h));
         assert!(!a.discard(h));
         assert!(a.discard(h));
-        assert_eq!((a.clones(), a.moves()), (0, 0), "discards never copy");
-    }
-
-    #[test]
-    fn bytes_peak_tracks_high_water_live_payloads() {
-        let mut a: PayloadArena<u64> = PayloadArena::new();
-        let hs: Vec<_> = (0..4).map(|i| a.insert(i, 1)).collect();
-        for h in hs {
-            let _ = a.release(h);
-        }
-        let h = a.insert(99, 1);
-        let _ = a.release(h);
-        assert_eq!(a.bytes_peak(), 4 * std::mem::size_of::<u64>() as u64);
     }
 }

@@ -35,7 +35,7 @@
 //!
 //! The process set can be partitioned across `S` shards
 //! ([`SimBuilder::shards`]): each shard owns a
-//! `ShardCell` — its own [`EventQueue`], payload arena, and the
+//! `ShardCell` — its own [`EventQueue`], delivery runs, and the
 //! shard's slice of every slot-indexed hot table — and processes the
 //! events targeting its slots, while a **conservative time-window
 //! coordinator** ([`Sim::run`] → the windowed loop) advances all
@@ -110,20 +110,17 @@
 //! delivery — and the window falls back to the merged single-threaded
 //! drain.
 //!
-//! Hot-path state is laid out densely: in-flight broadcasts live in a
-//! per-slot table and runs in a per-shard slab whose records keep
+//! Hot-path state is laid out densely: outstanding broadcasts live in
+//! a per-slot table and runs in a per-shard slab whose records keep
 //! their entry buffers across broadcasts (no hash maps anywhere in
-//! the loop), and payloads live
-//! in per-shard generation-indexed arenas ([`super::arena`]) that
-//! runs reference by word-sized handle, one reference per pending
-//! delivery. The arena's refcounting
-//! makes copies minimal and observable ([`Metrics::payload_clones`] /
-//! [`Metrics::payload_moves`]): the final consumer of a payload moves
-//! it out, earlier shared consumers clone, and deliveries to crashed
-//! receivers never touch it. A cross-shard run holds **one**
-//! clone of the payload in its destination shard's arena, made at
-//! schedule time and shared by refcount among the run's deliveries,
-//! so a worker never reads another shard's in-flight entries. The queue
+//! the loop). A broadcast's payload lives exactly as long as its
+//! deliveries: each run owns one copy, every delivery to a live
+//! receiver clones it except the run's last entry, which moves it
+//! out, and deliveries to crashed receivers never touch it
+//! ([`Metrics::payload_clones`] / [`Metrics::payload_moves`]). A
+//! cross-shard run gets its own clone of the payload, made at
+//! schedule time, so a worker never reads another shard's runs; the
+//! ack never reads the payload at all. The queue
 //! core itself is selectable per [`SimBuilder::queue_core`]; see
 //! [`super::queue`] for the two implementations.
 
@@ -143,7 +140,6 @@ use crate::proc::{Context, Decision, Process, Value};
 use crate::topo::unreliable::UnreliableOverlay;
 use crate::topo::Topology;
 
-use super::arena::{PayloadArena, PayloadHandle};
 use super::config::EngineConfig;
 use super::crash::{CrashPlan, CrashSpec};
 use super::event::{BcastId, EventClass, EventKind};
@@ -486,7 +482,6 @@ impl<P: Process> SimBuilder<P> {
                     base: r.start,
                     queue: queues.next().expect("one queue per shard"),
                     runs: Runs::new(n),
-                    arena: PayloadArena::new(),
                     pending: Vec::new(),
                     crashed: (r.start..r.end).map(|i| ledger.is_crashed(i)).collect(),
                     procs: procs.by_ref().take(len).collect(),
@@ -494,7 +489,6 @@ impl<P: Process> SimBuilder<P> {
                     ts_seqs: vec![0; len],
                     rngs: rngs.by_ref().take(len).collect(),
                     outstanding: vec![None; len],
-                    inflight: vec![None; len],
                     scratch: ShardScratch::default(),
                     out: ShardCounters::default(),
                 }
@@ -537,18 +531,6 @@ impl<P: Process> SimBuilder<P> {
     }
 }
 
-/// A node's outstanding broadcast, as its own shard sees it: the
-/// arena handle of the payload (holding the ack's reference plus one
-/// per own-shard delivery) and the ack's event id. Lives from the
-/// broadcast until its ack fires or a crash voids it, so the crash
-/// path finds both in O(1). Deliveries never touch it: each carries
-/// its payload handle in its [`Run`].
-#[derive(Clone, Copy)]
-struct InFlight {
-    payload: PayloadHandle,
-    ack: EventId,
-}
-
 /// One delivery of a [`Run`]: when it is due, the event id it was
 /// allocated (its place in the global `(time, class, id)` order), and
 /// its receiver.
@@ -572,13 +554,16 @@ impl RunEntry {
 /// *head*, an [`EventKind::Receive`] for entry `cursor` keyed by that
 /// entry; popping it takes the delivery and re-pushes the run under
 /// its next entry. A crash voids the run by cancelling that one head.
-struct Run {
+///
+/// The run owns this shard's copy of the broadcast's payload: each
+/// delivery clones it except the last entry, which moves it out, and
+/// a delivery to a crashed receiver touches nothing. The payload lives
+/// exactly as long as the run's pending deliveries.
+struct Run<M> {
     from: Slot,
     bcast: BcastId,
-    /// This shard's handle on the payload: one arena reference per
-    /// pending entry (on the sender's own shard, the handle is shared
-    /// with the [`InFlight`] and the ack's reference).
-    payload: PayloadHandle,
+    /// `None` once the last entry has taken it or the run is freed.
+    payload: Option<M>,
     /// Entries before `cursor` have been taken off the run; the head
     /// stands for entry `cursor`.
     cursor: usize,
@@ -589,11 +574,12 @@ struct Run {
 const NO_RUN: u32 = u32::MAX;
 
 /// One shard's delivery runs: a slab of [`Run`] records recycled
-/// through a free list (a freed record keeps its entry buffer, so
-/// steady-state broadcasting allocates nothing), plus each sender's
-/// newest run here — how a crash finds the runs it voids.
-struct Runs {
-    slab: Vec<Run>,
+/// through a free list (a freed record keeps its entry buffer but not
+/// its payload, so steady-state broadcasting allocates no run
+/// storage), plus each sender's newest run here — how a crash finds
+/// the runs it voids.
+struct Runs<M> {
+    slab: Vec<Run<M>>,
     free: Vec<u32>,
     /// Per global sender slot: its newest live run on this shard, or
     /// [`NO_RUN`]. The newest is the only one a crash can void: an
@@ -602,7 +588,7 @@ struct Runs {
     by_sender: Vec<u32>,
 }
 
-impl Runs {
+impl<M> Runs<M> {
     fn new(n: usize) -> Self {
         Self {
             slab: Vec::new(),
@@ -613,20 +599,14 @@ impl Runs {
 
     /// Stores a run of `entries` (already sorted) and returns its
     /// index.
-    fn open(
-        &mut self,
-        from: Slot,
-        bcast: BcastId,
-        payload: PayloadHandle,
-        entries: &[(u32, RunEntry)],
-    ) -> u32 {
+    fn open(&mut self, from: Slot, bcast: BcastId, payload: M, entries: &[(u32, RunEntry)]) -> u32 {
         let entries = entries.iter().map(|&(_, e)| e);
         let idx = match self.free.pop() {
             Some(idx) => {
                 let run = &mut self.slab[idx as usize];
                 run.from = from;
                 run.bcast = bcast;
-                run.payload = payload;
+                run.payload = Some(payload);
                 run.cursor = 0;
                 run.entries.clear();
                 run.entries.extend(entries);
@@ -636,7 +616,7 @@ impl Runs {
                 self.slab.push(Run {
                     from,
                     bcast,
-                    payload,
+                    payload: Some(payload),
                     cursor: 0,
                     entries: entries.collect(),
                 });
@@ -676,8 +656,12 @@ impl Runs {
         (idx != NO_RUN && self.slab[idx as usize].bcast == bcast).then_some(idx)
     }
 
+    /// Frees `run` after its last entry or a crash, dropping whatever
+    /// payload it still holds.
     fn release(&mut self, run: u32) {
-        let from = self.slab[run as usize].from;
+        let r = &mut self.slab[run as usize];
+        r.payload = None;
+        let from = r.from;
         if self.by_sender[from.0] == run {
             self.by_sender[from.0] = NO_RUN;
         }
@@ -687,11 +671,11 @@ impl Runs {
 
 /// Placeholder the step parks in `outstanding` when a callback
 /// broadcasts: it keeps the node reading busy until the ordered commit
-/// replaces it with the real, serially allocated [`BcastId`] — at once
-/// on the inline path, after the window's last barrier in a pool
-/// worker, where later same-window callbacks on the node still read
-/// busy.
-const DEFERRED_BCAST: BcastId = BcastId(u64::MAX);
+/// replaces it with the real, serially allocated [`BcastId`] and ack
+/// id — at once on the inline path, after the window's last barrier in
+/// a pool worker, where later same-window callbacks on the node still
+/// read busy.
+const DEFERRED_BCAST: (BcastId, EventId) = (BcastId(u64::MAX), EventId(u64::MAX));
 
 /// What ran a [`Step`]'s callback.
 #[derive(Clone, Copy)]
@@ -770,6 +754,11 @@ struct ShardCounters {
     unreliable_deliveries: u64,
     acks: u64,
     busy_discards: u64,
+    /// Payload copies: one per delivery that is not its run's last
+    /// live entry, plus one per cross-shard run the commit opens here.
+    payload_clones: u64,
+    /// Payloads a run's last entry moved into its callback.
+    payload_moves: u64,
     /// Events a pool worker stepped in the current window.
     events: u64,
     /// Time of the last (= latest) event a pool worker stepped.
@@ -780,8 +769,8 @@ struct ShardCounters {
 }
 
 /// Everything one shard owns: its event queue — the one home of every
-/// event due at its slots — payload arena, delivery runs, the staging
-/// a pool window's commit pushes into, and
+/// event due at its slots — delivery runs with their payloads, the
+/// staging a pool window's commit pushes into, and
 /// the shard's slice of every slot-indexed hot table (`slot − base`
 /// indexes the vectors). The engine is a `Vec<ShardCell>` plus the
 /// global [`Core`]; during a parallel window each cell sits behind a
@@ -793,17 +782,11 @@ struct ShardCell<P: Process> {
     base: usize,
     queue: EventQueue<EventKind>,
     /// The delivery runs whose receivers live on this shard, one per
-    /// broadcast that reaches it. A run carries its own payload
-    /// handle into this shard's arena, so a worker never reads
-    /// another shard's tables.
-    runs: Runs,
-    /// This shard's payload arena — its own senders' in-flight
-    /// payloads plus one clone per cross-shard run: a broadcast
-    /// clones its payload **once per destination shard** (not per
-    /// delivery) and the run's entries share it by refcount. All inserts
-    /// happen on the single-threaded coordinator paths; a parallel
-    /// window's worker only releases references on its own arena.
-    arena: PayloadArena<P::Msg>,
+    /// broadcast that reaches it. Each run owns its own copy of the
+    /// payload — a broadcast clones it **once per destination shard**,
+    /// not per delivery — so a worker never reads another shard's
+    /// tables. Runs are opened only on the single-threaded commit.
+    runs: Runs<P::Msg>,
     /// Queue pushes for this shard deferred by a parallel window's
     /// ordered commit, with their full keys — run heads and acks from
     /// any sender; absorbed at the next window boundary (worker phase
@@ -817,10 +800,11 @@ struct ShardCell<P: Process> {
     decisions: Vec<Option<Decision>>,
     ts_seqs: Vec<u64>,
     rngs: Vec<SmallRng>,
-    outstanding: Vec<Option<BcastId>>,
-    /// Each local slot's outstanding broadcast until its ack (or the
-    /// crash that voids it); no hashing on the hot path.
-    inflight: Vec<Option<InFlight>>,
+    /// Each local slot's outstanding broadcast and its ack's event id,
+    /// from the callback that requested it ([`DEFERRED_BCAST`] until
+    /// the commit) until its ack fires or a crash voids it, so the
+    /// crash path finds the ack in O(1).
+    outstanding: Vec<Option<(BcastId, EventId)>>,
     /// Worker scratch (drained events, parked heads, step records),
     /// reused across parallel windows.
     scratch: ShardScratch<P::Msg>,
@@ -989,24 +973,30 @@ impl<P: Process> ShardCell<P> {
     }
 
     /// Consumes delivery `k` of `run` (already taken off the run):
-    /// releases its payload reference — the message moves out on the
-    /// last reference, is cloned otherwise, and is never copied for a
-    /// crashed receiver (`None`) — and frees the run after its last
-    /// entry. The run carries the payload handle into this shard's
-    /// arena, so a step never reads the sender's shard — the parallel
-    /// stepper's ownership contract.
+    /// the message is cloned out of the run, moved out on the run's
+    /// last entry, and never copied for a crashed receiver (`None`);
+    /// the run is freed after its last entry. The run holds this
+    /// shard's own copy of the payload, so a step never reads the
+    /// sender's shard — the parallel stepper's ownership contract.
     fn take_delivery(&mut self, run: u32, k: u32) -> (Slot, Cause, Option<P::Msg>) {
-        let r = &self.runs.slab[run as usize];
+        let r = &mut self.runs.slab[run as usize];
         let e = r.entries[k as usize];
-        let (from, bcast, h) = (r.from, r.bcast, r.payload);
+        let (from, bcast) = (r.from, r.bcast);
         let last = k as usize + 1 == r.entries.len();
         let to = Slot(e.to as usize);
         let msg = if self.crashed[to.0 - self.base] {
-            self.arena.discard(h);
             None
+        } else if last {
+            self.out.payload_moves += 1;
+            r.payload.take()
         } else {
-            Some(self.arena.release(h).0)
+            self.out.payload_clones += 1;
+            r.payload.clone()
         };
+        debug_assert!(
+            msg.is_some() || self.crashed[to.0 - self.base],
+            "run payload taken before its last entry"
+        );
         if last {
             self.runs.release(run);
         }
@@ -1019,19 +1009,18 @@ impl<P: Process> ShardCell<P> {
         (to, cause, msg)
     }
 
-    /// Settles `node`'s broadcast `bcast` at its ack: the in-flight
-    /// record retires and the ack's payload reference is dropped
-    /// (deliveries still pending on an unreliable overlay keep theirs
-    /// through their run).
+    /// Settles `node`'s broadcast `bcast` at its ack. The ack never
+    /// reads the payload: deliveries still pending on an unreliable
+    /// overlay keep theirs through their run.
     fn retire_ack(&mut self, node: Slot, bcast: BcastId) {
         let li = node.0 - self.base;
-        let f = self.inflight[li].take().expect("acked broadcast in flight");
-        self.arena.discard(f.payload);
         // A crashed sender's ack event is cancelled with its
         // broadcast, so this only fires for live nodes.
         debug_assert!(!self.crashed[li], "ack for a crashed node");
-        debug_assert_eq!(self.outstanding[li], Some(bcast));
-        self.outstanding[li] = None;
+        let (acked, _) = self.outstanding[li]
+            .take()
+            .expect("acked broadcast outstanding");
+        debug_assert_eq!(acked, bcast);
     }
 
     /// Runs one process callback at live node `slot` with the engine's
@@ -1475,9 +1464,9 @@ impl<P: Process> Sim<P> {
     /// allocator (every event ever scheduled, on any shard);
     /// cancellations count tombstones on every shard's queue plus the
     /// voided deliveries no tombstone stands for — together one per
-    /// voided event, byte-identical at every shard count. The
-    /// payload-custody counters are assigned, not accumulated, because
-    /// the arenas count cumulatively.
+    /// voided event, byte-identical at every shard count. The payload
+    /// footprint is assigned, not accumulated: each run slab's length
+    /// is its shard's high-water count of live runs.
     fn fold_counters(&mut self) {
         let m = &mut self.core.metrics;
         for c in &mut self.cells {
@@ -1486,6 +1475,8 @@ impl<P: Process> Sim<P> {
             m.unreliable_deliveries += std::mem::take(&mut out.unreliable_deliveries);
             m.acks += std::mem::take(&mut out.acks);
             m.busy_discards += std::mem::take(&mut out.busy_discards);
+            m.payload_clones += std::mem::take(&mut out.payload_clones);
+            m.payload_moves += std::mem::take(&mut out.payload_moves);
         }
         m.queue_pushes = self.core.next_event_id;
         m.queue_cancellations = self
@@ -1495,9 +1486,11 @@ impl<P: Process> Sim<P> {
             .sum::<u64>()
             + self.core.uncounted_cancels;
         m.queue_bucket_overflows = self.cells.iter().map(|c| c.queue.bucket_overflows()).sum();
-        m.payload_clones = self.cells.iter().map(|c| c.arena.clones()).sum();
-        m.payload_moves = self.cells.iter().map(|c| c.arena.moves()).sum();
-        m.arena_bytes_peak = self.cells.iter().map(|c| c.arena.bytes_peak()).sum();
+        m.arena_bytes_peak = self
+            .cells
+            .iter()
+            .map(|c| (c.runs.slab.len() * std::mem::size_of::<P::Msg>()) as u64)
+            .sum();
     }
 }
 
@@ -1951,13 +1944,6 @@ impl<P: Process> Exec<'_, '_, P> {
                 .push(TraceEvent::Broadcast { time, slot, ids });
             let bcast = BcastId(self.core.bcast_seq);
             self.core.bcast_seq += 1;
-            let cell = &mut *self.cells[self.sh.shard_map.shard_of(slot.0)];
-            let parked = cell.outstanding[slot.0 - cell.base].replace(bcast);
-            debug_assert_eq!(
-                parked,
-                Some(DEFERRED_BCAST),
-                "broadcast without its placeholder"
-            );
             self.commit_broadcast_events(slot, msg, bcast);
         }
         // The trace keeps Broadcast (and any Crash it triggers) ahead
@@ -2017,8 +2003,10 @@ impl<P: Process> Exec<'_, '_, P> {
         // searches the staging: the coordinator only defers pushes
         // inside a window the gate proved crash-free, and flushes the
         // staging before any merged fallback runs. So every event a
-        // crash voids is in a queue.
-        debug_assert!(
+        // crash voids is in a queue. A crash is a cold path: checked in
+        // release builds too, since a staged head would escape its
+        // cancellation.
+        assert!(
             self.cells.iter().all(|c| c.pending.is_empty()),
             "crash processed with deferred local pushes outstanding"
         );
@@ -2043,8 +2031,8 @@ impl<P: Process> Exec<'_, '_, P> {
         if was_undecided {
             self.core.undecided -= 1;
         }
-        if let Some(bcast) = outstanding {
-            self.cancel_broadcast(node, bcast);
+        if let Some((bcast, ack)) = outstanding {
+            self.cancel_broadcast(node, bcast, ack);
         }
     }
 
@@ -2057,22 +2045,12 @@ impl<P: Process> Exec<'_, '_, P> {
     ///
     /// Panics if the ack or a live run's head is not in its queue: a
     /// missed cancellation would let a voided event fire.
-    fn cancel_broadcast(&mut self, sender: Slot, bcast: BcastId) {
-        // The sender's own arena slot — the ack's reference and its
-        // own shard's deliveries — dies at once.
+    fn cancel_broadcast(&mut self, sender: Slot, bcast: BcastId, ack: EventId) {
         let src = self.sh.shard_map.shard_of(sender.0);
-        {
-            let cell = &mut *self.cells[src];
-            let li = sender.0 - cell.base;
-            let f = cell.inflight[li]
-                .take()
-                .expect("outstanding broadcast in flight");
-            cell.arena.discard_all(f.payload);
-            assert!(
-                cell.queue.cancel(f.ack),
-                "pending ack missing from its sender's queue"
-            );
-        }
+        assert!(
+            self.cells[src].queue.cancel(ack),
+            "pending ack missing from its sender's queue"
+        );
         for shard in 0..self.cells.len() {
             let cell = &mut *self.cells[shard];
             let Some(run) = cell.runs.live(sender, bcast) else {
@@ -2083,10 +2061,6 @@ impl<P: Process> Exec<'_, '_, P> {
             let voided = (r.entries.len() - r.cursor) as u64;
             assert!(cell.queue.cancel(head), "run head missing from its queue");
             self.core.uncounted_cancels += voided - 1;
-            if shard != src {
-                // A cross-shard run owns its shard's payload clone.
-                cell.arena.discard_all(r.payload);
-            }
             cell.runs.release(run);
         }
     }
@@ -2096,10 +2070,9 @@ impl<P: Process> Exec<'_, '_, P> {
     /// by `(time, id)`, with a single queue entry — its head, pushed
     /// straight into that shard's queue — so the queues hold at most
     /// one run head per broadcast and shard plus the acks. Payload
-    /// custody follows the shard-ownership split: the sender's arena
-    /// slot refcounts its own shard's deliveries and the ack, and each
-    /// other shard a run crosses into gets **one** payload clone in
-    /// its own arena, shared by refcount among the run's entries.
+    /// custody follows the shard-ownership split: each run owns one
+    /// copy of the payload — a clone in every other shard the
+    /// broadcast crosses into, the original in the sender's own run.
     fn commit_broadcast_events(&mut self, slot: Slot, msg: P::Msg, bcast: BcastId) {
         // Reuse the scratch neighbor buffer (the scheduler borrows it
         // while `self` stays mutable for the queue pushes below).
@@ -2175,12 +2148,10 @@ impl<P: Process> Exec<'_, '_, P> {
         }
         deliveries.sort_unstable_by_key(|&(shard, e)| (shard, e.time, e.id));
 
-        // Cross-shard runs first — each clones the payload into its
-        // destination's arena, so the original can move into the
-        // sender's — then the sender's own run, its in-flight record
-        // and the ack. The ack always lands on the sender's shard, so
-        // the sender's arena slot is live until at least the ack (or
-        // a cancellation).
+        // Cross-shard runs first — each takes a clone of the payload,
+        // so the original can move into the sender's own run — then
+        // the sender's own run, its outstanding record and the ack,
+        // which always lands on the sender's shard.
         let src = self.sh.shard_map.shard_of(slot.0);
         let mut own: &[(u32, RunEntry)] = &[];
         for run in deliveries.chunk_by(|a, b| a.0 == b.0) {
@@ -2191,8 +2162,8 @@ impl<P: Process> Exec<'_, '_, P> {
             }
             self.core.metrics.cross_shard_deliveries += run.len() as u64;
             let cell = &mut *self.cells[dst];
-            let h = cell.arena.insert_cloned(&msg, run.len() as u32);
-            let idx = cell.runs.open(slot, bcast, h, run);
+            cell.out.payload_clones += 1;
+            let idx = cell.runs.open(slot, bcast, msg.clone(), run);
             let head = run[0].1;
             self.push_local(
                 dst,
@@ -2202,15 +2173,14 @@ impl<P: Process> Exec<'_, '_, P> {
             );
         }
         let cell = &mut *self.cells[src];
-        let payload = cell.arena.insert(msg, own.len() as u32 + 1);
-        let li = slot.0 - cell.base;
-        debug_assert!(cell.inflight[li].is_none(), "double broadcast");
-        cell.inflight[li] = Some(InFlight {
-            payload,
-            ack: EventId(ack),
-        });
+        let parked = cell.outstanding[slot.0 - cell.base].replace((bcast, EventId(ack)));
+        debug_assert_eq!(
+            parked,
+            Some(DEFERRED_BCAST),
+            "broadcast without its placeholder"
+        );
         if let Some(&(_, head)) = own.first() {
-            let idx = cell.runs.open(slot, bcast, payload, own);
+            let idx = cell.runs.open(slot, bcast, msg, own);
             self.push_local(
                 src,
                 head.time,
@@ -2986,7 +2956,7 @@ mod tests {
             let acks: usize = sim
                 .cells
                 .iter()
-                .map(|c| c.inflight.iter().flatten().count())
+                .map(|c| c.outstanding.iter().flatten().count())
                 .sum();
             let timers = usize::from(!sim.is_crashed(Slot(9)));
             assert_eq!(queued, runs + acks + timers, "{at}");

@@ -245,8 +245,8 @@ impl Trace {
 /// and participates in the byte-identity contract across queue cores,
 /// shard counts, and thread counts. The timing fields measure the
 /// host machine, the custody counters measure the memory layout — a
-/// cross-shard delivery legitimately clones at `S = 4` where `S = 1`
-/// moves — and the pool counters measure wake policy (serial gate,
+/// cross-shard run legitimately clones at `S = 4` where `S = 1` has
+/// one run — and the pool counters measure wake policy (serial gate,
 /// worker availability), so all three families
 /// legitimately differ between semantically identical runs.
 #[derive(Clone, Debug, Default)]
@@ -331,20 +331,22 @@ pub struct Metrics {
     /// O(1) in the window count (always 0 serial/inline). Excluded
     /// from equality (see [`Metrics::worker_wakeups`]).
     pub worker_spawns: u64,
-    /// Payload clones the engine's arena performed: one per
-    /// shared-reference delivery (an earlier consumer of a payload
-    /// some later event still needs) plus one per destination shard a
-    /// cross-shard broadcast imports into. Configuration-dependent —
-    /// sharding trades moves for per-shard import clones — so
-    /// **excluded from equality** like the wall-clock fields.
+    /// Payload clones the engine performed. Each delivery run owns one
+    /// copy of its broadcast's payload, so this is one per delivery to
+    /// a live receiver that is not its run's last entry, plus one per
+    /// other shard a broadcast's runs cross into. Configuration-
+    /// dependent — sharding splits one run into several, each ending
+    /// in a move — so **excluded from equality** like the wall-clock
+    /// fields.
     pub payload_clones: u64,
-    /// Payloads handed to their final consumer by move (no copy) —
-    /// the arena hot path's common case. Excluded from equality (see
-    /// [`Metrics::payload_clones`]).
+    /// Payloads handed to their final consumer by move (no copy): one
+    /// per run whose last entry reaches a live receiver. Excluded from
+    /// equality (see [`Metrics::payload_clones`]).
     pub payload_moves: u64,
-    /// High-water in-flight payload footprint in bytes, summed over
-    /// the per-shard arenas: peak live payload count × payload size.
-    /// Excluded from equality (see [`Metrics::payload_clones`]).
+    /// In-flight payload footprint bound in bytes, summed over shards:
+    /// the high-water number of delivery runs (each holds at most one
+    /// payload) times the payload size. Excluded from equality (see
+    /// [`Metrics::payload_clones`]).
     pub arena_bytes_peak: u64,
     /// Largest per-message id count observed.
     pub max_message_ids: usize,

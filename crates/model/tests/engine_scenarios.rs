@@ -235,3 +235,87 @@ fn scripted_scheduler_orders_cross_node_races_exactly() {
     sim.run();
     assert_eq!(sim.process(Slot(2)).log, vec![Time(2), Time(9)]);
 }
+
+/// No payload outlives its delivery run. A flood relays one shared
+/// `Arc` on clique(64): node 9 crashes at t = 50 while every delivery
+/// to it is held back to t = 100 — so each run that reaches node 9
+/// ends on a crashed receiver, the last event of the execution — and
+/// node 5 crashes after 20 deliveries of its broadcast, which voids
+/// the rest of its runs. Once the engine is quiescent, every copy the
+/// runs held must be gone while the simulation is still alive: at
+/// every shard count, and through the worker pool.
+#[test]
+fn no_payload_outlives_its_run() {
+    use std::sync::Arc;
+
+    #[derive(Clone, Debug)]
+    struct Held(Arc<()>);
+    impl Payload for Held {
+        fn id_count(&self) -> usize {
+            0
+        }
+    }
+    struct Relay {
+        seed: Option<Arc<()>>,
+        relayed: bool,
+    }
+    impl Process for Relay {
+        type Msg = Held;
+        fn on_start(&mut self, ctx: &mut Context<'_, Held>) {
+            if let Some(a) = self.seed.take() {
+                self.relayed = true;
+                ctx.broadcast(Held(a));
+            }
+        }
+        fn on_receive(&mut self, m: Held, ctx: &mut Context<'_, Held>) {
+            if !self.relayed {
+                self.relayed = true;
+                ctx.broadcast(Held(m.0));
+            }
+        }
+        fn on_ack(&mut self, _ctx: &mut Context<'_, Held>) {}
+    }
+
+    let n = 64;
+    for (shards, pool) in [(1, None), (2, None), (4, None), (4, Some(2))] {
+        let label = format!("S={shards} pool={pool:?}");
+        let token = Arc::new(());
+        let all: Vec<Slot> = (0..n).map(Slot).collect();
+        let builder = SimBuilder::new(Topology::clique(n), |s| Relay {
+            seed: (s.index() == 0).then(|| token.clone()),
+            relayed: false,
+        })
+        .scheduler(EdgeDelayScheduler::new(
+            RandomScheduler::new(8, 3),
+            vec![DirectedCut::new(all, [Slot(9)], Time(100))],
+        ))
+        .crashes(CrashPlan::new(vec![
+            CrashSpec::AtTime {
+                slot: Slot(9),
+                time: Time(50),
+            },
+            CrashSpec::MidBroadcast {
+                slot: Slot(5),
+                nth_broadcast: 0,
+                delivered: 20,
+            },
+        ]))
+        .stop_when_all_decided(false)
+        .shards(shards);
+        let mut sim = match pool {
+            Some(workers) => builder.threads(4).debug_force_pool_workers(workers),
+            None => builder,
+        }
+        .build();
+        let report = sim.run();
+        assert_eq!(report.outcome, RunOutcome::Quiescent, "{label}");
+        assert_eq!(report.metrics.crashes, 2, "{label}");
+        assert!(report.metrics.queue_cancellations > 0, "{label}");
+        assert!(report.metrics.payload_clones > 0, "{label}");
+        assert_eq!(
+            Arc::strong_count(&token),
+            1,
+            "{label}: a payload outlived its run"
+        );
+    }
+}
