@@ -49,7 +49,12 @@
 //! The queue is deliberately ignorant of what the payloads mean: the
 //! engine stores its internal `EventKind`s, tests store integers. All
 //! model semantics (what a delivery does, when acks are due) live in
-//! the driver and in [`crate::mac::BcastLedger`].
+//! the driver and in [`crate::mac::BcastLedger`]. Both cores store
+//! plain entries — ordering key and payload side by side, compared by
+//! key — so a payload lives exactly as long as its entry. The engine's
+//! payloads are a few words (a run index, an ack's node and broadcast),
+//! so parking them in a side table would save no sift bytes worth a
+//! second store.
 
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
@@ -197,82 +202,47 @@ impl std::fmt::Display for QueueCoreKind {
     }
 }
 
-/// The **hot** half of one queue entry, shared by both cores: the
-/// full `(time, class, id)` ordering key plus the slab slot of its
-/// payload. `Copy` and a few words wide, so every comparison-heavy
-/// structure — heap sift, bucket staging sort, tombstone scan — moves
-/// and touches only these words; payload bytes stay parked in the
-/// core's `PayloadSlab` until the entry actually pops.
-#[derive(Clone, Copy)]
-struct HotEntry {
+/// One queue entry, shared by both cores: the full `(time, class,
+/// id)` ordering key and the caller's payload, compared by key only.
+/// Every tier of both cores holds these directly, so an entry's
+/// payload is dropped exactly when the entry pops or its tombstone is
+/// reaped.
+struct Entry<E> {
     time: Time,
     class: u8,
     id: u64,
-    slab: u32,
+    payload: E,
 }
 
-impl HotEntry {
+impl<E> Entry<E> {
     fn key(&self) -> (Time, u8, u64) {
         (self.time, self.class, self.id)
     }
+
+    fn into_event(self) -> ScheduledEvent<E> {
+        ScheduledEvent {
+            time: self.time,
+            id: EventId(self.id),
+            payload: self.payload,
+        }
+    }
 }
 
-impl PartialEq for HotEntry {
+impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl Eq for HotEntry {}
-impl PartialOrd for HotEntry {
+impl<E> Eq for Entry<E> {}
+impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HotEntry {
+impl<E> Ord for Entry<E> {
     // Reversed (`BinaryHeap` is a max-heap) over the key.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other.key().cmp(&self.key())
-    }
-}
-
-/// The **cold** half: payload storage indexed by [`HotEntry::slab`],
-/// recycled through a free list so steady-state scheduling allocates
-/// nothing. Slots are freed both when an entry pops and when a
-/// tombstoned entry is reaped, so cancelled payloads never outlive
-/// their tombstone.
-struct PayloadSlab<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-}
-
-impl<E> PayloadSlab<E> {
-    fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, payload: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("slab slots fit u32");
-                self.slots.push(Some(payload));
-                slot
-            }
-        }
-    }
-
-    /// Removes and returns the payload at `slot`, recycling the slot.
-    fn take(&mut self, slot: u32) -> E {
-        let payload = self.slots[slot as usize].take().expect("live slab slot");
-        self.free.push(slot);
-        payload
     }
 }
 
@@ -333,13 +303,8 @@ impl Tombstones {
 
 /// The indexed-binary-heap [`QueueCore`]: `O(log n)` push and pop,
 /// tombstoned cancellation. See the [module docs](self).
-///
-/// Storage is structure-of-arrays: the heap orders word-sized
-/// `HotEntry`s while payloads sit in a `PayloadSlab`, so sifting
-/// never moves payload bytes.
 pub struct HeapCore<E> {
-    heap: BinaryHeap<HotEntry>,
-    slab: PayloadSlab<E>,
+    heap: BinaryHeap<Entry<E>>,
     ts: Tombstones,
 }
 
@@ -354,52 +319,47 @@ impl<E> HeapCore<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            slab: PayloadSlab::new(),
             ts: Tombstones::new(),
         }
     }
 
     /// Drops cancelled entries sitting at the top of the heap,
-    /// reclaiming their tombstones and slab slots.
+    /// reclaiming their tombstones.
     fn purge_cancelled_head(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.ts.reap(top.id) {
-                let top = self.heap.pop().expect("peeked");
-                drop(self.slab.take(top.slab));
-            } else {
+            if !self.ts.reap(top.id) {
                 break;
             }
+            self.heap.pop();
         }
     }
 }
 
 impl<E> QueueCore<E> for HeapCore<E> {
     fn push(&mut self, time: Time, class: u8, payload: E) -> EventId {
-        let id = self.ts.alloc();
-        let slab = self.slab.insert(payload);
-        self.heap.push(HotEntry {
+        let id = EventId(self.ts.alloc());
+        self.heap.push(Entry {
             time,
             class,
-            id,
-            slab,
+            id: id.0,
+            payload,
         });
-        EventId(id)
+        id
     }
 
     fn push_at(&mut self, time: Time, class: u8, id: EventId, payload: E) {
         self.ts.register(id.0);
-        let slab = self.slab.insert(payload);
-        self.heap.push(HotEntry {
+        self.heap.push(Entry {
             time,
             class,
             id: id.0,
-            slab,
+            payload,
         });
     }
 
     fn peek_key(&mut self) -> Option<(Time, u8, u64)> {
         self.purge_cancelled_head();
-        self.heap.peek().map(|e| (e.time, e.class, e.id))
+        self.heap.peek().map(Entry::key)
     }
 
     fn cancel(&mut self, id: EventId) -> bool {
@@ -415,11 +375,7 @@ impl<E> QueueCore<E> for HeapCore<E> {
         self.purge_cancelled_head();
         let entry = self.heap.pop()?;
         self.ts.pending.remove(&entry.id);
-        Some(ScheduledEvent {
-            time: entry.time,
-            id: EventId(entry.id),
-            payload: self.slab.take(entry.slab),
-        })
+        Some(entry.into_event())
     }
 
     fn len(&self) -> usize {
@@ -460,14 +416,9 @@ const CALENDAR_MAX_BUCKETS: usize = 1 << 16;
 ///   pushes at that horizon take the fast path.
 ///
 /// Ordering, cancellation, and liveness behave bit-identically to
-/// [`HeapCore`]; the property suite enforces it.
-///
-/// Like the heap core, storage is structure-of-arrays: every tier —
-/// the staged day, the ring buckets, the overflow map — holds
-/// word-sized `HotEntry`s (the overflow tier maps keys to slab
-/// slots), so staging sorts, ring rebuilds, and tier migrations never
-/// move payload bytes; payloads sit in one `PayloadSlab` until
-/// their entry pops.
+/// [`HeapCore`]; the property suite enforces it. Every tier holds the
+/// same plain entries as the heap (the overflow map keys them by their
+/// ordering key).
 pub struct CalendarCore<E> {
     /// Number of ring buckets (always a power of two).
     nbuckets: usize,
@@ -476,18 +427,15 @@ pub struct CalendarCore<E> {
     cur_day: u64,
     /// Entries of days `<= cur_day`, sorted descending by key so pops
     /// take from the back.
-    current: Vec<HotEntry>,
+    current: Vec<Entry<E>>,
     /// Ring buckets for days `cur_day + 1 ..= cur_day + nbuckets`
     /// (day `d` lives at `d % nbuckets`), unsorted until staged.
-    buckets: Vec<Vec<HotEntry>>,
+    buckets: Vec<Vec<Entry<E>>>,
     /// Total entries (live or tombstoned) in the ring.
     in_wheel: usize,
-    /// Far-future tier: days beyond the ring, in key order; values are
-    /// slab slots.
-    overflow: BTreeMap<(Time, u8, u64), u32>,
+    /// Far-future tier: days beyond the ring, in key order.
+    overflow: BTreeMap<(Time, u8, u64), E>,
     overflows: u64,
-    /// Payload storage for every tier.
-    slab: PayloadSlab<E>,
     ts: Tombstones,
 }
 
@@ -508,7 +456,6 @@ impl<E> CalendarCore<E> {
             in_wheel: 0,
             overflow: BTreeMap::new(),
             overflows: 0,
-            slab: PayloadSlab::new(),
             ts: Tombstones::new(),
         }
     }
@@ -518,7 +465,7 @@ impl<E> CalendarCore<E> {
     }
 
     /// Binary-inserts into `current` (kept sorted descending by key).
-    fn insert_current(&mut self, entry: HotEntry) {
+    fn insert_current(&mut self, entry: Entry<E>) {
         let key = entry.key();
         let pos = self.current.partition_point(|e| e.key() > key);
         self.current.insert(pos, entry);
@@ -530,12 +477,10 @@ impl<E> CalendarCore<E> {
     fn settle(&mut self) {
         loop {
             while let Some(e) = self.current.last() {
-                if self.ts.reap(e.id) {
-                    let e = self.current.pop().expect("peeked");
-                    drop(self.slab.take(e.slab));
-                } else {
+                if !self.ts.reap(e.id) {
                     return;
                 }
+                self.current.pop();
             }
             // The next day is the earlier of the ring's nearest
             // non-empty bucket and the overflow tier's first key —
@@ -567,19 +512,8 @@ impl<E> CalendarCore<E> {
             // today's into the staging vector, later days into the
             // ring, so they take the fast path from here on.
             let horizon = self.cur_day + self.nbuckets as u64;
-            while let Some(entry) = self.overflow.first_entry() {
-                let &(time, class, id) = entry.key();
-                let day = Self::day_of(time);
-                if day > horizon {
-                    break;
-                }
-                let slab = entry.remove();
-                let e = HotEntry {
-                    time,
-                    class,
-                    id,
-                    slab,
-                };
+            while let Some(e) = self.pop_overflow_until(horizon) {
+                let day = Self::day_of(e.time);
                 if day <= self.cur_day {
                     staged.push(e);
                 } else {
@@ -602,7 +536,7 @@ impl<E> CalendarCore<E> {
         while self.overflow.len() > self.nbuckets && self.nbuckets < CALENDAR_MAX_BUCKETS {
             self.nbuckets *= 2;
         }
-        let old: Vec<HotEntry> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
+        let old: Vec<Entry<E>> = self.buckets.iter_mut().flat_map(std::mem::take).collect();
         self.buckets = (0..self.nbuckets).map(|_| Vec::new()).collect();
         self.in_wheel = 0;
         let horizon = self.cur_day + self.nbuckets as u64;
@@ -611,28 +545,33 @@ impl<E> CalendarCore<E> {
             self.buckets[(Self::day_of(e.time) % self.nbuckets as u64) as usize].push(e);
             self.in_wheel += 1;
         }
-        while let Some(entry) = self.overflow.first_entry() {
-            let &(time, class, id) = entry.key();
-            let day = Self::day_of(time);
-            if day > horizon {
-                break;
-            }
-            let slab = entry.remove();
-            self.buckets[(day % self.nbuckets as u64) as usize].push(HotEntry {
-                time,
-                class,
-                id,
-                slab,
-            });
+        while let Some(e) = self.pop_overflow_until(horizon) {
+            self.buckets[(Self::day_of(e.time) % self.nbuckets as u64) as usize].push(e);
             self.in_wheel += 1;
         }
+    }
+
+    /// Removes the overflow tier's first entry if its day is at most
+    /// `horizon`.
+    fn pop_overflow_until(&mut self, horizon: u64) -> Option<Entry<E>> {
+        let first = self.overflow.first_entry()?;
+        if Self::day_of(first.key().0) > horizon {
+            return None;
+        }
+        let ((time, class, id), payload) = first.remove_entry();
+        Some(Entry {
+            time,
+            class,
+            id,
+            payload,
+        })
     }
 }
 
 impl<E> CalendarCore<E> {
     /// Places an entry into the right tier (staged day, ring bucket,
     /// or overflow) — the shared body of `push` and `push_at`.
-    fn place(&mut self, entry: HotEntry) {
+    fn place(&mut self, entry: Entry<E>) {
         let day = Self::day_of(entry.time);
         if day <= self.cur_day {
             // The entry's day has already been staged (or lies in the
@@ -642,8 +581,7 @@ impl<E> CalendarCore<E> {
             self.buckets[(day % self.nbuckets as u64) as usize].push(entry);
             self.in_wheel += 1;
         } else {
-            self.overflow
-                .insert((entry.time, entry.class, entry.id), entry.slab);
+            self.overflow.insert(entry.key(), entry.payload);
             self.overflows += 1;
             self.maybe_grow();
         }
@@ -652,31 +590,29 @@ impl<E> CalendarCore<E> {
 
 impl<E> QueueCore<E> for CalendarCore<E> {
     fn push(&mut self, time: Time, class: u8, payload: E) -> EventId {
-        let id = self.ts.alloc();
-        let slab = self.slab.insert(payload);
-        self.place(HotEntry {
+        let id = EventId(self.ts.alloc());
+        self.place(Entry {
             time,
             class,
-            id,
-            slab,
+            id: id.0,
+            payload,
         });
-        EventId(id)
+        id
     }
 
     fn push_at(&mut self, time: Time, class: u8, id: EventId, payload: E) {
         self.ts.register(id.0);
-        let slab = self.slab.insert(payload);
-        self.place(HotEntry {
+        self.place(Entry {
             time,
             class,
             id: id.0,
-            slab,
+            payload,
         });
     }
 
     fn peek_key(&mut self) -> Option<(Time, u8, u64)> {
         self.settle();
-        self.current.last().map(|e| (e.time, e.class, e.id))
+        self.current.last().map(Entry::key)
     }
 
     fn cancel(&mut self, id: EventId) -> bool {
@@ -692,11 +628,7 @@ impl<E> QueueCore<E> for CalendarCore<E> {
         self.settle();
         let entry = self.current.pop()?;
         self.ts.pending.remove(&entry.id);
-        Some(ScheduledEvent {
-            time: entry.time,
-            id: EventId(entry.id),
-            payload: self.slab.take(entry.slab),
-        })
+        Some(entry.into_event())
     }
 
     fn len(&self) -> usize {
