@@ -66,117 +66,15 @@ impl TraceEvent {
     }
 }
 
-/// Record tags for the binary trace ring (3 bits of word 1).
-const TAG_BROADCAST: u64 = 0;
-const TAG_DELIVER: u64 = 1;
-const TAG_ACK: u64 = 2;
-const TAG_CRASH: u64 = 3;
-const TAG_DECIDE: u64 = 4;
-/// Slot fields are packed into 30 bits each (bits 3..33 and 33..63 of
-/// word 1); simulations are bounded far below 2^30 nodes.
-const SLOT_BITS: u64 = 30;
-const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-/// The `unreliable` flag of a Deliver record (bit 63 of word 1).
-const UNRELIABLE_BIT: u64 = 1 << 63;
-/// Words per ring record.
-const RECORD_WORDS: usize = 3;
-
-/// Packs one [`TraceEvent`] into a fixed-width three-word record:
-/// word 0 is the time in ticks, word 1 packs `tag | slot/from << 3 |
-/// to << 33 | unreliable << 63`, word 2 carries the tag-specific
-/// payload (id count for Broadcast, decided value for Decide, 0
-/// otherwise). The encoding is injective, so comparing ring words is
-/// exactly comparing event sequences.
-fn encode(ev: &TraceEvent) -> [u64; RECORD_WORDS] {
-    let pack = |tag: u64, a: Slot, b: u64| {
-        debug_assert!((a.0 as u64) <= SLOT_MASK && b <= SLOT_MASK);
-        tag | ((a.0 as u64) << 3) | (b << (3 + SLOT_BITS))
-    };
-    match *ev {
-        TraceEvent::Broadcast { time, slot, ids } => {
-            [time.ticks(), pack(TAG_BROADCAST, slot, 0), ids as u64]
-        }
-        TraceEvent::Deliver {
-            time,
-            from,
-            to,
-            unreliable,
-        } => [
-            time.ticks(),
-            pack(TAG_DELIVER, from, to.0 as u64) | if unreliable { UNRELIABLE_BIT } else { 0 },
-            0,
-        ],
-        TraceEvent::Ack { time, slot } => [time.ticks(), pack(TAG_ACK, slot, 0), 0],
-        TraceEvent::Crash { time, slot } => [time.ticks(), pack(TAG_CRASH, slot, 0), 0],
-        TraceEvent::Decide { time, slot, value } => {
-            [time.ticks(), pack(TAG_DECIDE, slot, 0), value]
-        }
-    }
-}
-
-/// Inverse of [`encode`] for one record.
-fn decode(rec: &[u64]) -> TraceEvent {
-    let time = Time(rec[0]);
-    let slot = Slot(((rec[1] >> 3) & SLOT_MASK) as usize);
-    match rec[1] & 0b111 {
-        TAG_BROADCAST => TraceEvent::Broadcast {
-            time,
-            slot,
-            ids: rec[2] as usize,
-        },
-        TAG_DELIVER => TraceEvent::Deliver {
-            time,
-            from: slot,
-            to: Slot(((rec[1] >> (3 + SLOT_BITS)) & SLOT_MASK) as usize),
-            unreliable: rec[1] & UNRELIABLE_BIT != 0,
-        },
-        TAG_ACK => TraceEvent::Ack { time, slot },
-        TAG_CRASH => TraceEvent::Crash { time, slot },
-        TAG_DECIDE => TraceEvent::Decide {
-            time,
-            slot,
-            value: rec[2],
-        },
-        tag => unreachable!("corrupt trace ring record tag {tag}"),
-    }
-}
-
-/// An optionally-recorded event log.
-///
-/// # Storage: an append-only binary ring
-///
-/// The hot path never stores [`TraceEvent`]s: [`Trace::push`] packs
-/// each event into a fixed-width three-word record (the private
-/// `encode` function) appended to a flat `Vec<u64>` — one branch-free
-/// stamp, no
-/// per-variant layout, a third the footprint of the enum. The typed
-/// view the rest of the codebase consumes ([`Trace::events`],
-/// [`Trace::decisions`]) is **rendered lazily** on first access and
-/// cached; a later push invalidates the cache. Rendering invariant:
-/// `decode(encode(ev)) == ev` for every event, so the rendered view
-/// is bit-identical to what an eager `Vec<TraceEvent>` would have
-/// recorded — conformance checking, cross-config identity, and DPOR
-/// replay see exactly the traces they saw before the ring existed.
-///
-/// Equality compares the enabled flag and the raw ring words; since
-/// the encoding is injective this is precisely event-sequence
-/// equality — the assertion the sharded engine's determinism contract
-/// is stated in.
-#[derive(Clone, Debug, Default)]
+/// An optionally-recorded event log: a plain `Vec<TraceEvent>`
+/// appended to in processing order. Equality is event-sequence
+/// equality (plus the enabled flag) — the assertion the sharded
+/// engine's determinism contract is stated in.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     enabled: bool,
-    ring: Vec<u64>,
-    /// Lazily rendered typed view of `ring`; invalidated on push.
-    rendered: std::sync::OnceLock<Vec<TraceEvent>>,
+    events: Vec<TraceEvent>,
 }
-
-impl PartialEq for Trace {
-    fn eq(&self, other: &Self) -> bool {
-        self.enabled == other.enabled && self.ring == other.ring
-    }
-}
-
-impl Eq for Trace {}
 
 impl Trace {
     /// Creates a trace; events are recorded only when `enabled`.
@@ -187,18 +85,14 @@ impl Trace {
     pub fn new(enabled: bool) -> Self {
         Self {
             enabled,
-            ring: Vec::new(),
-            rendered: std::sync::OnceLock::new(),
+            events: Vec::new(),
         }
     }
 
     /// Appends an event (no-op when recording is disabled).
     pub fn push(&mut self, ev: TraceEvent) {
         if self.enabled {
-            self.ring.extend_from_slice(&encode(&ev));
-            if self.rendered.get().is_some() {
-                self.rendered = std::sync::OnceLock::new();
-            }
+            self.events.push(ev);
         }
     }
 
@@ -207,21 +101,19 @@ impl Trace {
         self.enabled
     }
 
-    /// Number of recorded events (no rendering).
+    /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.ring.len() / RECORD_WORDS
+        self.events.len()
     }
 
-    /// `true` when nothing has been recorded (no rendering).
+    /// `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.events.is_empty()
     }
 
-    /// All recorded events, in processing order (rendered from the
-    /// ring on first call after a push, then cached).
+    /// All recorded events, in processing order.
     pub fn events(&self) -> &[TraceEvent] {
-        self.rendered
-            .get_or_init(|| self.ring.chunks_exact(RECORD_WORDS).map(decode).collect())
+        &self.events
     }
 
     /// Recorded decide events, in order.
@@ -500,12 +392,10 @@ mod tests {
         ];
         let mut t = Trace::new(true);
         for ev in events {
-            assert_eq!(decode(&encode(&ev)), ev, "{ev:?}");
             t.push(ev);
         }
         assert_eq!(t.events(), &events[..]);
         assert_eq!(t.len(), events.len());
-        // A push after rendering invalidates the cached view.
         t.push(events[0]);
         assert_eq!(t.events().len(), events.len() + 1);
         assert_eq!(t.events().last(), Some(&events[0]));
@@ -520,8 +410,6 @@ mod tests {
         let mut a = Trace::new(true);
         let mut b = Trace::new(true);
         a.push(ev);
-        // Rendering one side must not affect equality.
-        let _ = a.events();
         assert_ne!(a, b);
         b.push(ev);
         assert_eq!(a, b);
