@@ -932,10 +932,10 @@ pub struct SweepShardStats {
     /// stepper (worker groups × pooled windows; pure wake-policy,
     /// never part of identity comparisons).
     pub worker_wakeups: u64,
-    /// Payload-arena clones the sharded run performed (one per extra
-    /// destination shard per broadcast; like `barrier_pct`, this varies
-    /// with the shard count and never participates in identity
-    /// comparisons).
+    /// Payload clones the sharded run performed (see
+    /// [`Metrics::payload_clones`](amacl_model::sim::trace::Metrics::payload_clones);
+    /// like `barrier_pct`, this varies with the shard count and never
+    /// participates in identity comparisons).
     pub payload_clones: u64,
 }
 

@@ -851,7 +851,7 @@ fn run(
     );
     let _ = writeln!(
         out,
-        "memory: payload clones {} | payload moves {} | arena peak {} B",
+        "memory: payload clones {} | payload moves {} | payload peak {} B",
         report.metrics.payload_clones,
         report.metrics.payload_moves,
         report.metrics.arena_bytes_peak
