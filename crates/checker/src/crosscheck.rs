@@ -2,8 +2,8 @@
 //! [`MacLayer`] trait.
 //!
 //! The two execution backends — the discrete-event engine
-//! ([`SimBackend`](amacl_model::mac::SimBackend)) and the threaded
-//! runtime (`MacRuntime` in `amacl-runtime`) — implement one trait, so
+//! ([`SimBackend`]) and the threaded runtime ([`MacRuntime`]) —
+//! implement one trait, so
 //! one algorithm can be run on both and the outcomes diffed. This
 //! module does exactly that and reports the result the useful way:
 //! not "the backends mismatched" but *which slot diverged first and
@@ -26,9 +26,12 @@
 //! demanding them would reject correct backends.
 
 use amacl_model::ids::Slot;
-use amacl_model::mac::{MacLayer, MacReport};
+use amacl_model::mac::{MacLayer, MacReport, SimBackend};
 use amacl_model::proc::{Process, Value};
 use amacl_model::sim::conformance::{compare_reports, Divergence};
+use amacl_runtime::MacRuntime;
+
+use crate::scenario::{AlgoVisitor, ScenarioAlgo};
 
 /// What the cross-check should require beyond per-backend agreement
 /// and completion.
@@ -130,14 +133,63 @@ pub fn cross_check<P: Process>(
     }
 }
 
+/// Cross-checks `algo` over `inputs` on the engine and the threaded
+/// runtime: the one place `amacl crosscheck` and the scenario sweep
+/// hand the algorithm table a pair of backends. Check the instance
+/// first ([`ScenarioAlgo::check`],
+/// [`ScenarioAlgo::require_crosscheckable`]).
+pub fn cross_check_algo(
+    algo: ScenarioAlgo,
+    sim: &mut SimBackend,
+    rt: &mut MacRuntime,
+    inputs: &[Value],
+    cfg: CrossCheckConfig,
+) -> CrossCheckOutcome {
+    struct OnBoth<'a> {
+        sim: &'a mut SimBackend,
+        rt: &'a mut MacRuntime,
+        inputs: &'a [Value],
+        cfg: CrossCheckConfig,
+    }
+    impl AlgoVisitor for OnBoth<'_> {
+        type Out = CrossCheckOutcome;
+        fn visit<P: Process + Clone + std::fmt::Debug>(
+            self,
+            _id_budget: usize,
+            make: impl Fn(Slot) -> P,
+        ) -> CrossCheckOutcome {
+            cross_check(self.sim, self.rt, &mut |s| make(s), self.inputs, self.cfg)
+        }
+    }
+    algo.visit(
+        inputs,
+        OnBoth {
+            sim,
+            rt,
+            inputs,
+            cfg,
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioSched;
     use amacl_core::two_phase::TwoPhase;
-    use amacl_model::mac::{BackendSched, SimBackend};
+    use amacl_model::sim::config::EngineConfig;
     use amacl_model::topo::Topology;
-    use amacl_runtime::{MacRuntime, RuntimeConfig};
+    use amacl_runtime::RuntimeConfig;
     use std::time::Duration;
+
+    /// The engine on `clique(n)` under the seeded random adversary.
+    fn random_sim(n: usize, f_ack: u64, seed: u64) -> SimBackend {
+        SimBackend::with_factory(
+            Topology::clique(n),
+            "random",
+            ScenarioSched::Random { f_ack }.factory(seed),
+        )
+    }
 
     fn runtime(n: usize, seed: u64) -> MacRuntime {
         MacRuntime::new(
@@ -154,10 +206,7 @@ mod tests {
     #[test]
     fn uniform_two_phase_matches_exactly_across_backends() {
         let n = 5;
-        let mut sim = SimBackend::new(
-            Topology::clique(n),
-            BackendSched::Random { f_ack: 4, seed: 3 },
-        );
+        let mut sim = random_sim(n, 4, 3);
         let mut rt = runtime(n, 3);
         let outcome = cross_check(
             &mut sim,
@@ -178,10 +227,7 @@ mod tests {
     #[test]
     fn mixed_two_phase_agrees_within_each_backend() {
         let n = 6;
-        let mut sim = SimBackend::new(
-            Topology::clique(n),
-            BackendSched::Random { f_ack: 4, seed: 11 },
-        );
+        let mut sim = random_sim(n, 4, 11);
         let mut rt = runtime(n, 11);
         let inputs: Vec<Value> = (0..n as u64).map(|i| i % 2).collect();
         let iv = inputs.clone();
@@ -235,16 +281,8 @@ mod tests {
     #[test]
     fn divergence_is_reported_with_both_views() {
         let n = 4;
-        let mut a = SimBackend::new(
-            Topology::clique(n),
-            BackendSched::Random { f_ack: 4, seed: 0 },
-        )
-        .seed(1);
-        let mut b = SimBackend::new(
-            Topology::clique(n),
-            BackendSched::Random { f_ack: 4, seed: 0 },
-        )
-        .seed(2);
+        let mut a = random_sim(n, 4, 0).config(EngineConfig::new().seed(1));
+        let mut b = random_sim(n, 4, 0).config(EngineConfig::new().seed(2));
         let outcome = cross_check(
             &mut a,
             &mut b,

@@ -7,8 +7,9 @@
 //! [`LedgerMutation`] (the explorer must find both planted bug
 //! classes: acks that fire before every delivery lands, and crashes
 //! that fail to release the obligations awaiting the dead node). It is
-//! the generator-friendly shape `amacl explore` and the proptests
-//! build.
+//! the generator-friendly shape `amacl check`, `fuzz` and `explore` and
+//! the proptests build, over any algorithm the untimed machine can
+//! search and any topology.
 //!
 //! Counterexamples become scenarios: every [`MacViolation`] carries its
 //! full schedule, and [`MacExploreDescriptor::lower`] converts it into
@@ -20,22 +21,24 @@
 //! [`ScriptedScheduler`]: amacl_model::sim::sched::scripted::ScriptedScheduler
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
-use amacl_core::two_phase::TwoPhase;
-use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::ids::Slot;
 use amacl_model::mac::MacChoice;
 use amacl_model::machine::{LedgerMutation, MacMachine};
 use amacl_model::prelude::*;
 
 use crate::explore::{MacExploreConfig, MacExploreOutcome, MacExplorer, MacViolation};
-use crate::scenario::{Scenario, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo};
+use crate::fuzz::{FuzzConfig, FuzzOutcome};
+use crate::scenario::{
+    AlgoVisitor, Scenario, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo,
+};
 
 /// A plain-data exploration instance: which algorithm, topology,
 /// inputs, crash budget, and (for mutation testing) which seeded bug.
-/// The generator-friendly twin of [`Scenario`], restricted to the
-/// algorithms the scenario catalogue runs.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The generator-friendly twin of [`Scenario`]; `amacl check`, `fuzz`
+/// and `explore` all search through one.
+#[derive(Clone, PartialEq, Debug)]
 pub struct MacExploreDescriptor {
     /// Algorithm under test.
     pub algo: ScenarioAlgo,
@@ -49,78 +52,85 @@ pub struct MacExploreDescriptor {
     pub mutation: LedgerMutation,
 }
 
+/// The operations a descriptor runs on its [`MacExplorer`], with the
+/// process type erased so the algorithm table builds the explorer in
+/// one place.
+trait AnyExplorer {
+    fn explore(&self, cfg: &MacExploreConfig) -> MacExploreOutcome;
+    fn walk(&self, cfg: FuzzConfig) -> FuzzOutcome;
+    fn replay_decisions(&self, schedule: &[MacChoice]) -> Vec<Option<Value>>;
+    fn lower(&self, schedule: &[MacChoice]) -> (Vec<(usize, u64, u64)>, Vec<CrashSpec>);
+}
+
+impl<P: Process + Clone + Debug> AnyExplorer for MacExplorer<P> {
+    fn explore(&self, cfg: &MacExploreConfig) -> MacExploreOutcome {
+        self.run(cfg)
+    }
+
+    fn walk(&self, cfg: FuzzConfig) -> FuzzOutcome {
+        self.fuzz(cfg)
+    }
+
+    fn replay_decisions(&self, schedule: &[MacChoice]) -> Vec<Option<Value>> {
+        self.replay(schedule).decisions()
+    }
+
+    fn lower(&self, schedule: &[MacChoice]) -> (Vec<(usize, u64, u64)>, Vec<CrashSpec>) {
+        lower_schedule(self, schedule)
+    }
+}
+
 impl MacExploreDescriptor {
-    /// Checks internal consistency (input count, two-phase
-    /// restrictions).
+    /// Checks the instance: the topology's sizes, the algorithm's
+    /// instance rules ([`ScenarioAlgo::check`]) and its support by the
+    /// untimed machine ([`ScenarioAlgo::require_untimed`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.topo.build().len();
-        if n < 2 {
-            return Err("needs at least 2 nodes".into());
-        }
-        if self.inputs.len() != n {
-            return Err(format!(
-                "needs one input per node (got {} for n={n})",
-                self.inputs.len()
-            ));
-        }
-        match self.algo {
-            ScenarioAlgo::TwoPhase => {
-                if !matches!(self.topo, ScenarioTopo::Clique(_)) {
-                    return Err("two-phase is single-hop (clique only)".into());
-                }
-                if self.inputs.iter().any(|&v| v > 1) {
-                    return Err("two-phase is binary (inputs must be 0 or 1)".into());
-                }
+        self.topo.validate()?;
+        self.algo.require_untimed()?;
+        self.algo.check(&self.topo.build(), &self.inputs)
+    }
+
+    fn explorer(&self) -> Box<dyn AnyExplorer> {
+        struct Build<'a>(&'a MacExploreDescriptor);
+        impl AlgoVisitor for Build<'_> {
+            type Out = Box<dyn AnyExplorer>;
+            fn visit<P: Process + Clone + Debug>(
+                self,
+                _id_budget: usize,
+                make: impl Fn(Slot) -> P,
+            ) -> Box<dyn AnyExplorer> {
+                let d = self.0;
+                Box::new(MacExplorer::new(
+                    d.topo.build(),
+                    (0..d.inputs.len()).map(|i| make(Slot(i))).collect(),
+                    d.inputs.clone(),
+                    d.crash_budget,
+                    d.mutation,
+                ))
             }
-            ScenarioAlgo::Wpaxos => {}
         }
-        Ok(())
-    }
-
-    fn explorer_two_phase(&self) -> MacExplorer<TwoPhase> {
-        MacExplorer::new(
-            self.topo.build(),
-            self.inputs.iter().map(|&v| TwoPhase::new(v)).collect(),
-            self.inputs.clone(),
-            self.crash_budget,
-            self.mutation,
-        )
-    }
-
-    fn explorer_wpaxos(&self) -> MacExplorer<WpaxosNode> {
-        let n = self.topo.build().len();
-        MacExplorer::new(
-            self.topo.build(),
-            self.inputs
-                .iter()
-                .map(|&v| WpaxosNode::new(v, WpaxosConfig::new(n)))
-                .collect(),
-            self.inputs.clone(),
-            self.crash_budget,
-            self.mutation,
-        )
+        self.algo.visit(&self.inputs, Build(self))
     }
 
     /// Runs the bounded exploration.
     pub fn explore(&self, cfg: &MacExploreConfig) -> MacExploreOutcome {
-        match self.algo {
-            ScenarioAlgo::TwoPhase => self.explorer_two_phase().run(cfg),
-            ScenarioAlgo::Wpaxos => self.explorer_wpaxos().run(cfg),
-        }
+        self.explorer().explore(cfg)
     }
 
-    /// Replays a schedule and returns the rendered violation check of
-    /// the resulting state — the byte-identity witness the replay
-    /// proptests compare against the explorer's own report.
+    /// Runs random walks through the same choices.
+    pub fn fuzz(&self, cfg: FuzzConfig) -> FuzzOutcome {
+        self.explorer().walk(cfg)
+    }
+
+    /// Replays a schedule and returns the resulting decisions — the
+    /// byte-identity witness the replay proptests compare against the
+    /// explorer's own report.
     pub fn replay_decisions(&self, schedule: &[MacChoice]) -> Vec<Option<Value>> {
-        match self.algo {
-            ScenarioAlgo::TwoPhase => self.explorer_two_phase().replay(schedule).decisions(),
-            ScenarioAlgo::Wpaxos => self.explorer_wpaxos().replay(schedule).decisions(),
-        }
+        self.explorer().replay_decisions(schedule)
     }
 
     /// Lowers a violation's schedule into a both-backends-runnable
@@ -139,12 +149,7 @@ impl MacExploreDescriptor {
     /// crashes, adversary shape), byte-identically checkable across
     /// backends, cores, and shard counts via `amacl sweep`.
     pub fn lower(&self, name: &str, violation: &MacViolation) -> Scenario {
-        let (delays, crashes) = match self.algo {
-            ScenarioAlgo::TwoPhase => {
-                lower_schedule(&self.explorer_two_phase(), &violation.schedule)
-            }
-            ScenarioAlgo::Wpaxos => lower_schedule(&self.explorer_wpaxos(), &violation.schedule),
-        };
+        let (delays, crashes) = self.explorer().lower(&violation.schedule);
         Scenario {
             name: name.to_string(),
             algo: self.algo,
@@ -165,7 +170,7 @@ impl MacExploreDescriptor {
 /// issued and acked (in 1-based schedule positions) and where each
 /// crash lands, then emits the scripted delays and crash specs the
 /// scenario lowering needs.
-fn lower_schedule<P: Process + Clone + std::fmt::Debug>(
+fn lower_schedule<P: Process + Clone + Debug>(
     explorer: &MacExplorer<P>,
     schedule: &[MacChoice],
 ) -> (Vec<(usize, u64, u64)>, Vec<CrashSpec>) {
@@ -537,14 +542,18 @@ mod tests {
     fn descriptor_validation_rejects_bad_instances() {
         let mut d = two_phase_pair(LedgerMutation::None);
         d.inputs = vec![0];
-        assert!(d.validate().unwrap_err().contains("one input per node"));
+        assert!(d.validate().unwrap_err().contains("1 inputs given"));
         let mut d = two_phase_pair(LedgerMutation::None);
         d.inputs = vec![0, 2];
         assert!(d.validate().unwrap_err().contains("binary"));
+        // A 2-node line is a clique; a 3-node line is not.
         let mut d = two_phase_pair(LedgerMutation::None);
-        d.topo = ScenarioTopo::Line(2);
-        d.mutation = LedgerMutation::None;
+        d.topo = ScenarioTopo::Line(3);
+        d.inputs = vec![0, 1, 1];
         assert!(d.validate().unwrap_err().contains("clique"));
+        let mut d = two_phase_pair(LedgerMutation::None);
+        d.algo = ScenarioAlgo::BenOr;
+        assert!(d.validate().unwrap_err().contains("randomized"));
     }
 
     #[test]

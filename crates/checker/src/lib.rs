@@ -81,7 +81,7 @@ pub mod grid;
 pub mod scenario;
 pub mod workload;
 
-pub use crosscheck::{cross_check, CrossCheckConfig, CrossCheckOutcome};
+pub use crosscheck::{cross_check, cross_check_algo, CrossCheckConfig, CrossCheckOutcome};
 pub use explore::{
     MacExploreConfig, MacExploreOutcome, MacExplorer, MacViolation, Reduction, SearchOrder,
     ViolationKind,
@@ -89,8 +89,8 @@ pub use explore::{
 pub use explore_mac::MacExploreDescriptor;
 pub use fuzz::{FuzzConfig, FuzzOutcome};
 pub use scenario::{
-    sweep_scenario, Scenario, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo,
-    SweepOutcome, SweepRow,
+    sweep_scenario, AlgoVisitor, Scenario, ScenarioAlgo, ScenarioInputs, ScenarioSched,
+    ScenarioTopo, SweepOutcome, SweepRow,
 };
 pub use workload::{
     render_load_rows, run_load, sweep_load, ArrivalKind, LatencyHistogram, LoadRun, LoadScenario,

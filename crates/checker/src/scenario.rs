@@ -18,13 +18,21 @@
 //!   exactly the point: the algorithm's guarantees (agreement,
 //!   validity, termination) must hold under *both* timings, so the
 //!   sweep cross-checks the outcomes through the shared
-//!   [`MacLayer`] trait and reports the
+//!   [`MacLayer`](amacl_model::mac::MacLayer) trait and reports the
 //!   first diverging slot.
 //!
 //! Scenarios are plain data (no closures), so they can be generated by
 //! property tests, rendered into reports, and swept deterministically:
 //! the same scenario and seed always produce the same engine report,
 //! and — for input-determined instances — the same sweep row.
+//!
+//! The four instance descriptors — [`ScenarioAlgo`], [`ScenarioTopo`],
+//! [`ScenarioSched`] and [`ScenarioInputs`] — are also the `amacl` CLI's
+//! vocabulary: each parses the spec text the CLI takes (`two-phase`,
+//! `grid:4x3`, `random:4:42`, `alt`, ...). [`ScenarioAlgo::visit`] is
+//! the one table of algorithm constructors, and [`ScenarioAlgo::check`]
+//! the one statement of their instance rules, shared by the CLI, the
+//! scenarios and the explorer.
 //!
 //! [`Scenario::catalogue`] is the named scenario library the
 //! `amacl sweep` CLI subcommand and CI's scenario-sweep gate run;
@@ -68,15 +76,21 @@
 //!   still bounds every ack, so progress resumes once information can
 //!   cross the healed cuts.
 
+use std::fmt;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+use amacl_core::baselines::flood_gather::FloodGather;
+use amacl_core::extensions::ben_or::BenOr;
+use amacl_core::extensions::fd_paxos::FdPaxos;
+use amacl_core::multivalued::BitwiseTwoPhase;
+use amacl_core::tree_gather::TreeGather;
 use amacl_core::two_phase::TwoPhase;
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::ids::Slot;
-use amacl_model::mac::{MacLayer, MacReport, SchedulerFactory, SimBackend};
-use amacl_model::proc::Value;
+use amacl_model::mac::{MacReport, SchedulerFactory, SimBackend};
+use amacl_model::proc::{Process, Value};
 use amacl_model::sim::config::EngineConfig;
 use amacl_model::sim::crash::{CrashPlan, CrashSpec};
 use amacl_model::sim::engine::RunReport;
@@ -86,25 +100,201 @@ use amacl_model::sim::sched::random::RandomScheduler;
 use amacl_model::sim::sched::scripted::ScriptedScheduler;
 use amacl_model::sim::sched::stall::MaxDelayScheduler;
 use amacl_model::sim::sched::sync::SynchronousScheduler;
+use amacl_model::sim::sched::Scheduler;
 use amacl_model::sim::time::Time;
 use amacl_model::sim::trace::Metrics;
 use amacl_model::topo::Topology;
 use amacl_runtime::{MacRuntime, RuntimeConfig};
 
-use crate::crosscheck::{cross_check, CrossCheckConfig, CrossCheckOutcome};
+use crate::crosscheck::{cross_check_algo, CrossCheckConfig, CrossCheckOutcome};
 use crate::grid::{check_engine_grid, diff_reports, grid_token};
 
-/// Which algorithm a scenario runs.
+/// Which algorithm an instance runs.
+///
+/// This enum is the one table of algorithms: [`ScenarioAlgo::visit`]
+/// is the only place that names their constructors and id budgets,
+/// and [`ScenarioAlgo::check`] the only place that states their
+/// instance rules. The CLI, the scenarios and the explorer all go
+/// through both.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ScenarioAlgo {
-    /// Algorithm 1 (single-hop, binary): requires a clique topology.
+    /// Algorithm 1 (single-hop, binary, no knowledge of `n`).
     TwoPhase,
     /// wPAXOS (multihop, majority quorums, needs `n`).
     Wpaxos,
+    /// The §4.2 "simpler alternative" on the same services.
+    TreeGather,
+    /// Flood-and-gather baseline.
+    FloodGather,
+    /// Bitwise multi-valued composition with the given width
+    /// (single-hop).
+    Bitwise(u32),
+    /// Randomized Ben-Or (single-hop, binary, f = 1, n >= 3).
+    BenOr,
+    /// Failure-detector-guided Paxos with the given initial timeout
+    /// (single-hop).
+    FdPaxos(u64),
 }
 
-/// Which topology a scenario runs over (plain data, generator-friendly).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// What to do with one algorithm's processes. [`ScenarioAlgo::visit`]
+/// calls [`visit`](AlgoVisitor::visit) once, with the algorithm's
+/// process type, so each caller writes its generic code once instead
+/// of matching on the algorithm.
+pub trait AlgoVisitor {
+    /// What the visit returns.
+    type Out;
+
+    /// Receives the algorithm's per-message id budget (what `amacl
+    /// run` caps payload ids at) and `make`, which builds the process
+    /// of one slot from that slot's input.
+    fn visit<P: Process + Clone + fmt::Debug>(
+        self,
+        id_budget: usize,
+        make: impl Fn(Slot) -> P,
+    ) -> Self::Out;
+}
+
+impl ScenarioAlgo {
+    /// Parses `two-phase`, `bitwise:16`, `fd-paxos:8`, ...
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let (head, tail) = split_head(s);
+        match head {
+            "two-phase" => no_params(tail, s).map(|()| ScenarioAlgo::TwoPhase),
+            "wpaxos" => no_params(tail, s).map(|()| ScenarioAlgo::Wpaxos),
+            "tree-gather" => no_params(tail, s).map(|()| ScenarioAlgo::TreeGather),
+            "flood-gather" => no_params(tail, s).map(|()| ScenarioAlgo::FloodGather),
+            "bitwise" => Ok(ScenarioAlgo::Bitwise(one_param(tail, s)?)),
+            "ben-or" => no_params(tail, s).map(|()| ScenarioAlgo::BenOr),
+            "fd-paxos" => Ok(match tail {
+                None => ScenarioAlgo::FdPaxos(4),
+                Some(_) => ScenarioAlgo::FdPaxos(one_param(tail, s)?),
+            }),
+            _ => Err(format!("unknown algorithm `{s}`")),
+        }
+    }
+
+    /// The name [`parse`](Self::parse) reads back.
+    pub fn name(&self) -> String {
+        match self {
+            ScenarioAlgo::TwoPhase => "two-phase".into(),
+            ScenarioAlgo::Wpaxos => "wpaxos".into(),
+            ScenarioAlgo::TreeGather => "tree-gather".into(),
+            ScenarioAlgo::FloodGather => "flood-gather".into(),
+            ScenarioAlgo::Bitwise(b) => format!("bitwise:{b}"),
+            ScenarioAlgo::BenOr => "ben-or".into(),
+            ScenarioAlgo::FdPaxos(t) => format!("fd-paxos:{t}"),
+        }
+    }
+
+    /// Hands `visitor` this algorithm's constructor over `inputs` (one
+    /// per slot; `n` is their count) and its id budget. Call
+    /// [`check`](Self::check) first: the constructors assert the rules
+    /// it reports.
+    pub fn visit<V: AlgoVisitor>(self, inputs: &[Value], visitor: V) -> V::Out {
+        let n = inputs.len();
+        let input = |s: Slot| inputs[s.index()];
+        match self {
+            ScenarioAlgo::TwoPhase => visitor.visit(1, |s| TwoPhase::new(input(s))),
+            ScenarioAlgo::Wpaxos => {
+                visitor.visit(10, |s| WpaxosNode::new(input(s), WpaxosConfig::new(n)))
+            }
+            ScenarioAlgo::TreeGather => visitor.visit(10, |s| TreeGather::new(input(s), n)),
+            ScenarioAlgo::FloodGather => visitor.visit(1, |s| FloodGather::new(input(s), n)),
+            ScenarioAlgo::Bitwise(bits) => {
+                visitor.visit(1, |s| BitwiseTwoPhase::new(input(s), bits))
+            }
+            ScenarioAlgo::BenOr => visitor.visit(1, |s| BenOr::new(input(s), n)),
+            ScenarioAlgo::FdPaxos(timeout) => {
+                visitor.visit(3, |s| FdPaxos::new(input(s), n, timeout))
+            }
+        }
+    }
+
+    /// The instance rules: one input per node; the single-hop
+    /// algorithms (two-phase, bitwise, ben-or, fd-paxos) need a
+    /// clique; two-phase and ben-or are binary; bitwise inputs fit its
+    /// width of 1..=64 bits; ben-or needs n >= 3.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first broken rule.
+    pub fn check(self, topo: &Topology, inputs: &[Value]) -> Result<(), String> {
+        let n = topo.len();
+        if inputs.len() != n {
+            return Err(format!(
+                "{} inputs given for a topology of {n} nodes",
+                inputs.len()
+            ));
+        }
+        let single_hop = !matches!(
+            self,
+            ScenarioAlgo::Wpaxos | ScenarioAlgo::TreeGather | ScenarioAlgo::FloodGather
+        );
+        if single_hop && topo.edge_count() != n * n.saturating_sub(1) / 2 {
+            return Err(format!(
+                "`{}` is a single-hop algorithm; use a clique topology (got {n} nodes, {} edges)",
+                self.name(),
+                topo.edge_count()
+            ));
+        }
+        match self {
+            ScenarioAlgo::BenOr if n < 3 => Err("ben-or needs n >= 3".into()),
+            ScenarioAlgo::TwoPhase | ScenarioAlgo::BenOr if inputs.iter().any(|&v| v > 1) => Err(
+                format!("{} is binary; use --inputs with 0/1 values", self.name()),
+            ),
+            ScenarioAlgo::Bitwise(bits) if !(1..=64).contains(&bits) => {
+                Err(format!("bitwise width must be in 1..=64, got {bits}"))
+            }
+            ScenarioAlgo::Bitwise(bits) => {
+                match inputs.iter().find(|&&v| bits < 64 && v >> bits != 0) {
+                    Some(v) => Err(format!("input {v} does not fit in {bits} bits")),
+                    None => Ok(()),
+                }
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuses the algorithms the untimed machine behind `check`,
+    /// `fuzz` and `explore` cannot search: ben-or draws random bits (a
+    /// fork would replay them) and fd-paxos reads the clock (the
+    /// machine has none).
+    ///
+    /// # Errors
+    ///
+    /// Names the algorithm and the ones the machine supports.
+    pub fn require_untimed(self) -> Result<(), String> {
+        match self {
+            ScenarioAlgo::BenOr | ScenarioAlgo::FdPaxos(_) => Err(format!(
+                "`{}` is randomized or clock-driven, and check, fuzz and explore search an \
+                 untimed machine; supported: two-phase, bitwise:<b>, wpaxos, tree-gather, \
+                 flood-gather",
+                self.name()
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuses the algorithms a cross-check cannot compare across the
+    /// engine and the threaded runtime: fd-paxos's timeouts are read
+    /// off a clock whose scale differs between the two.
+    ///
+    /// # Errors
+    ///
+    /// Says why.
+    pub fn require_crosscheckable(self) -> Result<(), String> {
+        match self {
+            ScenarioAlgo::FdPaxos(_) => Err(
+                "fd-paxos timeouts are clock-scale dependent; crosscheck does not support it"
+                    .into(),
+            ),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Which topology an instance runs over (plain data, generator-friendly).
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum ScenarioTopo {
     /// Complete graph on `n` nodes.
     Clique(usize),
@@ -112,6 +302,8 @@ pub enum ScenarioTopo {
     Line(usize),
     /// Cycle on `n` nodes.
     Ring(usize),
+    /// One hub joined to `n - 1` leaves.
+    Star(usize),
     /// `w x h` grid.
     Grid(usize, usize),
     /// `w x h` grid with wraparound edges (every node degree 4, two
@@ -121,6 +313,19 @@ pub enum ScenarioTopo {
     /// `dim`-dimensional hypercube on `2^dim` nodes (logarithmic
     /// diameter, every edge a dimension flip).
     Hypercube(usize),
+    /// Complete binary tree with the given number of levels.
+    BinaryTree(usize),
+    /// Two `k`-cliques joined by a path of `bridge` nodes.
+    Barbell(usize, usize),
+    /// `arms` lines of `len` nodes hanging off one hub.
+    StarOfLines(usize, usize),
+    /// A `spine` path, each spine node carrying `legs` leaves.
+    Caterpillar(usize, usize),
+    /// A `k`-clique with a tail path of `t` nodes.
+    Lollipop(usize, usize),
+    /// Seeded connected random graph on `n` nodes with edge
+    /// probability `p`.
+    Random(usize, f64, u64),
     /// Uniformly random spanning tree on `n` nodes (every edge a
     /// bridge: any internal crash partitions the network, so only
     /// leaf crashes are survivable).
@@ -128,25 +333,150 @@ pub enum ScenarioTopo {
 }
 
 impl ScenarioTopo {
+    /// Parses `clique:8`, `grid:4x3`, `random:12:0.2:7`, ... and
+    /// [validates](Self::validate) the sizes.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let (head, tail) = split_head(s);
+        let topo = match head {
+            "clique" => ScenarioTopo::Clique(one_param(tail, s)?),
+            "line" => ScenarioTopo::Line(one_param(tail, s)?),
+            "ring" => ScenarioTopo::Ring(one_param(tail, s)?),
+            "star" => ScenarioTopo::Star(one_param(tail, s)?),
+            "grid" => {
+                let (w, h) = wh_param(tail, s)?;
+                ScenarioTopo::Grid(w, h)
+            }
+            "torus" => {
+                let (w, h) = wh_param(tail, s)?;
+                ScenarioTopo::Torus(w, h)
+            }
+            "hypercube" => ScenarioTopo::Hypercube(one_param(tail, s)?),
+            "binary-tree" => ScenarioTopo::BinaryTree(one_param(tail, s)?),
+            "barbell" => {
+                let (k, bridge) = two_params(tail, s)?;
+                ScenarioTopo::Barbell(k, bridge)
+            }
+            "star-of-lines" => {
+                let (arms, len) = two_params(tail, s)?;
+                ScenarioTopo::StarOfLines(arms, len)
+            }
+            "caterpillar" => {
+                let (spine, legs) = two_params(tail, s)?;
+                ScenarioTopo::Caterpillar(spine, legs)
+            }
+            "lollipop" => {
+                let (k, t) = two_params(tail, s)?;
+                ScenarioTopo::Lollipop(k, t)
+            }
+            "random" => {
+                let parts = params(tail, s, 3)?;
+                let p = parts[1]
+                    .parse()
+                    .map_err(|_| format!("bad probability in `{s}`"))?;
+                ScenarioTopo::Random(parse_num(&parts[0], s)?, p, parse_num(&parts[2], s)?)
+            }
+            "random-tree" => {
+                let (n, seed) = two_params(tail, s)?;
+                ScenarioTopo::RandomTree(n, seed)
+            }
+            _ => return Err(format!("unknown topology `{s}`")),
+        };
+        topo.validate()?;
+        Ok(topo)
+    }
+
+    /// Rejects the sizes the builders cannot realize (an empty clique,
+    /// a 2-ring, a 2-wide torus, `p` outside `[0, 1]`, ...), so no
+    /// descriptor makes a builder panic.
+    ///
+    /// # Errors
+    ///
+    /// Names the spec and the broken rule.
+    pub fn validate(&self) -> Result<(), String> {
+        let at_least = |min: usize, sizes: &[usize]| {
+            if sizes.iter().all(|&v| v >= min) {
+                Ok(())
+            } else {
+                Err(format!("sizes must be at least {min}"))
+            }
+        };
+        let rule = match *self {
+            ScenarioTopo::Clique(n) | ScenarioTopo::Line(n) | ScenarioTopo::RandomTree(n, _) => {
+                at_least(1, &[n])
+            }
+            ScenarioTopo::Ring(n) => at_least(3, &[n]),
+            ScenarioTopo::Star(n) => at_least(2, &[n]),
+            ScenarioTopo::Grid(w, h) | ScenarioTopo::StarOfLines(w, h) => at_least(1, &[w, h]),
+            ScenarioTopo::Torus(w, h) => at_least(3, &[w, h]),
+            ScenarioTopo::Hypercube(d) | ScenarioTopo::BinaryTree(d) => {
+                if (1..=16).contains(&d) {
+                    Ok(())
+                } else {
+                    Err("the parameter must be in 1..=16".to_string())
+                }
+            }
+            ScenarioTopo::Barbell(k, _)
+            | ScenarioTopo::Caterpillar(k, _)
+            | ScenarioTopo::Lollipop(k, _) => at_least(1, &[k]),
+            ScenarioTopo::Random(n, p, _) => {
+                if (0.0..=1.0).contains(&p) {
+                    at_least(1, &[n])
+                } else {
+                    Err("p must be in [0, 1]".to_string())
+                }
+            }
+        };
+        rule.map_err(|rule| format!("`{self}`: {rule}"))
+    }
+
     /// Builds the topology.
     pub fn build(&self) -> Topology {
         match *self {
             ScenarioTopo::Clique(n) => Topology::clique(n),
             ScenarioTopo::Line(n) => Topology::line(n),
             ScenarioTopo::Ring(n) => Topology::ring(n),
+            ScenarioTopo::Star(n) => Topology::star(n),
             ScenarioTopo::Grid(w, h) => Topology::grid(w, h),
             ScenarioTopo::Torus(w, h) => Topology::torus(w, h),
             ScenarioTopo::Hypercube(dim) => Topology::hypercube(dim),
+            ScenarioTopo::BinaryTree(levels) => Topology::binary_tree(levels),
+            ScenarioTopo::Barbell(k, bridge) => Topology::barbell(k, bridge),
+            ScenarioTopo::StarOfLines(arms, len) => Topology::star_of_lines(arms, len),
+            ScenarioTopo::Caterpillar(spine, legs) => Topology::caterpillar(spine, legs),
+            ScenarioTopo::Lollipop(k, t) => Topology::lollipop(k, t),
+            ScenarioTopo::Random(n, p, seed) => Topology::random_connected(n, p, seed),
             ScenarioTopo::RandomTree(n, seed) => Topology::random_tree(n, seed),
+        }
+    }
+}
+
+/// The spec [`ScenarioTopo::parse`] reads back.
+impl fmt::Display for ScenarioTopo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ScenarioTopo::Clique(n) => write!(f, "clique:{n}"),
+            ScenarioTopo::Line(n) => write!(f, "line:{n}"),
+            ScenarioTopo::Ring(n) => write!(f, "ring:{n}"),
+            ScenarioTopo::Star(n) => write!(f, "star:{n}"),
+            ScenarioTopo::Grid(w, h) => write!(f, "grid:{w}x{h}"),
+            ScenarioTopo::Torus(w, h) => write!(f, "torus:{w}x{h}"),
+            ScenarioTopo::Hypercube(dim) => write!(f, "hypercube:{dim}"),
+            ScenarioTopo::BinaryTree(levels) => write!(f, "binary-tree:{levels}"),
+            ScenarioTopo::Barbell(k, bridge) => write!(f, "barbell:{k}:{bridge}"),
+            ScenarioTopo::StarOfLines(arms, len) => write!(f, "star-of-lines:{arms}:{len}"),
+            ScenarioTopo::Caterpillar(spine, legs) => write!(f, "caterpillar:{spine}:{legs}"),
+            ScenarioTopo::Lollipop(k, t) => write!(f, "lollipop:{k}:{t}"),
+            ScenarioTopo::Random(n, p, seed) => write!(f, "random:{n}:{p}:{seed}"),
+            ScenarioTopo::RandomTree(n, seed) => write!(f, "random-tree:{n}:{seed}"),
         }
     }
 }
 
 /// The engine-side adversary of a scenario.
 ///
-/// Seeded variants take their seed from the sweep's run seed, so a
-/// multi-seed sweep genuinely varies the adversary while staying
-/// reproducible.
+/// Seeded variants take their seed from outside: a sweep passes its
+/// run seed, so a multi-seed sweep genuinely varies the adversary while
+/// staying reproducible, and a parsed spec carries its own.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ScenarioSched {
     /// Lockstep rounds of `f_ack` ticks.
@@ -207,62 +537,113 @@ pub enum ScenarioSched {
 }
 
 impl ScenarioSched {
-    /// Packages this adversary as a fresh-per-execution
-    /// [`SchedulerFactory`] for the engine backend.
-    pub fn factory(&self, seed: u64) -> SchedulerFactory {
-        match self.clone() {
-            ScenarioSched::Sync { f_ack } => {
-                Arc::new(move || Box::new(SynchronousScheduler::new(f_ack)))
+    /// Parses `sync:2`, `max-delay:16`, `random:4:42`, `dual:2:8:7`
+    /// and returns the seed the text carries (0 for `sync` and
+    /// `max-delay`, which draw nothing).
+    ///
+    /// Every bound must be at least 1, and `F_prog` must not exceed
+    /// `F_ack`.
+    pub fn parse(s: &str) -> Result<(Self, u64), String> {
+        let (head, tail) = split_head(s);
+        let parsed = match head {
+            "sync" => (
+                ScenarioSched::Sync {
+                    f_ack: one_param(tail, s)?,
+                },
+                0,
+            ),
+            "max-delay" => (
+                ScenarioSched::MaxDelay {
+                    f_ack: one_param(tail, s)?,
+                },
+                0,
+            ),
+            "random" => {
+                let (f_ack, seed) = two_params(tail, s)?;
+                (ScenarioSched::Random { f_ack }, seed)
             }
-            ScenarioSched::MaxDelay { f_ack } => {
-                Arc::new(move || Box::new(MaxDelayScheduler::new(f_ack)))
+            "dual" => {
+                let parts = params(tail, s, 3)?;
+                let (f_prog, f_ack) = (parse_num(&parts[0], s)?, parse_num(&parts[1], s)?);
+                need(f_prog >= 1, s, "F_prog must be at least 1")?;
+                need(f_prog <= f_ack, s, "F_prog must not exceed F_ack")?;
+                (
+                    ScenarioSched::Dual { f_prog, f_ack },
+                    parse_num(&parts[2], s)?,
+                )
             }
-            ScenarioSched::Random { f_ack } => {
-                Arc::new(move || Box::new(RandomScheduler::new(f_ack, seed)))
-            }
+            _ => return Err(format!("unknown scheduler `{s}`")),
+        };
+        need(parsed.0.f_ack() >= 1, s, "F_ack must be at least 1")?;
+        Ok(parsed)
+    }
+
+    /// The `F_ack` bound this adversary honors: the base bound, or a
+    /// scripted schedule's longest delay.
+    pub fn f_ack(&self) -> u64 {
+        match self {
+            ScenarioSched::Sync { f_ack }
+            | ScenarioSched::MaxDelay { f_ack }
+            | ScenarioSched::Random { f_ack }
+            | ScenarioSched::Dual { f_ack, .. }
+            | ScenarioSched::Partition { f_ack, .. }
+            | ScenarioSched::MultiCut { f_ack, .. } => *f_ack,
+            ScenarioSched::Scripted {
+                default_delay,
+                delays,
+            } => delays.iter().map(|d| d.2).fold(*default_delay, u64::max),
+        }
+    }
+
+    /// A fresh scheduler realizing this adversary under `seed`.
+    pub fn build(&self, seed: u64) -> Box<dyn Scheduler> {
+        let cut = |from: &[usize], to: &[usize], release: u64| {
+            DirectedCut::new(
+                from.iter().copied().map(Slot),
+                to.iter().copied().map(Slot),
+                Time(release),
+            )
+        };
+        match self {
+            ScenarioSched::Sync { f_ack } => Box::new(SynchronousScheduler::new(*f_ack)),
+            ScenarioSched::MaxDelay { f_ack } => Box::new(MaxDelayScheduler::new(*f_ack)),
+            ScenarioSched::Random { f_ack } => Box::new(RandomScheduler::new(*f_ack, seed)),
             ScenarioSched::Dual { f_prog, f_ack } => {
-                Arc::new(move || Box::new(DualBoundScheduler::new(f_prog, f_ack, seed)))
+                Box::new(DualBoundScheduler::new(*f_prog, *f_ack, seed))
             }
             ScenarioSched::Partition {
                 f_ack,
                 from,
                 to,
                 release,
-            } => Arc::new(move || {
-                Box::new(EdgeDelayScheduler::new(
-                    SynchronousScheduler::new(f_ack),
-                    vec![DirectedCut::new(
-                        from.iter().copied().map(Slot),
-                        to.iter().copied().map(Slot),
-                        Time(release),
-                    )],
-                ))
-            }),
-            ScenarioSched::MultiCut { f_ack, cuts } => Arc::new(move || {
-                Box::new(EdgeDelayScheduler::new(
-                    SynchronousScheduler::new(f_ack),
-                    cuts.iter()
-                        .map(|(from, to, release)| {
-                            DirectedCut::new(
-                                from.iter().copied().map(Slot),
-                                to.iter().copied().map(Slot),
-                                Time(*release),
-                            )
-                        })
-                        .collect(),
-                ))
-            }),
+            } => Box::new(EdgeDelayScheduler::new(
+                SynchronousScheduler::new(*f_ack),
+                vec![cut(from, to, *release)],
+            )),
+            ScenarioSched::MultiCut { f_ack, cuts } => Box::new(EdgeDelayScheduler::new(
+                SynchronousScheduler::new(*f_ack),
+                cuts.iter()
+                    .map(|(from, to, release)| cut(from, to, *release))
+                    .collect(),
+            )),
             ScenarioSched::Scripted {
                 default_delay,
                 delays,
-            } => Arc::new(move || {
-                let mut s = ScriptedScheduler::new(default_delay);
-                for &(sender, nth, delay) in &delays {
+            } => {
+                let mut s = ScriptedScheduler::new(*default_delay);
+                for &(sender, nth, delay) in delays {
                     s = s.delay(Slot(sender), nth, delay);
                 }
                 Box::new(s)
-            }),
+            }
         }
+    }
+
+    /// Packages this adversary as a fresh-per-execution
+    /// [`SchedulerFactory`] for the engine backend.
+    pub fn factory(&self, seed: u64) -> SchedulerFactory {
+        let sched = self.clone();
+        Arc::new(move || sched.build(seed))
     }
 
     /// Short adversary label for reports.
@@ -277,15 +658,34 @@ impl ScenarioSched {
             ScenarioSched::Scripted { delays, .. } => format!("scripted[{}]", delays.len()),
         }
     }
+
+    /// The spec [`parse`](Self::parse) reads back, `seed` included,
+    /// for the families it parses; the [label](Self::label) for the
+    /// rest.
+    pub fn spec(&self, seed: u64) -> String {
+        match self {
+            ScenarioSched::Random { .. } | ScenarioSched::Dual { .. } => {
+                format!("{}:{seed}", self.label())
+            }
+            _ => self.label(),
+        }
+    }
 }
 
-/// How a scenario assigns initial values.
+/// How an instance assigns initial values.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ScenarioInputs {
     /// Everyone starts with `v` (input-determined decisions).
     Uniform(Value),
     /// `0,1,0,1,...`
     Alternating,
+    /// Seeded uniform draw from `0..=max`.
+    Random {
+        /// RNG seed.
+        seed: u64,
+        /// Inclusive maximum value.
+        max: Value,
+    },
     /// An explicit per-slot assignment (how lowered model-checking
     /// counterexamples carry their exact instance; must have one value
     /// per node).
@@ -293,18 +693,114 @@ pub enum ScenarioInputs {
 }
 
 impl ScenarioInputs {
-    /// Materializes `n` inputs.
+    /// Parses `alt`, `const:3`, `random:7`, `random:7:15`, or a CSV
+    /// list like `0,1,1`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        if s == "alt" {
+            return Ok(ScenarioInputs::Alternating);
+        }
+        let (head, tail) = split_head(s);
+        match head {
+            "const" => return Ok(ScenarioInputs::Uniform(one_param(tail, s)?)),
+            "random" => {
+                let parts = params(tail, s, usize::MAX)?;
+                if parts.len() > 2 {
+                    return Err(format!("`{s}`: expected random:<seed>[:<max>]"));
+                }
+                let seed = parse_num(&parts[0], s)?;
+                let max = match parts.get(1) {
+                    Some(max) => parse_num(max, s)?,
+                    None => 1,
+                };
+                return Ok(ScenarioInputs::Random { seed, max });
+            }
+            _ => {}
+        }
+        let values: Result<Vec<Value>, _> = s.split(',').map(|p| p.trim().parse()).collect();
+        values
+            .map(ScenarioInputs::Explicit)
+            .map_err(|_| format!("bad inputs `{s}`"))
+    }
+
+    /// Materializes `n` inputs (an explicit list as given, whatever
+    /// its length: [`ScenarioAlgo::check`] reports a mismatch).
     pub fn materialize(&self, n: usize) -> Vec<Value> {
         match self {
             ScenarioInputs::Uniform(v) => vec![*v; n],
             ScenarioInputs::Alternating => (0..n).map(|i| (i % 2) as Value).collect(),
+            ScenarioInputs::Random { seed, max } => {
+                use rand::{Rng, SeedableRng};
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(*seed);
+                (0..n).map(|_| rng.gen_range(0..=*max)).collect()
+            }
             ScenarioInputs::Explicit(vs) => vs.clone(),
         }
     }
 }
 
+// --- spec parsing helpers ----------------------------------------------
+
+fn split_head(s: &str) -> (&str, Option<&str>) {
+    match s.split_once(':') {
+        Some((h, t)) => (h, Some(t)),
+        None => (s, None),
+    }
+}
+
+/// `Ok` when `ok`, else an error naming the spec and the broken rule.
+fn need(ok: bool, spec: &str, rule: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("`{spec}`: {rule}"))
+    }
+}
+
+fn no_params(tail: Option<&str>, full: &str) -> Result<(), String> {
+    match tail {
+        None => Ok(()),
+        Some(_) => Err(format!("`{full}` takes no parameters")),
+    }
+}
+
+fn params(tail: Option<&str>, full: &str, want: usize) -> Result<Vec<String>, String> {
+    let tail = tail.ok_or_else(|| format!("`{full}` needs parameters"))?;
+    let parts: Vec<String> = tail.split(':').map(str::to_string).collect();
+    if want != usize::MAX && parts.len() != want {
+        return Err(format!("`{full}`: expected {want} parameter(s)"));
+    }
+    Ok(parts)
+}
+
+/// Parses one number, naming `ctx` (the spec or the option) on error.
+pub fn parse_num<T: std::str::FromStr>(s: &str, ctx: &str) -> Result<T, String> {
+    s.parse()
+        .map_err(|_| format!("bad number `{s}` in `{ctx}`"))
+}
+
+fn one_param<T: std::str::FromStr>(tail: Option<&str>, full: &str) -> Result<T, String> {
+    let parts = params(tail, full, 1)?;
+    parse_num(&parts[0], full)
+}
+
+fn two_params<A: std::str::FromStr, B: std::str::FromStr>(
+    tail: Option<&str>,
+    full: &str,
+) -> Result<(A, B), String> {
+    let parts = params(tail, full, 2)?;
+    Ok((parse_num(&parts[0], full)?, parse_num(&parts[1], full)?))
+}
+
+fn wh_param(tail: Option<&str>, full: &str) -> Result<(usize, usize), String> {
+    let parts = params(tail, full, 1)?;
+    let (w, h) = parts[0]
+        .split_once('x')
+        .ok_or_else(|| format!("`{full}`: expected <w>x<h>"))?;
+    Ok((parse_num(w, full)?, parse_num(h, full)?))
+}
+
 /// One named adversarial scenario, runnable on both backends.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Scenario {
     /// Stable name (catalogue key, report label).
     pub name: String,
@@ -338,49 +834,31 @@ impl Scenario {
     /// routed into the threaded runtime.
     pub const TICK: Duration = Duration::from_micros(500);
 
-    /// Checks the descriptor's internal consistency (slots in range,
-    /// one crash per node, mid-broadcast prefixes within the sender's
-    /// degree, strictness only where it is sound).
+    /// Checks the descriptor's internal consistency: the topology's
+    /// sizes, at least two nodes, the algorithm's instance rules
+    /// ([`ScenarioAlgo::check`]) and its support on both backends,
+    /// slots in range, one crash per node, mid-broadcast prefixes
+    /// within the sender's degree, and strictness only where it is
+    /// sound.
     ///
     /// # Errors
     ///
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        if let ScenarioTopo::Torus(w, h) = self.topo {
-            if w < 3 || h < 3 {
-                return Err(format!(
-                    "{}: torus needs both dimensions >= 3 (got {w}x{h})",
-                    self.name
-                ));
-            }
-        }
+        let name = &self.name;
+        self.topo.validate().map_err(|e| format!("{name}: {e}"))?;
         let topo = self.topo.build();
         let n = topo.len();
         if n < 2 {
-            return Err(format!("{}: needs at least 2 nodes", self.name));
+            return Err(format!("{name}: needs at least 2 nodes"));
         }
-        if self.algo == ScenarioAlgo::TwoPhase && !matches!(self.topo, ScenarioTopo::Clique(_)) {
-            return Err(format!(
-                "{}: two-phase is single-hop (clique only)",
-                self.name
-            ));
-        }
-        if let ScenarioInputs::Explicit(vs) = &self.inputs {
-            if vs.len() != n {
-                return Err(format!(
-                    "{}: explicit inputs need one value per node (got {} for n={n})",
-                    self.name,
-                    vs.len()
-                ));
-            }
-        }
+        self.algo
+            .check(&topo, &self.inputs.materialize(n))
+            .and_then(|()| self.algo.require_crosscheckable())
+            .map_err(|e| format!("{name}: {e}"))?;
         for (i, a) in self.crashes.iter().enumerate() {
             if a.slot().index() >= n {
-                return Err(format!(
-                    "{}: crash slot {} out of range",
-                    self.name,
-                    a.slot()
-                ));
+                return Err(format!("{name}: crash slot {} out of range", a.slot()));
             }
             if let CrashSpec::MidBroadcast {
                 slot, delivered, ..
@@ -388,33 +866,26 @@ impl Scenario {
             {
                 if delivered > topo.degree(slot) {
                     return Err(format!(
-                        "{}: crash wants {delivered} deliveries but {slot} has degree {}",
-                        self.name,
+                        "{name}: crash wants {delivered} deliveries but {slot} has degree {}",
                         topo.degree(slot)
                     ));
                 }
             }
             for b in &self.crashes[i + 1..] {
                 if a.slot() == b.slot() {
-                    return Err(format!("{}: duplicate crash for {}", self.name, a.slot()));
+                    return Err(format!("{name}: duplicate crash for {}", a.slot()));
                 }
             }
         }
         if let ScenarioSched::Partition { from, to, .. } = &self.sched {
             if from.iter().chain(to).any(|&s| s >= n) {
-                return Err(format!(
-                    "{}: partition names a slot out of range",
-                    self.name
-                ));
+                return Err(format!("{name}: partition names a slot out of range"));
             }
         }
         if let ScenarioSched::MultiCut { cuts, .. } = &self.sched {
             for (from, to, _) in cuts {
                 if from.iter().chain(to).any(|&s| s >= n) {
-                    return Err(format!(
-                        "{}: multi-cut names a slot out of range",
-                        self.name
-                    ));
+                    return Err(format!("{name}: multi-cut names a slot out of range"));
                 }
             }
         }
@@ -422,29 +893,36 @@ impl Scenario {
             && (!self.crashes.is_empty() || !matches!(self.inputs, ScenarioInputs::Uniform(_)))
         {
             return Err(format!(
-                "{}: strict comparison requires crash-free uniform inputs",
-                self.name
+                "{name}: strict comparison requires crash-free uniform inputs"
             ));
         }
         if self.expect_stall && self.strict {
             return Err(format!(
-                "{}: a stall scenario cannot demand identical decisions",
-                self.name
+                "{name}: a stall scenario cannot demand identical decisions"
             ));
         }
         Ok(())
     }
 
-    /// The engine backend realizing this scenario on the default
-    /// (serial heap) engine configuration.
-    pub fn sim_backend(&self, seed: u64) -> SimBackend {
+    /// The scenario's inputs, one per node.
+    fn input_values(&self) -> Vec<Value> {
+        self.inputs.materialize(self.topo.build().len())
+    }
+
+    /// The engine backend realizing this scenario on `cfg`'s queue
+    /// core, shard count and worker threads; the seed and crash plan
+    /// stay the scenario's.
+    pub fn sim_backend(&self, seed: u64, cfg: &EngineConfig) -> SimBackend {
         SimBackend::with_factory(
             self.topo.build(),
             self.sched.label(),
             self.sched.factory(seed),
         )
-        .seed(seed)
-        .crash_plan(CrashPlan::new(self.crashes.clone()))
+        .config(
+            cfg.clone()
+                .seed(seed)
+                .crash_plan(CrashPlan::new(self.crashes.clone())),
+        )
     }
 
     /// The threaded backend realizing this scenario's crash plan under
@@ -471,64 +949,35 @@ impl Scenario {
     /// the full engine report (whose metrics carry the coordinator
     /// counters). The seed and crash plan stay the scenario's.
     pub fn run_engine_with(&self, seed: u64, cfg: &EngineConfig) -> (MacReport, RunReport) {
-        let mut backend = self
-            .sim_backend(seed)
-            .queue_core(cfg.queue_core)
-            .shards(cfg.shards.get())
-            .threads(cfg.threads.get());
-        let n = self.topo.build().len();
-        let iv = self.inputs.materialize(n);
-        match self.algo {
-            ScenarioAlgo::TwoPhase => {
-                backend.execute_full(&mut |s: Slot| TwoPhase::new(iv[s.index()]))
-            }
-            ScenarioAlgo::Wpaxos => backend
-                .execute_full(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n))),
-        }
-    }
-
-    /// Runs the scenario on the threaded runtime alone.
-    pub fn run_threads(&self, seed: u64) -> MacReport {
-        let mut rt = self.runtime(seed);
-        let n = self.topo.build().len();
-        let iv = self.inputs.materialize(n);
-        match self.algo {
-            ScenarioAlgo::TwoPhase => rt.execute(&mut |s: Slot| TwoPhase::new(iv[s.index()])),
-            ScenarioAlgo::Wpaxos => {
-                rt.execute(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)))
+        struct OnEngine(SimBackend);
+        impl AlgoVisitor for OnEngine {
+            type Out = (MacReport, RunReport);
+            fn visit<P: Process + Clone + fmt::Debug>(
+                mut self,
+                _id_budget: usize,
+                make: impl Fn(Slot) -> P,
+            ) -> Self::Out {
+                self.0.execute_full(&mut |s| make(s))
             }
         }
+        self.algo
+            .visit(&self.input_values(), OnEngine(self.sim_backend(seed, cfg)))
     }
 
     /// Runs the scenario on both backends and cross-checks the
     /// outcomes (per-backend agreement + termination + validity;
     /// identical decisions additionally when [`Scenario::strict`]).
     pub fn cross_check(&self, seed: u64) -> CrossCheckOutcome {
-        let n = self.topo.build().len();
-        let inputs = self.inputs.materialize(n);
-        let mut sim = self.sim_backend(seed);
-        let mut rt = self.runtime(seed);
-        let cfg = CrossCheckConfig {
-            expect_identical_decisions: self.strict,
-            check_validity: true,
-        };
-        let iv = inputs.clone();
-        match self.algo {
-            ScenarioAlgo::TwoPhase => cross_check(
-                &mut sim,
-                &mut rt,
-                &mut |s: Slot| TwoPhase::new(iv[s.index()]),
-                &inputs,
-                cfg,
-            ),
-            ScenarioAlgo::Wpaxos => cross_check(
-                &mut sim,
-                &mut rt,
-                &mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)),
-                &inputs,
-                cfg,
-            ),
-        }
+        cross_check_algo(
+            self.algo,
+            &mut self.sim_backend(seed, &EngineConfig::default()),
+            &mut self.runtime(seed),
+            &self.input_values(),
+            CrossCheckConfig {
+                expect_identical_decisions: self.strict,
+                check_validity: true,
+            },
+        )
     }
 
     /// The full named scenario catalogue: every adversary family the
@@ -1020,7 +1469,7 @@ pub fn sweep_scenario(scenario: &Scenario, seed: u64) -> SweepRow {
                 "agreement violated among the deciders: {decided:?}"
             ));
         }
-        let inputs = scenario.inputs.materialize(scenario.topo.build().len());
+        let inputs = scenario.input_values();
         for v in &decided {
             if !inputs.contains(v) {
                 failures.push(format!("validity violated: decided {v} was nobody's input"));
@@ -1262,7 +1711,15 @@ mod tests {
         let mut s = Scenario::by_name("sync-lockstep").unwrap();
         s.inputs = ScenarioInputs::Explicit(vec![1, 1]); // clique is 5 nodes
         s.strict = false;
-        assert!(s.validate().unwrap_err().contains("one value per node"));
+        assert!(s.validate().unwrap_err().contains("2 inputs given"));
+
+        let mut s = Scenario::by_name("sync-lockstep").unwrap();
+        s.algo = ScenarioAlgo::FdPaxos(4);
+        assert!(s.validate().unwrap_err().contains("clock-scale"));
+
+        let mut s = Scenario::by_name("sync-lockstep").unwrap();
+        s.topo = ScenarioTopo::Torus(2, 4);
+        assert!(s.validate().unwrap_err().contains("`torus:2x4`"));
     }
 
     /// The first promoted module-docs stall finding, now a named entry:
@@ -1450,9 +1907,11 @@ mod tests {
     #[test]
     fn multi_cut_heal_delays_decisions_past_the_last_release() {
         let scenario = Scenario::by_name("multi-cut-heal").unwrap();
-        let (report, full) = scenario.sim_backend(5).execute_full(&mut |s: Slot| {
-            WpaxosNode::new((s.index() % 2) as Value, WpaxosConfig::new(8))
-        });
+        let (report, full) = scenario
+            .sim_backend(5, &EngineConfig::default())
+            .execute_full(&mut |s: Slot| {
+                WpaxosNode::new((s.index() % 2) as Value, WpaxosConfig::new(8))
+            });
         assert!(report.all_decided);
         // The 5 -> 4 cut only heals at t=110; no global decision can
         // complete while a direction of the line is still severed.
@@ -1505,9 +1964,11 @@ mod tests {
     #[test]
     fn partition_scenario_stalls_then_heals_on_the_engine() {
         let scenario = Scenario::by_name("partition-heal").unwrap();
-        let (report, full) = scenario.sim_backend(3).execute_full(&mut |s: Slot| {
-            WpaxosNode::new((s.index() % 2) as Value, WpaxosConfig::new(6))
-        });
+        let (report, full) = scenario
+            .sim_backend(3, &EngineConfig::default())
+            .execute_full(&mut |s: Slot| {
+                WpaxosNode::new((s.index() % 2) as Value, WpaxosConfig::new(6))
+            });
         assert!(report.all_decided);
         // The cut withholds 2 -> 3 until t=60; consensus cannot
         // complete before information crosses the healed cut.

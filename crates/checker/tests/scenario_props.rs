@@ -16,6 +16,7 @@ use amacl_checker::scenario::{
 use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::ids::Slot;
 use amacl_model::mac::MacReport;
+use amacl_model::sim::config::EngineConfig;
 use amacl_model::sim::crash::CrashSpec;
 use amacl_model::sim::queue::QueueCoreKind;
 use amacl_model::sim::time::Time;
@@ -173,11 +174,11 @@ fn traced_run(
 ) -> (MacReport, Trace) {
     let n = scenario.topo.build().len();
     let iv = scenario.inputs.materialize(n);
-    let mut backend = scenario
-        .sim_backend(seed)
+    let cfg = EngineConfig::new()
         .queue_core(core)
         .shards(shards)
         .threads(threads);
+    let mut backend = scenario.sim_backend(seed, &cfg);
     let (report, _, trace) =
         backend.execute_traced(&mut |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)));
     (report, trace)

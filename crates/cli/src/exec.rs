@@ -5,25 +5,21 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use amacl_checker::grid::{check_engine_grid, config_label, diff_reports, engine_grid};
+use amacl_checker::scenario::{
+    AlgoVisitor, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo,
+};
 use amacl_checker::{
-    cross_check, CrossCheckConfig, FuzzConfig, MacExploreConfig, MacExploreDescriptor, MacExplorer,
+    cross_check_algo, CrossCheckConfig, FuzzConfig, MacExploreConfig, MacExploreDescriptor,
     Reduction, SearchOrder, ViolationKind,
 };
-use amacl_core::baselines::flood_gather::FloodGather;
-use amacl_core::extensions::ben_or::BenOr;
-use amacl_core::extensions::fd_paxos::FdPaxos;
-use amacl_core::multivalued::BitwiseTwoPhase;
-use amacl_core::tree_gather::TreeGather;
-use amacl_core::two_phase::TwoPhase;
 use amacl_core::verify::check_consensus;
-use amacl_core::wpaxos::{WpaxosConfig, WpaxosNode};
 use amacl_model::machine::LedgerMutation;
 use amacl_model::prelude::*;
 use amacl_model::sim::conformance::check_trace;
 use amacl_model::sim::trace::TraceEvent;
 use amacl_runtime::{MacRuntime, RuntimeConfig};
 
-use crate::spec::{AlgoSpec, Command, EngineFlags, InputSpec, SchedSpec, TopoSpec};
+use crate::spec::{Command, EngineFlags};
 
 /// Executes a parsed command, returning the rendered report.
 ///
@@ -115,52 +111,6 @@ pub fn execute(cmd: Command) -> Result<String, String> {
     }
 }
 
-/// Maps a parsed topology spec onto its scenario-descriptor form (the
-/// plain-data shape explore descriptors and lowered scenarios carry),
-/// rejecting families the catalogue cannot express.
-fn scenario_topo(spec: &TopoSpec) -> Result<amacl_checker::scenario::ScenarioTopo, String> {
-    use amacl_checker::scenario::ScenarioTopo;
-    let text = spec.text.as_str();
-    let (head, tail) = match text.split_once(':') {
-        Some((h, t)) => (h, t),
-        None => (text, ""),
-    };
-    let one = || -> Result<usize, String> {
-        tail.parse()
-            .map_err(|_| format!("bad parameter in `{text}`"))
-    };
-    let wh = || -> Result<(usize, usize), String> {
-        let (w, h) = tail
-            .split_once('x')
-            .ok_or_else(|| format!("bad parameter in `{text}`"))?;
-        Ok((
-            w.parse().map_err(|_| format!("bad width in `{text}`"))?,
-            h.parse().map_err(|_| format!("bad height in `{text}`"))?,
-        ))
-    };
-    match head {
-        "clique" => Ok(ScenarioTopo::Clique(one()?)),
-        "line" => Ok(ScenarioTopo::Line(one()?)),
-        "ring" => Ok(ScenarioTopo::Ring(one()?)),
-        "grid" => wh().map(|(w, h)| ScenarioTopo::Grid(w, h)),
-        "torus" => wh().map(|(w, h)| ScenarioTopo::Torus(w, h)),
-        "hypercube" => Ok(ScenarioTopo::Hypercube(one()?)),
-        "random-tree" => {
-            let (n, seed) = tail
-                .split_once(':')
-                .ok_or_else(|| format!("bad parameter in `{text}`"))?;
-            Ok(ScenarioTopo::RandomTree(
-                n.parse().map_err(|_| format!("bad size in `{text}`"))?,
-                seed.parse().map_err(|_| format!("bad seed in `{text}`"))?,
-            ))
-        }
-        _ => Err(format!(
-            "`{text}` has no scenario-descriptor form; explore supports clique, line, \
-             ring, grid, torus, hypercube, random-tree"
-        )),
-    }
-}
-
 /// Termination is judged in quiescent states only; a full cover that
 /// met none (wPAXOS's services never stop broadcasting) proved safety
 /// alone, and the report says so next to its `VERIFIED` line.
@@ -180,43 +130,24 @@ fn note_unjudged_termination(text: &mut String, quiescent_states: u64) {
 /// scenario (the round-trip the regression catalogue is grown from).
 #[allow(clippy::too_many_arguments)]
 fn explore_mac(
-    algo: AlgoSpec,
-    topo_spec: TopoSpec,
-    inputs_spec: InputSpec,
+    algo: ScenarioAlgo,
+    topo: ScenarioTopo,
+    inputs: ScenarioInputs,
     crash_budget: usize,
     max_states: usize,
     max_depth: usize,
     naive: bool,
     mutate: Option<String>,
 ) -> Result<String, String> {
-    use amacl_checker::scenario::{sweep_scenario, ScenarioAlgo};
+    use amacl_checker::scenario::sweep_scenario;
 
-    let scenario_algo = match algo {
-        AlgoSpec::TwoPhase => ScenarioAlgo::TwoPhase,
-        AlgoSpec::Wpaxos => ScenarioAlgo::Wpaxos,
-        other => {
-            return Err(format!(
-                "`{}` is not explorable behind the MacLayer seam; supported: two-phase, wpaxos",
-                other.name()
-            ))
-        }
-    };
-    let topo = scenario_topo(&topo_spec)?;
-    let inputs = inputs_spec.materialize(topo.build().len())?;
     let mutation = match mutate.as_deref() {
         None => LedgerMutation::None,
         Some(s) => LedgerMutation::parse(s).ok_or_else(|| {
             format!("unknown mutation `{s}`; supported: none, ack-early, drop-releases")
         })?,
     };
-    let descriptor = MacExploreDescriptor {
-        algo: scenario_algo,
-        topo,
-        inputs,
-        crash_budget,
-        mutation,
-    };
-    descriptor.validate()?;
+    let descriptor = descriptor(algo, topo, &inputs, crash_budget, mutation)?;
     let cfg = MacExploreConfig {
         max_states,
         max_depth,
@@ -232,10 +163,9 @@ fn explore_mac(
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "explore {} on {} (n={}), inputs {:?}, crash budget {crash_budget}, \
+        "explore {} on {topo} (n={}), inputs {:?}, crash budget {crash_budget}, \
          mutation {}, reduction {}",
         algo.name(),
-        topo_spec.text,
         descriptor.inputs.len(),
         descriptor.inputs,
         mutation.label(),
@@ -560,10 +490,10 @@ fn load(
 /// shared `MacLayer` trait and diffs the outcomes.
 #[allow(clippy::too_many_arguments)]
 fn crosscheck(
-    algo: AlgoSpec,
-    topo_spec: TopoSpec,
-    inputs_spec: InputSpec,
-    sched: Option<SchedSpec>,
+    algo: ScenarioAlgo,
+    topo_spec: ScenarioTopo,
+    inputs: ScenarioInputs,
+    sched: Option<(ScenarioSched, u64)>,
     f_ack: u64,
     crashes: Vec<CrashSpec>,
     seed: u64,
@@ -574,7 +504,9 @@ fn crosscheck(
 ) -> Result<String, String> {
     let topo = topo_spec.build();
     let n = topo.len();
-    let inputs = inputs_spec.materialize(n)?;
+    let inputs = inputs.materialize(n);
+    algo.check(&topo, &inputs)?;
+    algo.require_crosscheckable()?;
     if strict && !crashes.is_empty() {
         return Err(
             "--strict with --crash is unsound: a crashed slot may decide before its \
@@ -591,20 +523,23 @@ fn crosscheck(
             return Err(format!("duplicate crash for slot {}", c.slot()));
         }
     }
-    // Any engine-side adversary works here: the generalized SimBackend
-    // takes a scheduler factory, so `--sched` reaches partitions and
-    // scripted schedules too, not just the stock random scheduler.
-    let mut sim = match sched {
-        Some(spec) => {
-            let factory: amacl_model::mac::SchedulerFactory =
-                std::sync::Arc::new(move || spec.build());
-            SimBackend::with_factory(topo.clone(), format!("{spec:?}"), factory)
-        }
-        None => SimBackend::new(topo.clone(), BackendSched::Random { f_ack, seed }),
-    }
-    .config(engine.resolve())
-    .seed(seed)
-    .crash_plan(CrashPlan::new(crashes.clone()));
+    // Any engine-side adversary works here: the SimBackend takes a
+    // scheduler factory, so `--sched` could reach partitions and
+    // scripted schedules too; without one, the stock random scheduler.
+    let (engine_sched, sched_seed) = sched
+        .clone()
+        .unwrap_or((ScenarioSched::Random { f_ack }, seed));
+    let mut sim = SimBackend::with_factory(
+        topo.clone(),
+        engine_sched.spec(sched_seed),
+        engine_sched.factory(sched_seed),
+    )
+    .config(
+        engine
+            .resolve()
+            .seed(seed)
+            .crash_plan(CrashPlan::new(crashes.clone())),
+    );
     let mut rt = MacRuntime::new(
         topo,
         RuntimeConfig {
@@ -619,40 +554,18 @@ fn crosscheck(
         expect_identical_decisions: strict,
         check_validity: true,
     };
-    macro_rules! cc {
-        ($mk:expr) => {
-            cross_check(&mut sim, &mut rt, &mut $mk, &inputs, cfg)
-        };
-    }
-    let iv = inputs.clone();
-    let outcome = match algo {
-        AlgoSpec::TwoPhase => cc!(|s: Slot| TwoPhase::new(iv[s.index()])),
-        AlgoSpec::Wpaxos => {
-            cc!(|s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)))
-        }
-        AlgoSpec::TreeGather => cc!(|s: Slot| TreeGather::new(iv[s.index()], n)),
-        AlgoSpec::FloodGather => cc!(|s: Slot| FloodGather::new(iv[s.index()], n)),
-        AlgoSpec::Bitwise(bits) => cc!(|s: Slot| BitwiseTwoPhase::new(iv[s.index()], bits)),
-        AlgoSpec::BenOr => cc!(|s: Slot| BenOr::new(iv[s.index()], n)),
-        AlgoSpec::FdPaxos(_) => {
-            return Err(
-                "fd-paxos timeouts are clock-scale dependent; crosscheck does not support it"
-                    .into(),
-            )
-        }
-    };
+    let outcome = cross_check_algo(algo, &mut sim, &mut rt, &inputs, cfg);
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "crosscheck {} on {} (n={n}): {} vs {}",
+        "crosscheck {} on {topo_spec} (n={n}): {} vs {}",
         algo.name(),
-        topo_spec.text,
         outcome.left.backend,
         outcome.right.backend
     );
-    if let Some(spec) = sched {
-        let _ = writeln!(out, "  engine sched: {spec:?}");
+    if let Some((spec, sched_seed)) = sched {
+        let _ = writeln!(out, "  engine sched: {}", spec.spec(sched_seed));
     }
     if let Some(core) = engine.queue {
         let _ = writeln!(out, "  engine queue core: {core}");
@@ -696,28 +609,66 @@ fn crosscheck(
     }
 }
 
-/// The single-hop algorithms insist on a clique; catching it here gives
-/// a friendlier message than a stuck simulation.
-fn require_clique(algo: AlgoSpec, topo: &Topology) -> Result<(), String> {
-    let is_clique = topo.edge_count() == topo.len() * topo.len().saturating_sub(1) / 2;
-    if is_clique {
-        Ok(())
-    } else {
-        Err(format!(
-            "`{}` is a single-hop algorithm; use a clique topology (got {} nodes, {} edges)",
-            algo.name(),
-            topo.len(),
-            topo.edge_count()
-        ))
+/// One `amacl run` on the engine: the algorithm's processes under the
+/// parsed adversary, crash plan and engine flags.
+struct RunOnEngine<'a> {
+    topo: &'a Topology,
+    engine: EngineConfig,
+    sched: &'a ScenarioSched,
+    sched_seed: u64,
+    id_budget: Option<usize>,
+    trace: bool,
+    audit: bool,
+}
+
+/// What a run reports: the engine report, the rendered trace and audit
+/// (when asked for), and the shard and thread counts that ran.
+type RunOut = (RunReport, Option<String>, Option<String>, (usize, usize));
+
+impl AlgoVisitor for RunOnEngine<'_> {
+    type Out = RunOut;
+
+    fn visit<P: Process + Clone + std::fmt::Debug>(
+        self,
+        id_budget: usize,
+        make: impl Fn(Slot) -> P,
+    ) -> RunOut {
+        let mut sim = SimBuilder::new(self.topo.clone(), make)
+            .config(self.engine)
+            .scheduler(self.sched.build(self.sched_seed))
+            .message_id_budget(self.id_budget.unwrap_or(id_budget))
+            .trace(self.trace || self.audit)
+            .max_time(Time(2_000_000))
+            .build();
+        let report = sim.run();
+        let audit_text = self.audit.then(|| {
+            let a = check_trace(sim.topology(), sim.trace(), Some(self.sched.f_ack()), None);
+            format!(
+                "audit: {} broadcasts, {} deliveries, {} acks — violations: {}",
+                a.broadcasts,
+                a.deliveries,
+                a.acks,
+                if a.violations.is_empty() {
+                    "none".to_string()
+                } else {
+                    format!("{:?}", a.violations)
+                }
+            )
+        });
+        let trace_text = self.trace.then(|| render_trace(sim.trace().events()));
+        // The shard and thread counts that ran (the engine clamps the
+        // requested ones), printed instead of the flags.
+        let ran = (sim.shard_count(), sim.thread_count());
+        (report, trace_text, audit_text, ran)
     }
 }
 
 #[allow(clippy::too_many_arguments)]
 fn run(
-    algo: AlgoSpec,
-    topo_spec: TopoSpec,
-    sched: SchedSpec,
-    inputs_spec: InputSpec,
+    algo: ScenarioAlgo,
+    topo_spec: ScenarioTopo,
+    (sched, sched_seed): (ScenarioSched, u64),
+    inputs: ScenarioInputs,
     crashes: Vec<CrashSpec>,
     trace: bool,
     audit: bool,
@@ -726,7 +677,8 @@ fn run(
 ) -> Result<String, String> {
     let topo = topo_spec.build();
     let n = topo.len();
-    let inputs = inputs_spec.materialize(n)?;
+    let inputs = inputs.materialize(n);
+    algo.check(&topo, &inputs)?;
     for c in &crashes {
         if c.slot().index() >= n {
             return Err(format!("crash slot {} out of range (n={n})", c.slot()));
@@ -736,106 +688,27 @@ fn run(
         .map(|i| crashes.iter().any(|c| c.slot() == Slot(i)))
         .collect();
 
-    // One builder per algorithm arm: each has a distinct message type.
-    macro_rules! simulate {
-        ($mk:expr, $budget:expr) => {{
-            let builder = SimBuilder::new(topo.clone(), $mk)
-                .config(engine.resolve())
-                .scheduler(sched.build())
-                .crashes(CrashPlan::new(crashes.clone()))
-                .message_id_budget(id_budget.unwrap_or($budget))
-                .trace(trace || audit)
-                .max_time(Time(2_000_000));
-            let mut sim = builder.build();
-            let report = sim.run();
-            let audit_text = if audit {
-                let a = check_trace(sim.topology(), sim.trace(), Some(sched.f_ack()), None);
-                Some(format!(
-                    "audit: {} broadcasts, {} deliveries, {} acks — violations: {}",
-                    a.broadcasts,
-                    a.deliveries,
-                    a.acks,
-                    if a.violations.is_empty() {
-                        "none".to_string()
-                    } else {
-                        format!("{:?}", a.violations)
-                    }
-                ))
-            } else {
-                None
-            };
-            let trace_text = if trace {
-                Some(render_trace(sim.trace().events()))
-            } else {
-                None
-            };
-            let ran = (sim.shard_count(), sim.thread_count());
-            (report, trace_text, audit_text, ran)
-        }};
-    }
-
-    let iv = inputs.clone();
-    // The shard and thread counts that ran (the engine clamps the
-    // requested ones), printed instead of the flags.
-    let (report, trace_text, audit_text, (shards, threads)) = match algo {
-        AlgoSpec::TwoPhase => {
-            require_clique(algo, &topo)?;
-            for &v in &inputs {
-                if v > 1 {
-                    return Err("two-phase is binary; use --inputs with 0/1 values".into());
-                }
-            }
-            simulate!(|s: Slot| TwoPhase::new(iv[s.index()]), 1)
-        }
-        AlgoSpec::Wpaxos => {
-            simulate!(
-                |s: Slot| WpaxosNode::new(iv[s.index()], WpaxosConfig::new(n)),
-                10
-            )
-        }
-        AlgoSpec::TreeGather => simulate!(|s: Slot| TreeGather::new(iv[s.index()], n), 10),
-        AlgoSpec::FloodGather => simulate!(|s: Slot| FloodGather::new(iv[s.index()], n), 1),
-        AlgoSpec::Bitwise(bits) => {
-            require_clique(algo, &topo)?;
-            let top = if bits >= 64 {
-                u64::MAX
-            } else {
-                (1 << bits) - 1
-            };
-            for &v in &inputs {
-                if v > top {
-                    return Err(format!("input {v} does not fit in {bits} bits"));
-                }
-            }
-            simulate!(|s: Slot| BitwiseTwoPhase::new(iv[s.index()], bits), 1)
-        }
-        AlgoSpec::BenOr => {
-            require_clique(algo, &topo)?;
-            if n < 3 {
-                return Err("ben-or needs n >= 3".into());
-            }
-            for &v in &inputs {
-                if v > 1 {
-                    return Err("ben-or is binary; use --inputs with 0/1 values".into());
-                }
-            }
-            simulate!(|s: Slot| BenOr::new(iv[s.index()], n), 1)
-        }
-        AlgoSpec::FdPaxos(timeout) => {
-            require_clique(algo, &topo)?;
-            simulate!(|s: Slot| FdPaxos::new(iv[s.index()], n, timeout), 3)
-        }
-    };
+    let (report, trace_text, audit_text, (shards, threads)) = algo.visit(
+        &inputs,
+        RunOnEngine {
+            topo: &topo,
+            engine: engine.resolve().crash_plan(CrashPlan::new(crashes.clone())),
+            sched: &sched,
+            sched_seed,
+            id_budget,
+            trace,
+            audit,
+        },
+    );
 
     let check = check_consensus(&inputs, &report, &crashed);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "algo {} | topo {} (n={n}, D={}) | sched {:?} | inputs {:?}",
+        "algo {} | topo {topo_spec} (n={n}, D={}) | sched {} | inputs {:?}",
         algo.name(),
-        topo_spec.text,
         topo.diameter(),
-        sched,
+        sched.spec(sched_seed),
         inputs
     );
     if !crashes.is_empty() {
@@ -921,75 +794,35 @@ fn render_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// A crash-budgeted explorer over one process per input.
-fn explorer<P: Process + Clone + std::fmt::Debug>(
-    topo: &Topology,
-    inputs: &[Value],
+/// The untimed-machine instance `check`, `fuzz` and `explore` search,
+/// validated.
+fn descriptor(
+    algo: ScenarioAlgo,
+    topo: ScenarioTopo,
+    inputs: &ScenarioInputs,
     crash_budget: usize,
-    new: impl Fn(Value) -> P,
-) -> MacExplorer<P> {
-    MacExplorer::new(
-        topo.clone(),
-        inputs.iter().map(|&v| new(v)).collect(),
-        inputs.to_vec(),
+    mutation: LedgerMutation,
+) -> Result<MacExploreDescriptor, String> {
+    let descriptor = MacExploreDescriptor {
+        algo,
+        topo,
+        inputs: inputs.materialize(topo.build().len()),
         crash_budget,
-        LedgerMutation::None,
-    )
-}
-
-/// Runs `$method($cfg)` on a [`MacExplorer`] over `$algo`'s processes
-/// — the one table of algorithms the untimed machine can search,
-/// shared by `check` and `fuzz`. `ben-or` draws random bits (a fork
-/// would replay them) and `fd-paxos` reads the clock (the machine has
-/// none), so both are refused.
-macro_rules! on_explorer {
-    ($verb:literal, $algo:expr, $topo:expr, $inputs:expr, $crash_budget:expr,
-     $method:ident($cfg:expr)) => {{
-        let (algo, topo, inputs, budget): (AlgoSpec, &Topology, &[Value], usize) =
-            ($algo, $topo, $inputs, $crash_budget);
-        let n = topo.len();
-        match algo {
-            AlgoSpec::TwoPhase => {
-                require_clique(algo, topo)?;
-                explorer(topo, inputs, budget, TwoPhase::new).$method($cfg)
-            }
-            AlgoSpec::Bitwise(bits) => {
-                require_clique(algo, topo)?;
-                explorer(topo, inputs, budget, |v| BitwiseTwoPhase::new(v, bits)).$method($cfg)
-            }
-            AlgoSpec::Wpaxos => explorer(topo, inputs, budget, |v| {
-                WpaxosNode::new(v, WpaxosConfig::new(n))
-            })
-            .$method($cfg),
-            AlgoSpec::TreeGather => {
-                explorer(topo, inputs, budget, |v| TreeGather::new(v, n)).$method($cfg)
-            }
-            AlgoSpec::FloodGather => {
-                explorer(topo, inputs, budget, |v| FloodGather::new(v, n)).$method($cfg)
-            }
-            AlgoSpec::BenOr | AlgoSpec::FdPaxos(_) => {
-                return Err(format!(
-                    "`{}` is not {}-compatible (randomized or clock-driven); \
-                     supported: two-phase, bitwise:<b>, wpaxos, tree-gather, flood-gather",
-                    algo.name(),
-                    $verb
-                ))
-            }
-        }
-    }};
+        mutation,
+    };
+    descriptor.validate()?;
+    Ok(descriptor)
 }
 
 fn check(
-    algo: AlgoSpec,
-    topo_spec: TopoSpec,
-    inputs_spec: InputSpec,
+    algo: ScenarioAlgo,
+    topo: ScenarioTopo,
+    inputs: ScenarioInputs,
     crash_budget: usize,
     max_states: usize,
     bfs: bool,
 ) -> Result<String, String> {
-    let topo = topo_spec.build();
-    let n = topo.len();
-    let inputs = inputs_spec.materialize(n)?;
+    let d = descriptor(algo, topo, &inputs, crash_budget, LedgerMutation::None)?;
     let cfg = MacExploreConfig {
         max_states,
         ..MacExploreConfig::naive(if bfs {
@@ -998,15 +831,15 @@ fn check(
             SearchOrder::Dfs
         })
     };
-    let out = on_explorer!("checker", algo, &topo, &inputs, crash_budget, run(&cfg));
+    let out = d.explore(&cfg);
 
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "checked {} on {} (n={n}), inputs {:?}, crash budget {crash_budget}",
+        "checked {} on {topo} (n={}), inputs {:?}, crash budget {crash_budget}",
         algo.name(),
-        topo_spec.text,
-        inputs
+        d.inputs.len(),
+        d.inputs
     );
     let _ = writeln!(
         text,
@@ -1036,30 +869,27 @@ fn check(
 }
 
 fn fuzz(
-    algo: AlgoSpec,
-    topo_spec: TopoSpec,
-    inputs_spec: InputSpec,
+    algo: ScenarioAlgo,
+    topo: ScenarioTopo,
+    inputs: ScenarioInputs,
     crash_budget: usize,
     walks: usize,
     seed: u64,
 ) -> Result<String, String> {
-    let topo = topo_spec.build();
-    let n = topo.len();
-    let inputs = inputs_spec.materialize(n)?;
-    let cfg = FuzzConfig {
+    let d = descriptor(algo, topo, &inputs, crash_budget, LedgerMutation::None)?;
+    let out = d.fuzz(FuzzConfig {
         walks,
         seed,
         ..FuzzConfig::default()
-    };
-    let out = on_explorer!("fuzz", algo, &topo, &inputs, crash_budget, fuzz(cfg));
+    });
 
     let mut text = String::new();
     let _ = writeln!(
         text,
-        "fuzzed {} on {} (n={n}), inputs {:?}, crash budget {crash_budget}",
+        "fuzzed {} on {topo} (n={}), inputs {:?}, crash budget {crash_budget}",
         algo.name(),
-        topo_spec.text,
-        inputs
+        d.inputs.len(),
+        d.inputs
     );
     let _ = writeln!(
         text,
@@ -1083,12 +913,12 @@ fn fuzz(
     Ok(text)
 }
 
-fn describe_topo(spec: &TopoSpec) -> String {
+fn describe_topo(spec: &ScenarioTopo) -> String {
     let topo = spec.build();
     let n = topo.len();
     let degrees: Vec<usize> = (0..n).map(|i| topo.degree(Slot(i))).collect();
     let mut out = String::new();
-    let _ = writeln!(out, "topology {}", spec.text);
+    let _ = writeln!(out, "topology {spec}");
     let _ = writeln!(
         out,
         "n = {n}, edges = {}, connected = {}, diameter = {}",
@@ -1221,7 +1051,7 @@ mod tests {
     #[test]
     fn check_rejects_randomized_algorithms() {
         let err = cli("check --algo ben-or --topo clique:3").unwrap_err();
-        assert!(err.contains("not checker-compatible"), "{err}");
+        assert!(err.contains("randomized or clock-driven"), "{err}");
         assert!(err.contains("wpaxos"), "one algo table with fuzz: {err}");
     }
 
@@ -1264,7 +1094,7 @@ mod tests {
     #[test]
     fn fuzz_rejects_clock_driven_algorithms() {
         let err = cli("fuzz --algo fd-paxos --topo clique:3").unwrap_err();
-        assert!(err.contains("not fuzz-compatible"), "{err}");
+        assert!(err.contains("randomized or clock-driven"), "{err}");
     }
 
     #[test]
@@ -1343,12 +1173,79 @@ mod tests {
     #[test]
     fn explore_rejects_bad_instances() {
         let err = cli("explore --algo ben-or --topo clique:3").unwrap_err();
-        assert!(err.contains("not explorable"), "{err}");
-        let err = cli("explore --algo two-phase --topo barbell:4:2").unwrap_err();
-        assert!(err.contains("no scenario-descriptor form"), "{err}");
+        assert!(err.contains("randomized or clock-driven"), "{err}");
         let err = cli("explore --algo two-phase --topo clique:2 --inputs 0,1 --mutate late-ack")
             .unwrap_err();
         assert!(err.contains("unknown mutation"), "{err}");
+    }
+
+    /// Every verb refuses each bad instance with the one validator's
+    /// message (`ScenarioAlgo::check` and its two predicates), as an
+    /// `Err` — never a panic.
+    #[test]
+    fn bad_instances_are_refused_alike_by_every_verb() {
+        let binary = "two-phase is binary; use --inputs with 0/1 values";
+        let untimed = "is randomized or clock-driven";
+        let clock = "fd-paxos timeouts are clock-scale dependent";
+        let all = ["run", "crosscheck", "check", "fuzz", "explore"];
+        let rows: [(&str, &[&str], &str); 7] = [
+            (
+                "--algo two-phase --topo clique:3 --inputs 0,2,1",
+                &all,
+                binary,
+            ),
+            (
+                "--algo two-phase --topo clique:2 --inputs 0,2",
+                &all,
+                binary,
+            ),
+            (
+                "--algo bitwise:2 --topo clique:2 --inputs 0,9",
+                &all,
+                "input 9 does not fit in 2 bits",
+            ),
+            (
+                "--algo ben-or --topo clique:2",
+                &["run", "crosscheck"],
+                "ben-or needs n >= 3",
+            ),
+            (
+                "--algo two-phase --topo line:3",
+                &all,
+                "`two-phase` is a single-hop algorithm",
+            ),
+            (
+                "--algo ben-or --topo clique:3",
+                &["check", "fuzz", "explore"],
+                untimed,
+            ),
+            (
+                "--algo fd-paxos --topo clique:3",
+                &["check", "fuzz", "explore"],
+                untimed,
+            ),
+        ];
+        for (instance, verbs, message) in rows {
+            for verb in verbs {
+                let cmd = format!("{verb} {instance}");
+                let err = cli(&cmd).expect_err(&cmd);
+                assert!(err.contains(message), "{cmd}: {err}");
+            }
+        }
+        let err = cli("crosscheck --algo fd-paxos --topo clique:3").unwrap_err();
+        assert!(err.contains(clock), "{err}");
+        let err = cli("check --algo ben-or --topo clique:2").unwrap_err();
+        assert!(err.contains(untimed), "{err}");
+    }
+
+    /// `explore` takes every topology and every untimed algorithm the
+    /// other verbs do.
+    #[test]
+    fn explore_runs_beyond_the_scenario_catalogue() {
+        let out = cli("explore --algo flood-gather --topo star:3 --inputs 0,1,1").unwrap();
+        assert!(out.contains("VERIFIED"), "{out}");
+        let out = cli("explore --algo bitwise:2 --topo clique:2 --inputs 3,1").unwrap();
+        assert!(out.contains("VERIFIED"), "{out}");
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //! ```
 //!
 //! Everything is plain-text specs (`family:params`), parsed by
-//! [`spec`]; [`exec`] maps a parsed [`Command`](spec::Command) onto the
-//! library and renders a report. The crate is a thin, well-tested shim:
-//! all semantics live in the workspace libraries.
+//! [`spec`] into the checker's instance descriptors
+//! (`amacl_checker::scenario`); [`exec`] maps a parsed
+//! [`Command`](spec::Command) onto the library and renders a report.
+//! The crate is a thin, well-tested shim: all semantics — the
+//! algorithm table and the instance rules included — live in the
+//! workspace libraries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,6 +66,12 @@ USAGE:
 
 ALGO:    two-phase | wpaxos | tree-gather | flood-gather | bitwise:<bits>
          | ben-or | fd-paxos[:<initial-timeout>]
+         run takes every ALGO; crosscheck all but fd-paxos (its timeouts
+         are clock-scale dependent); check, fuzz and explore the untimed
+         ones: all but ben-or (random bits) and fd-paxos (reads the clock).
+         two-phase, bitwise, ben-or and fd-paxos are single-hop (clique
+         only); two-phase and ben-or are binary; ben-or needs n >= 3.
+         Every verb refuses a bad instance with the same message.
 TOPO:    clique:<n> | line:<n> | ring:<n> | star:<n> | grid:<w>x<h>
          | torus:<w>x<h> | hypercube:<dim> | binary-tree:<levels>
          | barbell:<k>:<bridge> | star-of-lines:<arms>:<len>
@@ -77,10 +86,8 @@ CRASH:   slot=<s>,time=<t>  |  slot=<s>,bcast=<nth>,delivered=<k>
 `check` explores EVERY schedule (and crash placement within the budget)
 for the instance and reports either full verification or a violating
 schedule — with `--bfs`, a shortest one. It walks the same ledger-backed
-machine `explore` does, deduplicating converged states. Supported:
-two-phase, bitwise, wpaxos, tree-gather, flood-gather (ben-or draws
-random bits and fd-paxos reads the clock; the machine is untimed).
-wPAXOS never quiesces, so termination is never judged on it: clique:2
+machine `explore` does, deduplicating converged states. wPAXOS never
+quiesces, so termination is never judged on it: clique:2
 closes with safety proven, larger instances report TRUNCATED.
 
 `fuzz` runs random walks over the same unrestricted scheduler space at
@@ -96,7 +103,6 @@ into both backends (timed crashes map onto wall-clock deadlines on the
 threaded side). `--strict` additionally demands bit-identical decisions
 (sound only for crash-free, input-determined instances, e.g. uniform
 inputs). `--queue` pins the engine's event-queue core (default: heap).
-fd-paxos is excluded (its timeouts are clock-scale dependent).
 
 `explore` model-checks the MacLayer seam itself: it enumerates every
 delivery/ack/crash interleaving of the shared broadcast ledger (DPOR
@@ -114,9 +120,9 @@ the algorithm (e.g. two-phase is not crash tolerant); since such a
 stall is existential — one backend's timing may escape the exact
 interleaving — its round trip gates on engine byte-identity across
 the engine grid plus safety, and reports whether the engine
-reproduces the stall. Supported: two-phase, wpaxos (note
-wPAXOS's untimed ballot space is far too large to cover exhaustively
-from n = 3 on — expect truncation).
+reproduces the stall. Any topology works; wPAXOS's untimed ballot space
+is far too large to cover exhaustively from n = 3 on — expect
+truncation.
 
 `sweep` runs the named adversarial scenario catalogue — healing
 partitions (single and multi-cut, line and torus), quorum-member timed

@@ -1,279 +1,12 @@
-//! Plain-text specs (`family:params`) and argument parsing.
+//! Argument parsing. The instance specs (`--algo`, `--topo`,
+//! `--sched`, `--inputs`) parse straight into the checker's instance
+//! descriptors, the vocabulary the scenarios and the explorer share.
 
+use amacl_checker::scenario::{
+    parse_num as num, ScenarioAlgo, ScenarioInputs, ScenarioSched, ScenarioTopo,
+};
 use amacl_checker::workload::ArrivalKind;
 use amacl_model::prelude::*;
-
-/// Which algorithm to run.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum AlgoSpec {
-    /// Algorithm 1 (single-hop, binary, no knowledge of `n`).
-    TwoPhase,
-    /// wPAXOS (multihop, needs `n`).
-    Wpaxos,
-    /// The §4.2 "simpler alternative" on the same services.
-    TreeGather,
-    /// Flood-and-gather baseline.
-    FloodGather,
-    /// Bitwise multi-valued composition with the given width.
-    Bitwise(u32),
-    /// Randomized Ben-Or (binary, f = 1).
-    BenOr,
-    /// Failure-detector-guided Paxos with the given initial timeout.
-    FdPaxos(u64),
-}
-
-impl AlgoSpec {
-    /// Parses `two-phase`, `bitwise:16`, `fd-paxos:8`, ...
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (head, tail) = split_head(s);
-        match head {
-            "two-phase" => no_params(tail, s).map(|()| AlgoSpec::TwoPhase),
-            "wpaxos" => no_params(tail, s).map(|()| AlgoSpec::Wpaxos),
-            "tree-gather" => no_params(tail, s).map(|()| AlgoSpec::TreeGather),
-            "flood-gather" => no_params(tail, s).map(|()| AlgoSpec::FloodGather),
-            "bitwise" => Ok(AlgoSpec::Bitwise(one_param(tail, s)?)),
-            "ben-or" => no_params(tail, s).map(|()| AlgoSpec::BenOr),
-            "fd-paxos" => Ok(match tail {
-                None => AlgoSpec::FdPaxos(4),
-                Some(_) => AlgoSpec::FdPaxos(one_param(tail, s)?),
-            }),
-            _ => Err(format!("unknown algorithm `{s}`")),
-        }
-    }
-
-    /// Short human label.
-    pub fn name(&self) -> String {
-        match self {
-            AlgoSpec::TwoPhase => "two-phase".into(),
-            AlgoSpec::Wpaxos => "wpaxos".into(),
-            AlgoSpec::TreeGather => "tree-gather".into(),
-            AlgoSpec::FloodGather => "flood-gather".into(),
-            AlgoSpec::Bitwise(b) => format!("bitwise:{b}"),
-            AlgoSpec::BenOr => "ben-or".into(),
-            AlgoSpec::FdPaxos(t) => format!("fd-paxos:{t}"),
-        }
-    }
-}
-
-/// Which topology to build.
-#[derive(Clone, PartialEq, Debug)]
-pub struct TopoSpec {
-    /// The original spec text (for reports).
-    pub text: String,
-    topo: Topology,
-}
-
-impl TopoSpec {
-    /// Parses `clique:8`, `grid:4x3`, `random:12:0.2:7`, ...
-    ///
-    /// Sizes the builders cannot realize (an empty clique, a 2-ring,
-    /// `p` outside `[0, 1]`, ...) are rejected here, so no input makes
-    /// a builder panic.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (head, tail) = split_head(s);
-        let at_least = |v: usize, min: usize| -> Result<usize, String> {
-            need(v >= min, s, &format!("sizes must be at least {min}")).map(|()| v)
-        };
-        let dim = |v: usize| -> Result<usize, String> {
-            need((1..=16).contains(&v), s, "the parameter must be in 1..=16").map(|()| v)
-        };
-        let topo = match head {
-            "clique" => Topology::clique(at_least(one_param(tail, s)?, 1)?),
-            "line" => Topology::line(at_least(one_param(tail, s)?, 1)?),
-            "ring" => Topology::ring(at_least(one_param(tail, s)?, 3)?),
-            "star" => Topology::star(at_least(one_param(tail, s)?, 2)?),
-            "grid" => {
-                let (w, h) = wh_param(tail, s)?;
-                Topology::grid(at_least(w, 1)?, at_least(h, 1)?)
-            }
-            "torus" => {
-                let (w, h) = wh_param(tail, s)?;
-                Topology::torus(at_least(w, 3)?, at_least(h, 3)?)
-            }
-            "hypercube" => Topology::hypercube(dim(one_param(tail, s)?)?),
-            "binary-tree" => Topology::binary_tree(dim(one_param(tail, s)?)?),
-            "barbell" => {
-                let (k, bridge) = two_params(tail, s)?;
-                Topology::barbell(at_least(k, 1)?, bridge)
-            }
-            "star-of-lines" => {
-                let (arms, len) = two_params(tail, s)?;
-                Topology::star_of_lines(at_least(arms, 1)?, at_least(len, 1)?)
-            }
-            "caterpillar" => {
-                let (spine, legs) = two_params(tail, s)?;
-                Topology::caterpillar(at_least(spine, 1)?, legs)
-            }
-            "lollipop" => {
-                let (k, t) = two_params(tail, s)?;
-                Topology::lollipop(at_least(k, 1)?, t)
-            }
-            "random" => {
-                let parts = params(tail, s, 3)?;
-                let n: usize = num(&parts[0], s)?;
-                let p: f64 = parts[1]
-                    .parse()
-                    .map_err(|_| format!("bad probability in `{s}`"))?;
-                need((0.0..=1.0).contains(&p), s, "p must be in [0, 1]")?;
-                let seed: u64 = num(&parts[2], s)?;
-                Topology::random_connected(at_least(n, 1)?, p, seed)
-            }
-            "random-tree" => {
-                let (n, seed) = two_params::<usize, u64>(tail, s)?;
-                Topology::random_tree(at_least(n, 1)?, seed)
-            }
-            _ => return Err(format!("unknown topology `{s}`")),
-        };
-        Ok(Self {
-            text: s.to_string(),
-            topo,
-        })
-    }
-
-    /// The built topology.
-    pub fn build(&self) -> Topology {
-        self.topo.clone()
-    }
-}
-
-/// Which scheduler adversary to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchedSpec {
-    /// Lockstep rounds of `F_ack` ticks.
-    Sync(u64),
-    /// Every broadcast takes the full `F_ack`.
-    MaxDelay(u64),
-    /// Seeded random delays.
-    Random(u64, u64),
-    /// Deliveries within `F_prog`, acks within `F_ack`.
-    Dual(u64, u64, u64),
-}
-
-impl SchedSpec {
-    /// Parses `sync:2`, `random:4:42`, `dual:2:8:7`, ...
-    ///
-    /// Every bound must be at least 1, and `F_prog` must not exceed
-    /// `F_ack`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (head, tail) = split_head(s);
-        let spec = match head {
-            "sync" => SchedSpec::Sync(one_param(tail, s)?),
-            "max-delay" => SchedSpec::MaxDelay(one_param(tail, s)?),
-            "random" => {
-                let (f, seed) = two_params(tail, s)?;
-                SchedSpec::Random(f, seed)
-            }
-            "dual" => {
-                let parts = params(tail, s, 3)?;
-                let (f_prog, f_ack) = (num(&parts[0], s)?, num(&parts[1], s)?);
-                need(f_prog >= 1, s, "F_prog must be at least 1")?;
-                need(f_prog <= f_ack, s, "F_prog must not exceed F_ack")?;
-                SchedSpec::Dual(f_prog, f_ack, num(&parts[2], s)?)
-            }
-            _ => return Err(format!("unknown scheduler `{s}`")),
-        };
-        need(spec.f_ack() >= 1, s, "F_ack must be at least 1")?;
-        Ok(spec)
-    }
-
-    /// The `F_ack` bound this spec honors.
-    pub fn f_ack(&self) -> u64 {
-        match *self {
-            SchedSpec::Sync(f) | SchedSpec::MaxDelay(f) | SchedSpec::Random(f, _) => f,
-            SchedSpec::Dual(_, f_ack, _) => f_ack,
-        }
-    }
-
-    /// Builds the boxed scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match *self {
-            SchedSpec::Sync(f) => Box::new(SynchronousScheduler::new(f)),
-            SchedSpec::MaxDelay(f) => Box::new(MaxDelayScheduler::new(f)),
-            SchedSpec::Random(f, seed) => Box::new(RandomScheduler::new(f, seed)),
-            SchedSpec::Dual(f_prog, f_ack, seed) => {
-                Box::new(DualBoundScheduler::new(f_prog, f_ack, seed))
-            }
-        }
-    }
-}
-
-/// How to assign initial values.
-#[derive(Clone, PartialEq, Debug)]
-pub enum InputSpec {
-    /// `0,1,0,1,...`
-    Alternating,
-    /// Everyone starts with `v`.
-    Const(Value),
-    /// Seeded uniform draw from `0..=max`.
-    Random {
-        /// RNG seed.
-        seed: u64,
-        /// Inclusive maximum value.
-        max: Value,
-    },
-    /// Explicit per-slot values.
-    Explicit(Vec<Value>),
-}
-
-impl InputSpec {
-    /// Parses `alt`, `const:3`, `random:7`, `random:7:15`, or a CSV
-    /// list like `0,1,1`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        if s == "alt" {
-            return Ok(InputSpec::Alternating);
-        }
-        let (head, tail) = split_head(s);
-        match head {
-            "const" => return Ok(InputSpec::Const(one_param(tail, s)?)),
-            "random" => {
-                let parts = params(tail, s, usize::MAX)?;
-                return match parts.len() {
-                    1 => Ok(InputSpec::Random {
-                        seed: num(&parts[0], s)?,
-                        max: 1,
-                    }),
-                    2 => Ok(InputSpec::Random {
-                        seed: num(&parts[0], s)?,
-                        max: num(&parts[1], s)?,
-                    }),
-                    _ => Err(format!("`{s}`: expected random:<seed>[:<max>]")),
-                };
-            }
-            _ => {}
-        }
-        let values: Result<Vec<Value>, _> = s.split(',').map(|p| p.trim().parse()).collect();
-        values
-            .map(InputSpec::Explicit)
-            .map_err(|_| format!("bad inputs `{s}`"))
-    }
-
-    /// Materializes `n` inputs.
-    ///
-    /// # Errors
-    ///
-    /// Fails if an explicit list's length does not match `n`.
-    pub fn materialize(&self, n: usize) -> Result<Vec<Value>, String> {
-        match self {
-            InputSpec::Alternating => Ok((0..n).map(|i| (i % 2) as Value).collect()),
-            InputSpec::Const(v) => Ok(vec![*v; n]),
-            InputSpec::Random { seed, max } => {
-                use rand::{Rng, SeedableRng};
-                let mut rng = rand::rngs::SmallRng::seed_from_u64(*seed);
-                Ok((0..n).map(|_| rng.gen_range(0..=*max)).collect())
-            }
-            InputSpec::Explicit(v) => {
-                if v.len() == n {
-                    Ok(v.clone())
-                } else {
-                    Err(format!(
-                        "{} inputs given for a topology of {n} nodes",
-                        v.len()
-                    ))
-                }
-            }
-        }
-    }
-}
 
 /// Parses `slot=2,time=5` or `slot=2,bcast=1,delivered=0`.
 pub fn parse_crash(s: &str) -> Result<CrashSpec, String> {
@@ -386,13 +119,13 @@ pub enum Command {
     /// `amacl run ...`
     Run {
         /// Algorithm.
-        algo: AlgoSpec,
+        algo: ScenarioAlgo,
         /// Topology.
-        topo: TopoSpec,
-        /// Scheduler.
-        sched: SchedSpec,
+        topo: ScenarioTopo,
+        /// Scheduler, with the seed its spec carries.
+        sched: (ScenarioSched, u64),
         /// Input assignment.
-        inputs: InputSpec,
+        inputs: ScenarioInputs,
         /// Crashes to inject.
         crashes: Vec<CrashSpec>,
         /// Print decide/crash trace events.
@@ -406,12 +139,12 @@ pub enum Command {
     },
     /// `amacl check ...`
     Check {
-        /// Algorithm (must be checker-compatible).
-        algo: AlgoSpec,
+        /// Algorithm (must be untimed).
+        algo: ScenarioAlgo,
         /// Topology.
-        topo: TopoSpec,
+        topo: ScenarioTopo,
         /// Input assignment.
-        inputs: InputSpec,
+        inputs: ScenarioInputs,
         /// Crash moves the explored scheduler may take.
         crash_budget: usize,
         /// State cap.
@@ -421,12 +154,12 @@ pub enum Command {
     },
     /// `amacl fuzz ...`
     Fuzz {
-        /// Algorithm (must be deterministic and clock-oblivious).
-        algo: AlgoSpec,
+        /// Algorithm (must be untimed).
+        algo: ScenarioAlgo,
         /// Topology.
-        topo: TopoSpec,
+        topo: ScenarioTopo,
         /// Input assignment.
-        inputs: InputSpec,
+        inputs: ScenarioInputs,
         /// Crash moves each walk's scheduler may take.
         crash_budget: usize,
         /// Number of random walks.
@@ -437,21 +170,21 @@ pub enum Command {
     /// `amacl topo ...`
     Topo {
         /// Topology to describe.
-        topo: TopoSpec,
+        topo: ScenarioTopo,
     },
     /// `amacl crosscheck ...`: the same algorithm on the discrete-event
     /// engine and the threaded runtime, diffed through the shared
     /// `MacLayer` trait.
     CrossCheck {
         /// Algorithm.
-        algo: AlgoSpec,
+        algo: ScenarioAlgo,
         /// Topology.
-        topo: TopoSpec,
+        topo: ScenarioTopo,
         /// Input assignment.
-        inputs: InputSpec,
-        /// Engine-side adversary (`None`: seeded random under
-        /// `f_ack`).
-        sched: Option<SchedSpec>,
+        inputs: ScenarioInputs,
+        /// Engine-side adversary with the seed its spec carries
+        /// (`None`: seeded random under `f_ack`).
+        sched: Option<(ScenarioSched, u64)>,
         /// Engine scheduler bound (used when `sched` is `None`).
         f_ack: u64,
         /// Crashes injected on both backends.
@@ -472,12 +205,12 @@ pub enum Command {
     /// crash interleavings behind the `MacLayer` seam, with violating
     /// schedules lowered into sweep-ready scenarios.
     Explore {
-        /// Algorithm (must be scenario-compatible: two-phase, wpaxos).
-        algo: AlgoSpec,
-        /// Topology (must have a scenario-descriptor form).
-        topo: TopoSpec,
+        /// Algorithm (must be untimed).
+        algo: ScenarioAlgo,
+        /// Topology.
+        topo: ScenarioTopo,
         /// Input assignment.
-        inputs: InputSpec,
+        inputs: ScenarioInputs,
         /// Crash moves the explored scheduler may take.
         crash_budget: usize,
         /// State cap.
@@ -534,139 +267,78 @@ impl Command {
         let mut opts = Opts::scan(rest)?;
         let cmd = match verb.as_str() {
             "run" => Command::Run {
-                algo: AlgoSpec::parse(&opts.required("--algo")?)?,
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
-                sched: SchedSpec::parse(&opts.optional("--sched").unwrap_or("random:4:42".into()))?,
-                inputs: InputSpec::parse(&opts.optional("--inputs").unwrap_or("alt".into()))?,
-                crashes: opts
-                    .all("--crash")
-                    .iter()
-                    .map(|s| parse_crash(s))
-                    .collect::<Result<_, _>>()?,
+                algo: ScenarioAlgo::parse(&opts.required("--algo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
+                sched: ScenarioSched::parse(
+                    &opts.optional("--sched").unwrap_or("random:4:42".into()),
+                )?,
+                inputs: inputs(&mut opts)?,
+                crashes: crashes(&mut opts)?,
                 trace: opts.flag("--trace"),
                 audit: opts.flag("--audit"),
-                id_budget: match opts.optional("--id-budget") {
-                    Some(s) => Some(num(&s, "--id-budget")?),
-                    None => None,
-                },
+                id_budget: opts.optional_num("--id-budget")?,
                 engine: EngineFlags::parse(&mut opts)?,
             },
             "check" => Command::Check {
-                algo: AlgoSpec::parse(&opts.required("--algo")?)?,
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
-                inputs: InputSpec::parse(&opts.optional("--inputs").unwrap_or("alt".into()))?,
-                crash_budget: match opts.optional("--crash-budget") {
-                    Some(s) => num(&s, "--crash-budget")?,
-                    None => 0,
-                },
-                max_states: match opts.optional("--max-states") {
-                    Some(s) => num(&s, "--max-states")?,
-                    None => 2_000_000,
-                },
+                algo: ScenarioAlgo::parse(&opts.required("--algo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
+                inputs: inputs(&mut opts)?,
+                crash_budget: opts.num_or("--crash-budget", 0)?,
+                max_states: opts.num_or("--max-states", 2_000_000)?,
                 bfs: opts.flag("--bfs"),
             },
             "fuzz" => Command::Fuzz {
-                algo: AlgoSpec::parse(&opts.required("--algo")?)?,
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
-                inputs: InputSpec::parse(&opts.optional("--inputs").unwrap_or("alt".into()))?,
-                crash_budget: match opts.optional("--crash-budget") {
-                    Some(s) => num(&s, "--crash-budget")?,
-                    None => 0,
-                },
-                walks: match opts.optional("--walks") {
-                    Some(s) => num(&s, "--walks")?,
-                    None => 100,
-                },
-                seed: match opts.optional("--seed") {
-                    Some(s) => num(&s, "--seed")?,
-                    None => 0,
-                },
+                algo: ScenarioAlgo::parse(&opts.required("--algo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
+                inputs: inputs(&mut opts)?,
+                crash_budget: opts.num_or("--crash-budget", 0)?,
+                walks: opts.num_or("--walks", 100)?,
+                seed: opts.num_or("--seed", 0)?,
             },
             "topo" => Command::Topo {
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
             },
             "crosscheck" => Command::CrossCheck {
-                algo: AlgoSpec::parse(&opts.required("--algo")?)?,
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
-                inputs: InputSpec::parse(&opts.optional("--inputs").unwrap_or("alt".into()))?,
-                sched: match opts.optional("--sched") {
-                    Some(s) => Some(SchedSpec::parse(&s)?),
-                    None => None,
+                algo: ScenarioAlgo::parse(&opts.required("--algo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
+                inputs: inputs(&mut opts)?,
+                sched: opts
+                    .optional("--sched")
+                    .map(|s| ScenarioSched::parse(&s))
+                    .transpose()?,
+                crashes: crashes(&mut opts)?,
+                f_ack: match opts.num_or("--f-ack", 4)? {
+                    0 => return Err("`--f-ack`: F_ack must be at least 1".into()),
+                    f => f,
                 },
-                crashes: opts
-                    .all("--crash")
-                    .iter()
-                    .map(|s| parse_crash(s))
-                    .collect::<Result<_, _>>()?,
-                f_ack: match opts.optional("--f-ack") {
-                    Some(s) => {
-                        let f: u64 = num(&s, "--f-ack")?;
-                        need(f >= 1, "--f-ack", "F_ack must be at least 1")?;
-                        f
-                    }
-                    None => 4,
-                },
-                seed: match opts.optional("--seed") {
-                    Some(s) => num(&s, "--seed")?,
-                    None => 0,
-                },
-                jitter_us: match opts.optional("--jitter-us") {
-                    Some(s) => num(&s, "--jitter-us")?,
-                    None => 200,
-                },
-                timeout_ms: match opts.optional("--timeout-ms") {
-                    Some(s) => num(&s, "--timeout-ms")?,
-                    None => 10_000,
-                },
+                seed: opts.num_or("--seed", 0)?,
+                jitter_us: opts.num_or("--jitter-us", 200)?,
+                timeout_ms: opts.num_or("--timeout-ms", 10_000)?,
                 strict: opts.flag("--strict"),
                 engine: EngineFlags::parse(&mut opts)?,
             },
             "explore" => Command::Explore {
-                algo: AlgoSpec::parse(&opts.required("--algo")?)?,
-                topo: TopoSpec::parse(&opts.required("--topo")?)?,
-                inputs: InputSpec::parse(&opts.optional("--inputs").unwrap_or("alt".into()))?,
-                crash_budget: match opts.optional("--crash-budget") {
-                    Some(s) => num(&s, "--crash-budget")?,
-                    None => 0,
-                },
-                max_states: match opts.optional("--max-states") {
-                    Some(s) => num(&s, "--max-states")?,
-                    None => 500_000,
-                },
-                max_depth: match opts.optional("--max-depth") {
-                    Some(s) => num(&s, "--max-depth")?,
-                    None => 10_000,
-                },
+                algo: ScenarioAlgo::parse(&opts.required("--algo")?)?,
+                topo: ScenarioTopo::parse(&opts.required("--topo")?)?,
+                inputs: inputs(&mut opts)?,
+                crash_budget: opts.num_or("--crash-budget", 0)?,
+                max_states: opts.num_or("--max-states", 500_000)?,
+                max_depth: opts.num_or("--max-depth", 10_000)?,
                 naive: opts.flag("--naive"),
                 mutate: opts.optional("--mutate"),
             },
             "sweep" => Command::Sweep {
                 smoke: opts.flag("--smoke"),
                 scenario: opts.optional("--scenario"),
-                seeds: match opts.optional("--seeds") {
-                    Some(s) => num(&s, "--seeds")?,
-                    None => 2,
-                },
+                seeds: opts.num_or("--seeds", 2)?,
                 list: opts.flag("--list"),
             },
             "load" => Command::Load {
                 scenario: opts.optional("--scenario"),
-                arrival: match opts.optional("--arrival") {
-                    Some(s) => Some(s.parse()?),
-                    None => None,
-                },
-                rate: match opts.optional("--rate") {
-                    Some(s) => Some(num(&s, "--rate")?),
-                    None => None,
-                },
-                duration: match opts.optional("--duration") {
-                    Some(s) => Some(num(&s, "--duration")?),
-                    None => None,
-                },
-                seed: match opts.optional("--seed") {
-                    Some(s) => Some(num(&s, "--seed")?),
-                    None => None,
-                },
+                arrival: opts.optional("--arrival").map(|s| s.parse()).transpose()?,
+                rate: opts.optional_num("--rate")?,
+                duration: opts.optional_num("--duration")?,
+                seed: opts.optional_num("--seed")?,
                 list: opts.flag("--list"),
                 engine: EngineFlags::parse(&mut opts)?,
             },
@@ -722,6 +394,16 @@ impl Opts {
         self.take(key).flatten()
     }
 
+    /// `key`'s number, if given.
+    fn optional_num<T: std::str::FromStr>(&mut self, key: &str) -> Result<Option<T>, String> {
+        self.optional(key).map(|s| num(&s, key)).transpose()
+    }
+
+    /// `key`'s number, or `default` when absent.
+    fn num_or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, String> {
+        Ok(self.optional_num(key)?.unwrap_or(default))
+    }
+
     fn all(&mut self, key: &str) -> Vec<String> {
         let mut out = Vec::new();
         while let Some(Some(v)) = self.take(key) {
@@ -744,64 +426,14 @@ impl Opts {
     }
 }
 
-// --- tiny param helpers -------------------------------------------------
-
-fn split_head(s: &str) -> (&str, Option<&str>) {
-    match s.split_once(':') {
-        Some((h, t)) => (h, Some(t)),
-        None => (s, None),
-    }
+/// Every `--crash`.
+fn crashes(opts: &mut Opts) -> Result<Vec<CrashSpec>, String> {
+    opts.all("--crash").iter().map(|s| parse_crash(s)).collect()
 }
 
-/// `Ok` when `ok`, else an error naming the spec and the broken rule.
-fn need(ok: bool, spec: &str, rule: &str) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("`{spec}`: {rule}"))
-    }
-}
-
-fn no_params(tail: Option<&str>, full: &str) -> Result<(), String> {
-    match tail {
-        None => Ok(()),
-        Some(_) => Err(format!("`{full}` takes no parameters")),
-    }
-}
-
-fn params(tail: Option<&str>, full: &str, want: usize) -> Result<Vec<String>, String> {
-    let tail = tail.ok_or_else(|| format!("`{full}` needs parameters"))?;
-    let parts: Vec<String> = tail.split(':').map(str::to_string).collect();
-    if want != usize::MAX && parts.len() != want {
-        return Err(format!("`{full}`: expected {want} parameter(s)"));
-    }
-    Ok(parts)
-}
-
-fn num<T: std::str::FromStr>(s: &str, ctx: &str) -> Result<T, String> {
-    s.parse()
-        .map_err(|_| format!("bad number `{s}` in `{ctx}`"))
-}
-
-fn one_param<T: std::str::FromStr>(tail: Option<&str>, full: &str) -> Result<T, String> {
-    let parts = params(tail, full, 1)?;
-    num(&parts[0], full)
-}
-
-fn two_params<A: std::str::FromStr, B: std::str::FromStr>(
-    tail: Option<&str>,
-    full: &str,
-) -> Result<(A, B), String> {
-    let parts = params(tail, full, 2)?;
-    Ok((num(&parts[0], full)?, num(&parts[1], full)?))
-}
-
-fn wh_param(tail: Option<&str>, full: &str) -> Result<(usize, usize), String> {
-    let parts = params(tail, full, 1)?;
-    let (w, h) = parts[0]
-        .split_once('x')
-        .ok_or_else(|| format!("`{full}`: expected <w>x<h>"))?;
-    Ok((num(w, full)?, num(h, full)?))
+/// `--inputs`, defaulting to `alt`.
+fn inputs(opts: &mut Opts) -> Result<ScenarioInputs, String> {
+    ScenarioInputs::parse(&opts.optional("--inputs").unwrap_or("alt".into()))
 }
 
 #[cfg(test)]
@@ -814,66 +446,101 @@ mod tests {
 
     #[test]
     fn algo_specs_parse() {
-        assert_eq!(AlgoSpec::parse("two-phase").unwrap(), AlgoSpec::TwoPhase);
         assert_eq!(
-            AlgoSpec::parse("bitwise:16").unwrap(),
-            AlgoSpec::Bitwise(16)
+            ScenarioAlgo::parse("two-phase").unwrap(),
+            ScenarioAlgo::TwoPhase
         );
-        assert_eq!(AlgoSpec::parse("fd-paxos").unwrap(), AlgoSpec::FdPaxos(4));
-        assert_eq!(AlgoSpec::parse("fd-paxos:9").unwrap(), AlgoSpec::FdPaxos(9));
-        assert!(AlgoSpec::parse("raft").is_err());
-        assert!(AlgoSpec::parse("two-phase:3").is_err());
+        assert_eq!(
+            ScenarioAlgo::parse("bitwise:16").unwrap(),
+            ScenarioAlgo::Bitwise(16)
+        );
+        assert_eq!(
+            ScenarioAlgo::parse("fd-paxos").unwrap(),
+            ScenarioAlgo::FdPaxos(4)
+        );
+        assert_eq!(
+            ScenarioAlgo::parse("fd-paxos:9").unwrap(),
+            ScenarioAlgo::FdPaxos(9)
+        );
+        assert!(ScenarioAlgo::parse("raft").is_err());
+        assert!(ScenarioAlgo::parse("two-phase:3").is_err());
+        for name in ["two-phase", "wpaxos", "bitwise:16", "ben-or", "fd-paxos:9"] {
+            assert_eq!(ScenarioAlgo::parse(name).unwrap().name(), name);
+        }
     }
 
     #[test]
     fn topo_specs_parse_and_build() {
-        assert_eq!(TopoSpec::parse("clique:5").unwrap().build().len(), 5);
-        assert_eq!(TopoSpec::parse("grid:4x3").unwrap().build().len(), 12);
-        assert_eq!(TopoSpec::parse("hypercube:3").unwrap().build().len(), 8);
-        assert_eq!(TopoSpec::parse("barbell:4:2").unwrap().build().len(), 10);
-        let r = TopoSpec::parse("random:10:0.3:7").unwrap().build();
+        let build = |s: &str| ScenarioTopo::parse(s).unwrap().build();
+        assert_eq!(build("clique:5").len(), 5);
+        assert_eq!(build("grid:4x3").len(), 12);
+        assert_eq!(build("hypercube:3").len(), 8);
+        assert_eq!(build("barbell:4:2").len(), 10);
+        let r = build("random:10:0.3:7");
         assert_eq!(r.len(), 10);
         assert!(r.is_connected());
-        assert!(TopoSpec::parse("grid:4").is_err());
-        assert!(TopoSpec::parse("blob:4").is_err());
+        assert!(ScenarioTopo::parse("grid:4").is_err());
+        assert!(ScenarioTopo::parse("blob:4").is_err());
+        // Every family prints back the spec it was parsed from.
+        for spec in [
+            "clique:5",
+            "line:3",
+            "ring:4",
+            "star:6",
+            "grid:4x3",
+            "torus:3x4",
+            "hypercube:3",
+            "binary-tree:3",
+            "barbell:4:2",
+            "star-of-lines:3:2",
+            "caterpillar:3:2",
+            "lollipop:4:3",
+            "random:10:0.3:7",
+            "random-tree:9:5",
+        ] {
+            assert_eq!(ScenarioTopo::parse(spec).unwrap().to_string(), spec);
+        }
     }
 
     #[test]
     fn sched_specs_parse() {
-        assert_eq!(SchedSpec::parse("sync:2").unwrap(), SchedSpec::Sync(2));
         assert_eq!(
-            SchedSpec::parse("random:4:42").unwrap(),
-            SchedSpec::Random(4, 42)
+            ScenarioSched::parse("sync:2").unwrap(),
+            (ScenarioSched::Sync { f_ack: 2 }, 0)
         );
         assert_eq!(
-            SchedSpec::parse("dual:2:8:1").unwrap(),
-            SchedSpec::Dual(2, 8, 1)
+            ScenarioSched::parse("random:4:42").unwrap(),
+            (ScenarioSched::Random { f_ack: 4 }, 42)
         );
-        assert_eq!(SchedSpec::parse("dual:2:8:1").unwrap().f_ack(), 8);
-        assert!(SchedSpec::parse("sync").is_err());
+        let (dual, seed) = ScenarioSched::parse("dual:2:8:1").unwrap();
+        assert_eq!(
+            (&dual, seed),
+            (
+                &ScenarioSched::Dual {
+                    f_prog: 2,
+                    f_ack: 8
+                },
+                1
+            )
+        );
+        assert_eq!(dual.f_ack(), 8);
+        assert_eq!(dual.spec(seed), "dual:2:8:1");
+        assert!(ScenarioSched::parse("sync").is_err());
     }
 
     #[test]
     fn input_specs_materialize() {
-        assert_eq!(
-            InputSpec::parse("alt").unwrap().materialize(4).unwrap(),
-            vec![0, 1, 0, 1]
-        );
-        assert_eq!(
-            InputSpec::parse("const:7").unwrap().materialize(3).unwrap(),
-            vec![7, 7, 7]
-        );
-        assert_eq!(
-            InputSpec::parse("0,1,1").unwrap().materialize(3).unwrap(),
-            vec![0, 1, 1]
-        );
-        assert!(InputSpec::parse("0,1").unwrap().materialize(3).is_err());
-        let r = InputSpec::parse("random:9:15")
-            .unwrap()
-            .materialize(100)
-            .unwrap();
-        assert!(r.iter().all(|&v| v <= 15));
-        assert!(InputSpec::parse("x,y").is_err());
+        let inputs = |s: &str, n: usize| ScenarioInputs::parse(s).unwrap().materialize(n);
+        assert_eq!(inputs("alt", 4), vec![0, 1, 0, 1]);
+        assert_eq!(inputs("const:7", 3), vec![7, 7, 7]);
+        assert_eq!(inputs("0,1,1", 3), vec![0, 1, 1]);
+        assert!(inputs("random:9:15", 100).iter().all(|&v| v <= 15));
+        assert!(ScenarioInputs::parse("x,y").is_err());
+        // A list of the wrong length is the algorithm check's to refuse.
+        let err = ScenarioAlgo::Wpaxos
+            .check(&Topology::clique(3), &inputs("0,1", 3))
+            .unwrap_err();
+        assert!(err.contains("2 inputs given"), "{err}");
     }
 
     #[test]
@@ -911,9 +578,9 @@ mod tests {
                 audit,
                 ..
             } => {
-                assert_eq!(algo, AlgoSpec::TwoPhase);
-                assert_eq!(sched, SchedSpec::Random(4, 42));
-                assert_eq!(inputs, InputSpec::Alternating);
+                assert_eq!(algo, ScenarioAlgo::TwoPhase);
+                assert_eq!(sched, (ScenarioSched::Random { f_ack: 4 }, 42));
+                assert_eq!(inputs, ScenarioInputs::Alternating);
                 assert!(crashes.is_empty());
                 assert!(!trace && !audit);
             }
@@ -1158,7 +825,16 @@ mod tests {
         .unwrap();
         match cmd {
             Command::CrossCheck { sched, crashes, .. } => {
-                assert_eq!(sched, Some(SchedSpec::Dual(2, 8, 7)));
+                assert_eq!(
+                    sched,
+                    Some((
+                        ScenarioSched::Dual {
+                            f_prog: 2,
+                            f_ack: 8
+                        },
+                        7
+                    ))
+                );
                 assert_eq!(crashes.len(), 1);
             }
             _ => panic!("expected CrossCheck"),
@@ -1181,7 +857,7 @@ mod tests {
                 mutate,
                 ..
             } => {
-                assert_eq!(algo, AlgoSpec::TwoPhase);
+                assert_eq!(algo, ScenarioAlgo::TwoPhase);
                 assert_eq!(crash_budget, 0);
                 assert_eq!(max_states, 500_000);
                 assert_eq!(max_depth, 10_000);

@@ -67,6 +67,7 @@ enum Stage {
 }
 
 /// A Ben-Or node (binary inputs, `f = 1`).
+#[derive(Clone, Debug)]
 pub struct BenOr {
     n: usize,
     x: Value,

@@ -90,7 +90,7 @@ pub mod topo;
 /// Convenience re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::ids::{NodeId, Slot};
-    pub use crate::mac::{BackendSched, MacLayer, MacReport, SchedulerFactory, SimBackend};
+    pub use crate::mac::{MacLayer, MacReport, SchedulerFactory, SimBackend};
     pub use crate::msg::Payload;
     pub use crate::proc::{Context, Decision, NodeCell, Process, Value};
     pub use crate::sim::config::EngineConfig;

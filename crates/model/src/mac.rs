@@ -34,12 +34,7 @@ use std::sync::Arc;
 use crate::ids::Slot;
 use crate::proc::{Process, Value};
 use crate::sim::config::EngineConfig;
-use crate::sim::crash::CrashPlan;
 use crate::sim::engine::{RunReport, SimBuilder};
-use crate::sim::queue::QueueCoreKind;
-use crate::sim::sched::random::RandomScheduler;
-use crate::sim::sched::stall::MaxDelayScheduler;
-use crate::sim::sched::sync::SynchronousScheduler;
 use crate::sim::sched::Scheduler;
 use crate::sim::time::Time;
 use crate::sim::trace::Trace;
@@ -552,35 +547,6 @@ impl BcastLedger {
     }
 }
 
-/// Scheduler selection for an engine-backed [`MacLayer`].
-#[derive(Clone, Copy, Debug)]
-pub enum BackendSched {
-    /// Lockstep rounds with the given `F_ack` (see
-    /// [`SynchronousScheduler`]).
-    Synchronous(u64),
-    /// Seeded random delays under the given `F_ack` bound.
-    Random {
-        /// The scheduler's `F_ack` bound.
-        f_ack: u64,
-        /// Scheduler seed.
-        seed: u64,
-    },
-    /// Every broadcast takes the full `F_ack` (the worst-case
-    /// adversary).
-    MaxDelay(u64),
-}
-
-impl BackendSched {
-    /// Packages this selection as a [`SchedulerFactory`].
-    pub fn factory(self) -> SchedulerFactory {
-        Arc::new(move || match self {
-            BackendSched::Synchronous(f_ack) => Box::new(SynchronousScheduler::new(f_ack)),
-            BackendSched::Random { f_ack, seed } => Box::new(RandomScheduler::new(f_ack, seed)),
-            BackendSched::MaxDelay(f_ack) => Box::new(MaxDelayScheduler::new(f_ack)),
-        })
-    }
-}
-
 /// Produces a fresh boxed [`Scheduler`] for each execution.
 ///
 /// Schedulers are stateful (per-broadcast counters, RNG streams), so a
@@ -596,7 +562,8 @@ pub type SchedulerFactory = Arc<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>;
 /// Owns everything needed to build a fresh [`SimBuilder`] per
 /// [`execute`](MacLayer::execute) call — including an arbitrary
 /// [`SchedulerFactory`] (any adversary: partitions, scripted
-/// worst cases, dual bounds, ...) and a [`CrashPlan`] — so one
+/// worst cases, dual bounds, ...) and an [`EngineConfig`] with its
+/// [`CrashPlan`](crate::sim::crash::CrashPlan) — so one
 /// `SimBackend` can run many algorithms (or the same algorithm
 /// repeatedly) with identical settings — exactly what the conformance
 /// cross-check and adversarial scenario sweeps need.
@@ -625,12 +592,6 @@ impl fmt::Debug for SimBackend {
 }
 
 impl SimBackend {
-    /// A backend over `topo` driven by one of the stock schedulers.
-    pub fn new(topo: Topology, sched: BackendSched) -> Self {
-        let label = format!("{sched:?}");
-        Self::with_factory(topo, label, sched.factory())
-    }
-
     /// A backend over `topo` driven by an arbitrary scheduler factory.
     /// `label` names the adversary in `Debug` output and reports.
     /// Engine knobs start from [`EngineConfig::default`].
@@ -648,83 +609,16 @@ impl SimBackend {
         }
     }
 
-    /// Replaces the whole engine configuration in one call; the
-    /// individual fluent knobs below are thin delegates onto the same
-    /// stored [`EngineConfig`], so the two styles compose.
+    /// Sets every engine knob — seed, queue core, shards, threads,
+    /// crash plan — in one call.
     pub fn config(mut self, cfg: EngineConfig) -> Self {
         self.cfg = cfg;
         self
     }
 
-    /// The engine configuration every execution of this backend uses.
-    pub fn engine_config(&self) -> &EngineConfig {
-        &self.cfg
-    }
-
-    /// Sets the per-node randomness seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg = self.cfg.seed(seed);
-        self
-    }
-
-    /// Selects the engine's event-queue core. Both cores realize the
-    /// identical execution (the conformance sweep proves it); this is
-    /// a performance knob, surfaced here so cross-checks can prove the
-    /// equivalence per scenario.
-    pub fn queue_core(mut self, kind: QueueCoreKind) -> Self {
-        self.cfg = self.cfg.queue_core(kind);
-        self
-    }
-
-    /// Shards every execution across `shards` workers via the
-    /// conservative time-window engine. Like the queue core, sharding
-    /// is observably identity-preserving (byte-identical traces and
-    /// reports at every shard count), surfaced here so cross-checks
-    /// can prove the equivalence per scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg = self.cfg.shards(shards);
-        self
-    }
-
-    /// The shard count this backend builds engines on.
-    pub fn shard_count(&self) -> usize {
-        self.cfg.shards.get()
-    }
-
-    /// Steps every sharded execution with up to `threads` worker
-    /// threads (one per shard, capped at the shard count) inside each
-    /// conservative time window. Like sharding itself, threading is
-    /// observably identity-preserving — byte-identical traces and
-    /// reports at every thread count — so this too is purely a
-    /// performance knob, surfaced here so cross-checks can prove the
-    /// equivalence per scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg = self.cfg.threads(threads);
-        self
-    }
-
-    /// The worker-thread count this backend builds engines on.
-    pub fn thread_count(&self) -> usize {
-        self.cfg.threads.get()
-    }
-
     /// Sets the virtual-time horizon.
     pub fn max_time(mut self, t: Time) -> Self {
         self.max_time = t;
-        self
-    }
-
-    /// Schedules crash failures for every execution of this backend.
-    pub fn crash_plan(mut self, plan: CrashPlan) -> Self {
-        self.cfg = self.cfg.crash_plan(plan);
         self
     }
 
@@ -790,6 +684,7 @@ mod tests {
     use super::*;
     use crate::msg::Payload;
     use crate::proc::Context;
+    use crate::sim::sched::sync::SynchronousScheduler;
 
     #[test]
     fn ledger_admits_and_counts() {
@@ -991,12 +886,19 @@ mod tests {
         }
     }
 
+    /// A backend over `topo` under the seeded random adversary.
+    fn random_backend(topo: Topology, f_ack: u64, seed: u64) -> SimBackend {
+        use crate::sim::sched::random::RandomScheduler;
+        SimBackend::with_factory(
+            topo,
+            "random",
+            Arc::new(move || Box::new(RandomScheduler::new(f_ack, seed))),
+        )
+    }
+
     #[test]
     fn sim_backend_runs_through_the_trait() {
-        let mut backend = SimBackend::new(
-            Topology::clique(4),
-            BackendSched::Random { f_ack: 3, seed: 5 },
-        );
+        let mut backend = random_backend(Topology::clique(4), 3, 5);
         let layer: &mut dyn MacLayer<Once> = &mut backend;
         assert_eq!(layer.backend_name(), "sim");
         let report = layer.execute(&mut |s| Once(s.index() as Value));
@@ -1040,11 +942,13 @@ mod tests {
     fn sim_backend_carries_a_crash_plan() {
         use crate::sim::crash::{CrashPlan, CrashSpec};
 
-        let mut backend = SimBackend::new(Topology::clique(4), BackendSched::Synchronous(2))
-            .crash_plan(CrashPlan::new(vec![CrashSpec::AtTime {
+        let sync: SchedulerFactory = Arc::new(|| Box::new(SynchronousScheduler::new(2)));
+        let mut backend = SimBackend::with_factory(Topology::clique(4), "sync", sync).config(
+            EngineConfig::new().crash_plan(CrashPlan::new(vec![CrashSpec::AtTime {
                 slot: Slot(0),
                 time: Time(1),
-            }]));
+            }])),
+        );
         let report = MacLayer::<Once>::execute(&mut backend, &mut |s| Once(s.index() as Value));
         // Node 0 dies before its ack (acks take 2 ticks): undecided.
         assert!(report.all_decided, "survivors decide");
@@ -1059,11 +963,8 @@ mod tests {
 
     #[test]
     fn sim_backend_is_reusable_and_deterministic() {
-        let mut backend = SimBackend::new(
-            Topology::random_connected(8, 0.3, 1),
-            BackendSched::Random { f_ack: 4, seed: 9 },
-        )
-        .seed(9);
+        let mut backend = random_backend(Topology::random_connected(8, 0.3, 1), 4, 9)
+            .config(EngineConfig::new().seed(9));
         let a = MacLayer::<Once>::execute(&mut backend, &mut |s| Once(s.index() as Value));
         let b = MacLayer::<Once>::execute(&mut backend, &mut |s| Once(s.index() as Value));
         assert_eq!(a, b);

@@ -661,7 +661,7 @@ mod tests {
         assert_eq!(report.deliveries, (n * (n - 1)) as u64);
     }
 
-    /// Relay flood for multihop: forwards the minimum seen, re-sending
+    /// Relay flood over a clique: forwards the minimum seen, re-sending
     /// whenever it learns a smaller value; decides after `rounds` acks.
     struct RelayMin {
         best: u64,
@@ -694,16 +694,71 @@ mod tests {
         }
     }
 
+    /// What a [`GatherMin`] has heard: a bitmask of the slots whose
+    /// values it holds, and the least of them.
+    #[derive(Clone, Debug)]
+    struct Heard {
+        slots: u64,
+        min: u64,
+    }
+    impl Payload for Heard {
+        fn id_count(&self) -> usize {
+            0
+        }
+    }
+
+    /// Gather flood for multihop: relays whenever its set of heard
+    /// slots grows, and decides once, the minimum, when all `n` are in
+    /// — so no value can arrive after its decision.
+    struct GatherMin {
+        n: usize,
+        heard: Heard,
+        dirty: bool,
+    }
+
+    impl GatherMin {
+        fn relay(&mut self, ctx: &mut Context<'_, Heard>) {
+            if self.dirty && !ctx.is_busy() {
+                self.dirty = false;
+                ctx.broadcast(self.heard.clone());
+            }
+            if self.heard.slots.count_ones() as usize == self.n && ctx.decided().is_none() {
+                ctx.decide(self.heard.min);
+            }
+        }
+    }
+
+    impl Process for GatherMin {
+        type Msg = Heard;
+        fn on_start(&mut self, ctx: &mut Context<'_, Heard>) {
+            self.relay(ctx);
+        }
+        fn on_receive(&mut self, msg: Heard, ctx: &mut Context<'_, Heard>) {
+            if msg.slots & !self.heard.slots != 0 {
+                self.heard.slots |= msg.slots;
+                self.heard.min = self.heard.min.min(msg.min);
+                self.dirty = true;
+            }
+            self.relay(ctx);
+        }
+        fn on_ack(&mut self, ctx: &mut Context<'_, Heard>) {
+            self.relay(ctx);
+        }
+    }
+
     #[test]
     fn multihop_relay_converges_on_a_line() {
         let n = 6;
         let rt = MacRuntime::new(Topology::line(n), cfg(2));
-        let report = rt.run(|s| RelayMin {
-            best: 100 - s.index() as u64,
-            rounds_left: 4 * n as u64,
-            dirty: false,
+        let report = rt.run(|s| GatherMin {
+            n,
+            heard: Heard {
+                slots: 1 << s.index(),
+                min: 100 - s.index() as u64,
+            },
+            dirty: true,
         });
-        assert!(report.all_decided);
+        assert!(report.all_decided, "{:?}", report.decisions);
         assert_eq!(report.decided_values(), vec![100 - (n as u64 - 1)]);
     }
 

@@ -9,6 +9,16 @@ use amacl::algorithms::wpaxos::wpaxos_node;
 use amacl::model::prelude::*;
 use amacl::runtime::{MacRuntime, RuntimeConfig};
 
+/// The engine backend on `topo` under the seeded random adversary.
+fn random_sim(topo: Topology, f_ack: u64, seed: u64) -> SimBackend {
+    use amacl::checker::ScenarioSched;
+    SimBackend::with_factory(
+        topo,
+        "random",
+        ScenarioSched::Random { f_ack }.factory(seed),
+    )
+}
+
 fn cfg(seed: u64) -> RuntimeConfig {
     RuntimeConfig {
         max_jitter: Duration::from_micros(250),
@@ -98,10 +108,7 @@ fn both_backends_run_the_same_process_through_the_mac_layer_trait() {
     use amacl::checker::{cross_check, CrossCheckConfig};
 
     let n = 6;
-    let mut sim = SimBackend::new(
-        Topology::clique(n),
-        BackendSched::Random { f_ack: 5, seed: 9 },
-    );
+    let mut sim = random_sim(Topology::clique(n), 5, 9);
     let mut rt = MacRuntime::new(Topology::clique(n), cfg(9));
     let backends: [&mut dyn MacLayer<TwoPhase>; 2] = [&mut sim, &mut rt];
     let mut reports = Vec::new();
@@ -151,12 +158,11 @@ fn timed_crash_agrees_slot_for_slot_across_backends() {
         slot: Slot(0),
         time: Time(1),
     };
-    let mut sim = SimBackend::new(
-        Topology::clique(n),
-        BackendSched::Random { f_ack: 4, seed: 6 },
-    )
-    .seed(6)
-    .crash_plan(CrashPlan::new(vec![crash]));
+    let mut sim = random_sim(Topology::clique(n), 4, 6).config(
+        EngineConfig::new()
+            .seed(6)
+            .crash_plan(CrashPlan::new(vec![crash])),
+    );
     let mut config = cfg(6);
     // Tick length zero: the ether fires the deadline before admitting
     // any broadcast, the wall-clock analogue of dying at t=1 when
@@ -199,7 +205,7 @@ fn wpaxos_cross_check_multihop_through_the_trait() {
         let n = topo.len();
         let inputs: Vec<Value> = (0..n as u64).map(|i| i % 2).collect();
         let iv = inputs.clone();
-        let mut sim = SimBackend::new(topo.clone(), BackendSched::Random { f_ack: 4, seed });
+        let mut sim = random_sim(topo.clone(), 4, seed);
         let mut rt = MacRuntime::new(topo, cfg(seed));
         let outcome = cross_check(
             &mut sim,
